@@ -14,13 +14,8 @@ import sys
 from pathlib import Path
 
 from .core import from_ms, to_ms
-from .fairness import (
-    exact_convergence_suite,
-    proportional_selection_check,
-    schedule_table,
-    short_term_suite,
-)
-from .metrics import summarize, write_trace
+from .fairness import DEFAULT_SEED, all_suites, schedule_table
+from .metrics import _string_keys, summarize, write_trace
 from .policy import PolicyKind
 from .scenario import InvalidScenario, builtin_names, load_scenario
 from .simnet import run as run_simulation
@@ -74,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem.add_argument(
         "--draws", type=int, default=1_000_000, help="proportional-selection draws"
     )
-    p_lem.add_argument("--seed", type=int, default=None, help="suite RNG seed")
+    p_lem.add_argument("--seed", type=int, default=DEFAULT_SEED, help="suite RNG seed")
     p_lem.set_defaults(func=_cmd_lemmas)
 
     p_tab = sub.add_parser(
@@ -111,16 +106,8 @@ def _cmd_run(args) -> int:
             "max_deviation": summary.fairness_max_deviation,
             "groups": summary.fairness_groups,
         }
-        print(json.dumps(_jsonable(detail), indent=2, sort_keys=True))
+        print(json.dumps(_string_keys(detail), indent=2, sort_keys=True))
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _cmd_validate(args) -> int:
@@ -134,12 +121,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    kwargs = {} if args.seed is None else {"seed": args.seed}
-    reports = [
-        short_term_suite(runs=args.runs, steps=args.steps, **kwargs),
-        exact_convergence_suite(cases=args.cases, **kwargs),
-        proportional_selection_check(draws=args.draws, **kwargs),
-    ]
+    reports = all_suites(
+        runs=args.runs,
+        steps=args.steps,
+        cases=args.cases,
+        draws=args.draws,
+        seed=args.seed,
+    )
     for report in reports:
         print(report.describe())
     return 0 if all(r.passed for r in reports) else 1

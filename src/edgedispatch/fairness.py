@@ -46,7 +46,6 @@ def short_term_suite(
     runs: int = 1000,
     steps: int = 10_000,
     seed: int = DEFAULT_SEED,
-    force_pure: bool = False,
 ) -> SuiteReport:
     """Bounded deficit spread and bounded weighted-count spread, checked at
     every step of every randomized run (2-10 destinations, weights 1-50 ms)."""
@@ -57,7 +56,7 @@ def short_term_suite(
     for case in range(runs):
         k = rng.randint(2, 10)
         weights = [rng.randint(1 * US_PER_MS, 50 * US_PER_MS) for _ in range(k)]
-        result = replay_frozen(weights, steps, force_pure=force_pure)
+        result = replay_frozen(weights, steps)
         if result.spread_violation >= 0:
             spread_violations += 1
             failures.append(
@@ -100,7 +99,6 @@ def _convergence_case(rng: random.Random, cap: int = 400_000):
 def exact_convergence_suite(
     cases: int = 100,
     seed: int = DEFAULT_SEED,
-    force_pure: bool = False,
 ) -> SuiteReport:
     """At the full period's horizon, counts equal period/weight exactly and
     every deficit equals the period exactly."""
@@ -110,7 +108,7 @@ def exact_convergence_suite(
     for case in range(cases):
         weights, period, horizon = _convergence_case(rng)
         total_steps += horizon
-        result = replay_frozen(weights, horizon, force_pure=force_pure)
+        result = replay_frozen(weights, horizon)
         expected_counts = [period // w for w in weights]
         if result.counts != expected_counts:
             failures.append(

@@ -205,6 +205,19 @@ def semantic_problems(s: Scenario) -> list[str]:
     problems: list[str] = []
     if s.duration_us <= 0:
         problems.append("duration_ms: must be positive")
+    # The schema checks milliseconds; a positive value can still round to
+    # 0 us, and a zero retry, backoff or service time never advances time.
+    durations = [
+        ("policy.retry_ms", s.policy.retry_us),
+        ("policy.b_min_ms", s.policy.b_min_us),
+    ] + [
+        (f"computer {c.id} service_ms for lambda {lam}", us)
+        for c in s.computers
+        for lam, us in c.service_us.items()
+    ]
+    for field, us in durations:
+        if us < 1:
+            problems.append(f"{field}: must be at least 0.001 ms (1 us) after rounding")
     computer_ids = [c.id for c in s.computers]
     if len(computer_ids) != len(set(computer_ids)):
         problems.append("computers: duplicate id")

@@ -41,10 +41,6 @@ def test_short_term_suite_small():
     assert report.describe() == "PASS short-term fairness bounds: 10 cases"
 
 
-def test_short_term_suite_pure_backend():
-    assert short_term_suite(runs=5, steps=200, force_pure=True).passed
-
-
 def test_exact_convergence_suite_small():
     report = exact_convergence_suite(cases=5, seed=7)
     assert report.passed

@@ -149,6 +149,36 @@ def test_nonpositive_rate():
     assert any("rate must be positive" in p for p in semantic_problems(broken))
 
 
+def test_retry_rounding_to_zero_us_rejected():
+    # with the only destination blacked out, a 0 us retry would re-queue
+    # at the same microsecond forever
+    doc = tiny_doc(
+        policy={"kind": "li", "retry_ms": 0.0001},
+        congestion=[{"router": 0, "computer": 0, "start_ms": 0, "end_ms": 150}],
+    )
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    assert any("retry_ms" in p and "1 us" in p for p in info.value.problems)
+
+
+def test_backoff_rounding_to_zero_us_rejected():
+    # doubling a 0 us backoff never moves it
+    doc = tiny_doc(policy={"kind": "rr", "b_min_ms": 0.0004})
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    assert any("b_min_ms" in p and "1 us" in p for p in info.value.problems)
+
+
+def test_service_time_rounding_to_zero_us_rejected():
+    doc = tiny_doc()
+    doc["computers"][0]["service_ms"] = {0: 0.0001}
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    assert any(
+        "service_ms for lambda 0" in p and "1 us" in p for p in info.value.problems
+    )
+
+
 def test_congestion_window_needs_start_before_end():
     doc = tiny_doc(
         congestion=[{"router": 0, "computer": 0, "start_ms": 50, "end_ms": 50}]
