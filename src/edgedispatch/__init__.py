@@ -7,12 +7,7 @@ deficit scheduler whose fairness properties are machine-checked.
 """
 
 from .core import INFINITE, US_PER_MS, RequestRecord, Weight, from_ms, to_ms
-from .estimator import (
-    NotCongested,
-    ObservationWhileCongested,
-    WeightTable,
-    WeightView,
-)
+from .estimator import NotCongested, ObservationWhileCongested, WeightTable
 from .ledger import (
     REPLAY_BACKEND,
     AlreadyAdmitted,
@@ -73,7 +68,6 @@ __all__ = [
     "NotCongested",
     "ObservationWhileCongested",
     "WeightTable",
-    "WeightView",
     "REPLAY_BACKEND",
     "AlreadyAdmitted",
     "DeficitLedger",

@@ -13,9 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .core import from_ms, to_ms
+from .core import from_ms, string_keys, to_ms
 from .fairness import DEFAULT_SEED, all_suites, schedule_table
-from .metrics import _string_keys, summarize, write_trace
+from .metrics import summarize, write_trace
 from .policy import PolicyKind
 from .scenario import InvalidScenario, builtin_names, load_scenario
 from .simnet import run as run_simulation
@@ -106,7 +106,7 @@ def _cmd_run(args) -> int:
             "max_deviation": summary.fairness_max_deviation,
             "groups": summary.fairness_groups,
         }
-        print(json.dumps(_string_keys(detail), indent=2, sort_keys=True))
+        print(json.dumps(string_keys(detail), indent=2, sort_keys=True))
     return 0
 
 

@@ -24,6 +24,16 @@ def to_ms(us: int) -> float:
     return us / US_PER_MS
 
 
+def string_keys(obj):
+    """Copy of a nested dict/list/tuple tree with every dict key as a string
+    and tuples as lists: the shape JSON (and JSON schema) speaks."""
+    if isinstance(obj, dict):
+        return {str(k): string_keys(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [string_keys(v) for v in obj]
+    return obj
+
+
 class _InfiniteWeight:
     """Weight of a congested path.
 

@@ -1,8 +1,9 @@
-"""Smoothed per-(lambda, destination) latency estimates with congestion override.
+"""Smoothed per-destination latency estimates with congestion override.
 
-The estimate for a pair starts at the first measured latency and then moves
-as a weighted blend of previous estimate and new sample. While the network
-path to a destination is reported congested the estimate is pinned to
+A router keeps one table per lambda it serves. The estimate for a
+destination starts at the first measured latency and then moves as a
+weighted blend of previous estimate and new sample. While the network path
+to a destination is reported congested the estimate is pinned to
 INFINITE; the last finite value is kept aside and comes back untouched when
 the congestion signal clears.
 """
@@ -15,11 +16,11 @@ from .core import INFINITE, Weight
 
 
 class ObservationWhileCongested(Exception):
-    """A latency sample was offered for a pair currently marked congested."""
+    """A latency sample was offered for a destination currently marked congested."""
 
 
 class NotCongested(Exception):
-    """Congestion clear received for a pair that was never marked."""
+    """Congestion clear received for a destination that was never marked."""
 
 
 class _Entry:
@@ -40,7 +41,7 @@ def _as_fraction(alpha: float | str | Fraction) -> Fraction:
 
 
 class WeightTable:
-    """One router's latency estimates, keyed by (lambda, destination).
+    """One (router, lambda) pair's latency estimates, keyed by destination.
 
     ``alpha`` is the smoothing factor: 1 keeps the old estimate, 0 adopts
     each new sample wholesale. Estimates are integer microseconds; the blend
@@ -54,17 +55,15 @@ class WeightTable:
         if not 0 <= alpha <= 1:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
-        self._entries: dict[tuple[int, int], _Entry] = {}
+        self._entries: dict[int, _Entry] = {}
 
-    def observe(self, lam: int, dest: int, sample_us: int) -> int:
+    def observe(self, dest: int, sample_us: int) -> int:
         """Fold one measured latency into the estimate, return the new value."""
         if sample_us < 0:
             raise ValueError("latency sample must be non-negative")
-        entry = self._entries.setdefault((lam, dest), _Entry())
+        entry = self._entries.setdefault(dest, _Entry())
         if entry.congested:
-            raise ObservationWhileCongested(
-                f"lambda {lam} destination {dest} is marked congested"
-            )
+            raise ObservationWhileCongested(f"destination {dest} is marked congested")
         sample = max(int(sample_us), 1)
         if entry.value is None:
             entry.value = sample
@@ -74,90 +73,53 @@ class WeightTable:
             entry.value = (num * entry.value + (den - num) * sample + den // 2) // den
         return entry.value
 
-    def assign(self, lam: int, dest: int, value_us: int) -> int:
+    def assign(self, dest: int, value_us: int) -> int:
         """Overwrite the estimate outright (probe re-admission does this)."""
-        entry = self._entries.setdefault((lam, dest), _Entry())
+        entry = self._entries.setdefault(dest, _Entry())
         if entry.congested:
-            raise ObservationWhileCongested(
-                f"lambda {lam} destination {dest} is marked congested"
-            )
+            raise ObservationWhileCongested(f"destination {dest} is marked congested")
         entry.value = max(int(value_us), 1)
         return entry.value
 
-    def mark_congested(self, lam: int, dest: int) -> None:
-        """Pin the pair to INFINITE, remembering the current finite value.
+    def mark_congested(self, dest: int) -> None:
+        """Pin the destination to INFINITE, remembering the current finite value.
 
-        Idempotent: marking an already congested pair changes nothing.
+        Idempotent: marking an already congested destination changes nothing.
         """
-        entry = self._entries.setdefault((lam, dest), _Entry())
+        entry = self._entries.setdefault(dest, _Entry())
         if entry.congested:
             return
         entry.shadow = entry.value
         entry.value = None
         entry.congested = True
 
-    def clear_congestion(self, lam: int, dest: int) -> int | None:
-        """Restore the pre-congestion value; None if the pair was never measured."""
-        entry = self._entries.get((lam, dest))
+    def clear_congestion(self, dest: int) -> int | None:
+        """Restore the pre-congestion value; None if the destination was never measured."""
+        entry = self._entries.get(dest)
         if entry is None or not entry.congested:
-            raise NotCongested(f"lambda {lam} destination {dest} is not congested")
+            raise NotCongested(f"destination {dest} is not congested")
         entry.value = entry.shadow
         entry.shadow = None
         entry.congested = False
         return entry.value
 
-    def get(self, lam: int, dest: int) -> Weight | None:
+    def get(self, dest: int) -> Weight | None:
         """Current weight: microseconds, INFINITE while congested, or None
-        when the pair has never been measured."""
-        entry = self._entries.get((lam, dest))
+        when the destination has never been measured."""
+        entry = self._entries.get(dest)
         if entry is None:
             return None
         if entry.congested:
             return INFINITE
         return entry.value
 
-    def is_congested(self, lam: int, dest: int) -> bool:
-        entry = self._entries.get((lam, dest))
+    def is_congested(self, dest: int) -> bool:
+        entry = self._entries.get(dest)
         return entry is not None and entry.congested
 
-    def view(self, lam: int) -> "WeightView":
-        return WeightView(self, lam)
-
     def snapshot(self) -> dict:
-        """Serializable state: {lambda: {dest: {weight, congested, shadow}}}."""
-        out: dict = {}
-        for (lam, dest), entry in sorted(self._entries.items()):
-            out.setdefault(lam, {})[dest] = {
-                "weight": entry.value,
-                "congested": entry.congested,
-                "shadow": entry.shadow,
-            }
-        return out
-
-
-class WeightView:
-    """The slice of a WeightTable one policy instance sees (a single lambda)."""
-
-    __slots__ = ("table", "lam")
-
-    def __init__(self, table: WeightTable, lam: int) -> None:
-        self.table = table
-        self.lam = lam
-
-    def observe(self, dest: int, sample_us: int) -> int:
-        return self.table.observe(self.lam, dest, sample_us)
-
-    def assign(self, dest: int, value_us: int) -> int:
-        return self.table.assign(self.lam, dest, value_us)
-
-    def mark_congested(self, dest: int) -> None:
-        self.table.mark_congested(self.lam, dest)
-
-    def clear_congestion(self, dest: int) -> int | None:
-        return self.table.clear_congestion(self.lam, dest)
-
-    def get(self, dest: int) -> Weight | None:
-        return self.table.get(self.lam, dest)
-
-    def is_congested(self, dest: int) -> bool:
-        return self.table.is_congested(self.lam, dest)
+        """Serializable state: {dest: {weight, congested, shadow}}."""
+        return {
+            dest: {"weight": entry.value, "congested": entry.congested, "shadow": entry.shadow}
+            for dest, entry in sorted(self._entries.items())
+        }

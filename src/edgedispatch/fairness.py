@@ -138,13 +138,12 @@ def proportional_selection_check(
     against their targets: N_i/N_j must come out as w_j/w_i."""
     weights = {0: 1 * US_PER_MS, 1: 2 * US_PER_MS, 2: 4 * US_PER_MS}
     table = WeightTable()
-    view = table.view(0)
     policy = PolicyState.preloaded(
-        PolicyKind.RANDOM_PROPORTIONAL, view, weights, seed=seed
+        PolicyKind.RANDOM_PROPORTIONAL, table, weights, seed=seed
     )
     counts = {d: 0 for d in weights}
     for _ in range(draws):
-        counts[policy.select(view, 0).destination] += 1
+        counts[policy.select(table, 0).destination] += 1
     failures: list[str] = []
     worst = 0.0
     for i in sorted(weights):

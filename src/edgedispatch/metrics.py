@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .core import string_keys
 from .simnet import TraceRow
 
 TRACE_COLUMNS = (
@@ -132,7 +133,7 @@ class Summary:
     snapshot: dict
 
     def to_dict(self) -> dict:
-        return _string_keys(
+        return string_keys(
             {
                 "policy": self.policy,
                 "arrivals": self.arrivals,
@@ -156,14 +157,6 @@ class Summary:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def _string_keys(obj):
-    if isinstance(obj, dict):
-        return {str(k): _string_keys(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_string_keys(v) for v in obj]
-    return obj
 
 
 def _int_keys(obj):

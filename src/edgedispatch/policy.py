@@ -1,7 +1,7 @@
 """Destination selection: least-impedance, random-proportional, round-robin.
 
 All three policies pick among the destinations of a single lambda using that
-lambda's weight view; only finite-weight (non-congested) destinations are
+lambda's weight table; only finite-weight (non-congested) destinations are
 ever considered. Round-robin additionally runs the active-set state machine:
 destinations whose weight stays within twice the active minimum are
 scheduled by deficit counter, everyone else waits for a probe slot governed
@@ -14,8 +14,8 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .core import US_PER_MS
-from .estimator import WeightView
+from .core import INFINITE, US_PER_MS
+from .estimator import WeightTable
 from .ledger import DeficitLedger, UnknownDestination
 
 DEFAULT_B_MIN_US = 100 * US_PER_MS
@@ -51,7 +51,6 @@ class PolicyState:
         destinations: list[int],
         seed: int = 0,
         b_min_us: int = DEFAULT_B_MIN_US,
-        literal_probe_condition: bool = False,
     ) -> None:
         if not destinations:
             raise ValueError("a policy needs at least one destination")
@@ -59,9 +58,6 @@ class PolicyState:
         self.destinations = sorted(destinations)
         self.rng = random.Random(seed)
         self.b_min_us = b_min_us
-        # Kept for comparison runs: the probe condition read exactly as
-        # published never fires from a fresh state (see README).
-        self.literal_probe_condition = literal_probe_condition
         self.active: set[int] = set()
         self.probing: set[int] = set()
         self.backoff: dict[int, int] = {d: b_min_us for d in self.destinations}
@@ -77,7 +73,7 @@ class PolicyState:
     def preloaded(
         cls,
         kind: PolicyKind,
-        view: WeightView,
+        table: WeightTable,
         weights_us: dict[int, int],
         **kwargs,
     ) -> "PolicyState":
@@ -85,7 +81,7 @@ class PolicyState:
         active with deficit zero). Used by tests and the schedule printer."""
         state = cls(kind, sorted(weights_us), **kwargs)
         for dest in state.destinations:
-            view.assign(dest, weights_us[dest])
+            table.assign(dest, weights_us[dest])
             if kind is PolicyKind.ROUND_ROBIN:
                 state.ledger.admit(dest, 0)
                 state.active.add(dest)
@@ -93,14 +89,14 @@ class PolicyState:
 
     # -- selection ---------------------------------------------------------
 
-    def select(self, view: WeightView, now: int) -> SelectionOutcome:
+    def select(self, table: WeightTable, now: int) -> SelectionOutcome:
         if self.kind is PolicyKind.ROUND_ROBIN:
-            return self._select_rr(view, now)
-        return self._select_greedy(view)
+            return self._select_rr(table, now)
+        return self._select_greedy(table)
 
-    def _select_greedy(self, view: WeightView) -> SelectionOutcome:
-        candidates = [d for d in self.destinations if not view.is_congested(d)]
-        unmeasured = [d for d in candidates if view.get(d) is None]
+    def _select_greedy(self, table: WeightTable) -> SelectionOutcome:
+        weights = [(table.get(d), d) for d in self.destinations]
+        unmeasured = [d for w, d in weights if w is None]
         if unmeasured:
             # Bootstrap: hand requests to the not-yet-measured destinations in
             # id order until each has produced a first sample. Starting the
@@ -109,7 +105,7 @@ class PolicyState:
             dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
             self._bootstrap_cursor += 1
             return SelectionOutcome(dest, is_probe=False)
-        measured = [(view.get(d), d) for d in candidates]
+        measured = [(w, d) for w, d in weights if w is not INFINITE]
         if not measured:
             raise NoEligibleDestination("no destination with a finite weight")
         if self.kind is PolicyKind.LEAST_IMPEDANCE:
@@ -127,14 +123,14 @@ class PolicyState:
                 return SelectionOutcome(d, is_probe=False)
         return SelectionOutcome(cumulative[-1][1], is_probe=False)
 
-    def _select_rr(self, view: WeightView, now: int) -> SelectionOutcome:
+    def _select_rr(self, table: WeightTable, now: int) -> SelectionOutcome:
         eligible = [
             d
             for d in self.destinations
             if d not in self.active
             and d not in self.probing
-            and not view.is_congested(d)
-            and self._probe_due(d, now)
+            and not table.is_congested(d)
+            and self.eligible_at[d] <= now
         ]
         if eligible:
             dest = self.rng.choice(eligible)
@@ -146,31 +142,26 @@ class PolicyState:
                 "active set empty and no destination is probe-eligible"
             )
         dest = self.ledger.pop_min()
-        weight = view.get(dest)
+        weight = table.get(dest)
         self.ledger.charge(dest, weight)
         return SelectionOutcome(dest, is_probe=False)
 
-    def _probe_due(self, dest: int, now: int) -> bool:
-        if self.literal_probe_condition:
-            return self.eligible_at[dest] > now
-        return self.eligible_at[dest] <= now
-
     # -- feedback ----------------------------------------------------------
 
-    def on_response(self, view: WeightView, dest: int, measured_us: int, now: int) -> None:
+    def on_response(self, table: WeightTable, dest: int, measured_us: int, now: int) -> None:
         """Fold one response latency back into the policy state."""
         if dest not in self.backoff:
             raise UnknownDestination(f"destination {dest} is not managed here")
         if self.kind is not PolicyKind.ROUND_ROBIN:
-            view.observe(dest, measured_us)
+            table.observe(dest, measured_us)
             return
         if dest in self.probing:
             self.probing.discard(dest)
             value = max(int(measured_us), 1)
-            if value <= 2 * self._min_active_weight(view):
+            if value <= 2 * self._min_active_weight(table):
                 self.ledger.admit(dest, value)
                 self.active.add(dest)
-                view.assign(dest, value)
+                table.assign(dest, value)
                 self.backoff[dest] = self.b_min_us
                 self.probes_admitted += 1
             else:
@@ -178,8 +169,8 @@ class PolicyState:
                 self.eligible_at[dest] = now + self.backoff[dest]
                 self.probes_rejected += 1
         elif dest in self.active:
-            new_weight = view.observe(dest, measured_us)
-            if new_weight > 2 * self._min_active_weight(view):
+            new_weight = table.observe(dest, measured_us)
+            if new_weight > 2 * self._min_active_weight(table):
                 self.ledger.evict(dest)
                 self.active.discard(dest)
                 self.eligible_at[dest] = now + self.backoff[dest]
@@ -188,27 +179,27 @@ class PolicyState:
             # signal) while the request was in flight: stale, keep the count.
             self.stale_responses += 1
 
-    def _min_active_weight(self, view: WeightView) -> int | float:
+    def _min_active_weight(self, table: WeightTable) -> int | float:
         if not self.active:
             # Empty active set admits any probe, otherwise nothing could ever
             # bootstrap the scheduler.
             return float("inf")
-        return min(view.get(d) for d in self.active)
+        return min(table.get(d) for d in self.active)
 
     # -- congestion --------------------------------------------------------
 
-    def sync_congestion(self, view: WeightView, dest: int, congested: bool, now: int) -> None:
+    def sync_congestion(self, table: WeightTable, dest: int, congested: bool, now: int) -> None:
         """Apply a congestion signal from the controller. Idempotent."""
         if congested:
-            view.mark_congested(dest)
+            table.mark_congested(dest)
             if self.kind is PolicyKind.ROUND_ROBIN:
                 if dest in self.active:
                     self.ledger.evict(dest)
                     self.active.discard(dest)
                 self.probing.discard(dest)
         else:
-            if view.is_congested(dest):
-                view.clear_congestion(dest)
+            if table.is_congested(dest):
+                table.clear_congestion(dest)
                 if self.kind is PolicyKind.ROUND_ROBIN:
                     self.eligible_at[dest] = now
 

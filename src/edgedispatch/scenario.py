@@ -17,7 +17,7 @@ from pathlib import Path
 import jsonschema
 import yaml
 
-from .core import from_ms
+from .core import from_ms, string_keys, to_ms
 from .policy import DEFAULT_B_MIN_US, PolicyKind
 
 DEFAULT_ALPHA = 0.9
@@ -40,7 +40,6 @@ class PolicyConfig:
     alpha: float = DEFAULT_ALPHA
     b_min_us: int = DEFAULT_B_MIN_US
     retry_us: int = DEFAULT_RETRY_US
-    literal_probe_condition: bool = False
 
 
 @dataclass(frozen=True)
@@ -115,21 +114,13 @@ def _schema() -> dict:
     return json.loads(text.read_text(encoding="utf-8"))
 
 
-def _stringify_keys(obj):
-    # YAML happily parses {0: 5} with an integer key; JSON schema only talks
-    # about string properties, so keys are normalized before validation.
-    if isinstance(obj, dict):
-        return {str(k): _stringify_keys(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_stringify_keys(v) for v in obj]
-    return obj
-
-
 def scenario_from_mapping(doc) -> Scenario:
     """Build and fully validate a Scenario from a parsed YAML/JSON mapping."""
     if not isinstance(doc, dict):
         raise InvalidScenario(["scenario document must be a mapping"])
-    doc = _stringify_keys(doc)
+    # YAML happily parses {0: 5} with an integer key; JSON schema only talks
+    # about string properties, so keys are normalized before validation.
+    doc = string_keys(doc)
     validator = jsonschema.Draft7Validator(_schema())
     schema_errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if schema_errors:
@@ -145,7 +136,6 @@ def scenario_from_mapping(doc) -> Scenario:
         alpha=float(policy_doc.get("alpha", DEFAULT_ALPHA)),
         b_min_us=from_ms(policy_doc.get("b_min_ms", DEFAULT_B_MIN_US / 1000)),
         retry_us=from_ms(policy_doc.get("retry_ms", DEFAULT_RETRY_US / 1000)),
-        literal_probe_condition=bool(policy_doc.get("literal_probe_condition", False)),
     )
     computers = tuple(
         ComputerSpec(
@@ -275,6 +265,17 @@ def semantic_problems(s: Scenario) -> list[str]:
             problems.append(
                 f"congestion router {c.router} computer {c.computer}: "
                 "window must have start < end"
+            )
+    # Toggles are not reference-counted: the clear of one window would lift
+    # the blackout while an overlapping window on the same pair is still
+    # open. Touching windows (end == start) are fine, the clear fires first.
+    windows = sorted(s.congestion, key=lambda w: (w.router, w.computer, w.start_us))
+    for a, b in zip(windows, windows[1:]):
+        if (a.router, a.computer) == (b.router, b.computer) and b.start_us < a.end_us:
+            problems.append(
+                f"congestion router {a.router} computer {a.computer}: windows "
+                f"{to_ms(a.start_us)}-{to_ms(a.end_us)} ms and "
+                f"{to_ms(b.start_us)}-{to_ms(b.end_us)} ms overlap"
             )
     return problems
 

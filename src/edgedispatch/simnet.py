@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import RequestRecord
-from .estimator import WeightTable, WeightView
+from .estimator import WeightTable
 from .policy import NoEligibleDestination, PolicyKind, PolicyState
 from .scenario import Scenario, ensure_valid
 
@@ -159,22 +159,20 @@ def service_time(computer: _Computer, lam: int) -> int:
 
 
 class _Router:
-    __slots__ = ("id", "links_us", "table", "views", "policies")
+    __slots__ = ("id", "links_us", "tables", "policies")
 
     def __init__(self, spec, alpha, policy_seeds, policy_cfg) -> None:
         self.id = spec.id
         self.links_us = dict(spec.links_us)
-        self.table = WeightTable(alpha=alpha)
-        self.views: dict[int, WeightView] = {}
+        self.tables: dict[int, WeightTable] = {}
         self.policies: dict[int, PolicyState] = {}
         for l in sorted(spec.lambdas, key=lambda l: l.id):
-            self.views[l.id] = self.table.view(l.id)
+            self.tables[l.id] = WeightTable(alpha=alpha)
             self.policies[l.id] = PolicyState(
                 policy_cfg.kind,
                 list(l.destinations),
                 seed=policy_seeds[(spec.id, l.id)],
                 b_min_us=policy_cfg.b_min_us,
-                literal_probe_condition=policy_cfg.literal_probe_condition,
             )
 
 
@@ -272,7 +270,7 @@ class _Sim:
         router = self.routers[req.router]
         policy = router.policies[req.lam]
         try:
-            outcome = policy.select(router.views[req.lam], now)
+            outcome = policy.select(router.tables[req.lam], now)
         except NoEligibleDestination:
             retry_at = now + self.s.policy.retry_us
             if retry_at >= self.duration:
@@ -327,14 +325,14 @@ class _Sim:
 
     def _on_response(self, now: int, req: _Request) -> None:
         router = self.routers[req.router]
-        view = router.views[req.lam]
+        table = router.tables[req.lam]
         dest = req.destination
-        if view.is_congested(dest):
+        if table.is_congested(dest):
             # The pair went congested while this response was in flight: the
             # client still gets its answer but the measurement is discarded.
             self.unmeasured_responses[(req.router, req.lam)] += 1
         else:
-            router.policies[req.lam].on_response(view, dest, now - req.dispatch_us, now)
+            router.policies[req.lam].on_response(table, dest, now - req.dispatch_us, now)
         link = router.links_us[dest]
         self.completed.append(
             TraceRow(
@@ -359,14 +357,14 @@ class _Sim:
         router = self.routers[rid]
         weights: list[tuple[int, int | None]] = []
         for lam in sorted(router.policies):
-            view = router.views[lam]
+            table = router.tables[lam]
             if on:
-                before = view.get(dest)
-                router.policies[lam].sync_congestion(view, dest, True, now)
+                before = table.get(dest)
+                router.policies[lam].sync_congestion(table, dest, True, now)
                 weights.append((lam, before if isinstance(before, int) else None))
             else:
-                router.policies[lam].sync_congestion(view, dest, False, now)
-                after = view.get(dest)
+                router.policies[lam].sync_congestion(table, dest, False, now)
+                after = table.get(dest)
                 weights.append((lam, after if isinstance(after, int) else None))
         self.congestion_log.append(
             CongestionLogEntry(
@@ -392,11 +390,10 @@ class _Sim:
             handlers[kind](at, payload)
         snapshot = {"routers": {}}
         for rid, router in self.routers.items():
-            weights_by_lam = router.table.snapshot()
             lambdas = {}
             for lam, policy in router.policies.items():
                 lambdas[lam] = {
-                    "weights": weights_by_lam.get(lam, {}),
+                    "weights": router.tables[lam].snapshot(),
                     "policy": policy.snapshot(),
                     "responses_unmeasured": self.unmeasured_responses[(rid, lam)],
                 }

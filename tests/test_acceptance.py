@@ -42,12 +42,11 @@ def spread_runs():
 
 def test_criterion_1_reference_schedule(capsys):
     table = WeightTable()
-    view = table.view(0)
     state = PolicyState.preloaded(
-        PolicyKind.ROUND_ROBIN, view, {1: 2000, 2: 3000, 3: 4000}
+        PolicyKind.ROUND_ROBIN, table, {1: 2000, 2: 3000, 3: 4000}
     )
     start = time.perf_counter()
-    picks = [state.select(view, 0).destination for _ in range(13)]
+    picks = [state.select(table, 0).destination for _ in range(13)]
     elapsed = time.perf_counter() - start
     counts = tuple(picks.count(d) for d in (1, 2, 3))
     deficits = state.ledger.decode()

@@ -12,6 +12,7 @@ from edgedispatch.scenario import (
     scenario_from_mapping,
     semantic_problems,
 )
+from edgedispatch.simnet import run
 
 from helpers import tiny_doc, tiny_scenario
 
@@ -75,6 +76,9 @@ def test_unknown_field_rejected():
     with pytest.raises(InvalidScenario) as info:
         tiny_scenario(runtime="forever")
     assert any("runtime" in p for p in info.value.problems)
+    with pytest.raises(InvalidScenario) as info:
+        tiny_scenario(policy={"kind": "rr", "literal_probe_condition": True})
+    assert any("literal_probe_condition" in p for p in info.value.problems)
 
 
 def test_schema_error_points_at_location():
@@ -186,6 +190,43 @@ def test_congestion_window_needs_start_before_end():
     with pytest.raises(InvalidScenario) as info:
         scenario_from_mapping(doc)
     assert any("start < end" in p for p in info.value.problems)
+
+
+def test_overlapping_congestion_windows_rejected():
+    # the first clear would lift the blackout while the second window is open
+    doc = tiny_doc(
+        congestion=[
+            {"router": 0, "computer": 0, "start_ms": 100, "end_ms": 300},
+            {"router": 0, "computer": 0, "start_ms": 200, "end_ms": 600},
+        ]
+    )
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    assert info.value.problems == [
+        "congestion router 0 computer 0: windows 100.0-300.0 ms and 200.0-600.0 ms overlap"
+    ]
+    # a window nested in a longer one, listed first
+    doc["congestion"][0]["end_ms"] = 700
+    doc["congestion"].reverse()
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    assert info.value.problems == [
+        "congestion router 0 computer 0: windows 100.0-700.0 ms and 200.0-600.0 ms overlap"
+    ]
+
+
+def test_touching_congestion_windows_accepted():
+    # the clear at 300 ms is applied before the mark at 300 ms, so the two
+    # windows black out 100-600 ms without a gap
+    s = tiny_scenario(
+        duration_ms=700,
+        congestion=[
+            {"router": 0, "computer": 0, "start_ms": 100, "end_ms": 300},
+            {"router": 0, "computer": 0, "start_ms": 300, "end_ms": 600},
+        ],
+    )
+    dispatched = [row.dispatch_us for row in run(s).completed]
+    assert dispatched and not any(100_000 <= t < 600_000 for t in dispatched)
 
 
 def test_congestion_references_checked():

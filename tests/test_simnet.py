@@ -54,6 +54,12 @@ def test_service_time_scales_with_load():
     assert service_time(comp, 0) == 10_000  # fully busy doubles it
     comp.busy = 1
     assert service_time(comp, 0) == 7500
+    # 5003 * 1.25 = 6253.75 rounds to nearest, not down
+    half = _Computer(ComputerSpec(id=0, workers=2, beta=0.5, service_us={0: 5003, 1: 5002}))
+    half.busy = 1
+    assert service_time(half, 0) == 6254
+    # 5002 * 1.25 = 6252.5 rounds half to even
+    assert service_time(half, 1) == 6252
     flat = _Computer(ComputerSpec(id=0, workers=2, beta=0.0, service_us={0: 5000}))
     flat.busy = 2
     assert service_time(flat, 0) == 5000
@@ -205,6 +211,24 @@ def test_blackout_is_scoped_to_one_router():
     result = run(tiny_scenario(**doc))
     assert [r.router for r in result.unserved] == [0]
     assert [r.router for r in result.completed] == [1]
+
+
+def test_router_keeps_one_estimate_table_per_lambda():
+    # lambdas 0 and 1 share computer 0 but must never share an estimate
+    doc = tiny_doc(duration_ms=1000)
+    doc["computers"][0]["service_ms"] = {0: 5, 1: 20}
+    doc["routers"][0]["lambdas"] = [
+        {"id": 0, "destinations": [0]},
+        {"id": 1, "destinations": [0]},
+    ]
+    doc["workload"] = [
+        dict(doc["workload"][0], rate_per_s=10),
+        dict(doc["workload"][0], **{"lambda": 1, "rate_per_s": 7}),
+    ]
+    result = run(tiny_scenario(**doc))
+    lambdas = result.snapshot["routers"][0]["lambdas"]
+    assert lambdas[0]["weights"] == {0: {"weight": 7304, "congested": False, "shadow": None}}
+    assert lambdas[1]["weights"] == {0: {"weight": 22000, "congested": False, "shadow": None}}
 
 
 def test_probe_marked_in_trace_and_snapshot():
