@@ -1,6 +1,7 @@
 """Smoothed per-destination latency estimates with congestion override.
 
-A router keeps one table per lambda it serves. The estimate for a
+Each dispatch policy owns one table: one (router, lambda) pair's estimates,
+read and updated only through that policy. The estimate for a
 destination starts at the first measured latency and then moves as a
 weighted blend of previous estimate and new sample. While the network path
 to a destination is reported congested the estimate is pinned to
@@ -13,6 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import INFINITE, Weight
+
+# The smoothing factor of every table unless a scenario sets its own.
+DEFAULT_ALPHA = 0.9
 
 
 class ObservationWhileCongested(Exception):
@@ -50,7 +54,7 @@ class WeightTable:
     them).
     """
 
-    def __init__(self, alpha: float | str | Fraction = Fraction(9, 10)) -> None:
+    def __init__(self, alpha: float | str | Fraction = DEFAULT_ALPHA) -> None:
         alpha = _as_fraction(alpha)
         if not 0 <= alpha <= 1:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")

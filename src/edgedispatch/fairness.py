@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass, field
 
 from .core import US_PER_MS
-from .estimator import WeightTable
 from .ledger import DeficitLedger, replay_frozen
 from .policy import PolicyKind, PolicyState
 
@@ -137,13 +136,10 @@ def proportional_selection_check(
     """Empirical selection ratios of the reciprocal-weight random policy
     against their targets: N_i/N_j must come out as w_j/w_i."""
     weights = {0: 1 * US_PER_MS, 1: 2 * US_PER_MS, 2: 4 * US_PER_MS}
-    table = WeightTable()
-    policy = PolicyState.preloaded(
-        PolicyKind.RANDOM_PROPORTIONAL, table, weights, seed=seed
-    )
+    policy = PolicyState.preloaded(PolicyKind.RANDOM_PROPORTIONAL, weights, seed=seed)
     counts = {d: 0 for d in weights}
     for _ in range(draws):
-        counts[policy.select(table, 0).destination] += 1
+        counts[policy.select(0).destination] += 1
     failures: list[str] = []
     worst = 0.0
     for i in sorted(weights):

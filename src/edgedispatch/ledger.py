@@ -62,16 +62,6 @@ class DeficitLedger:
             raise EmptyLedger("no active destinations")
         return self._entries[0][0]
 
-    def min_deficit(self) -> int:
-        if not self._entries:
-            raise EmptyLedger("no active destinations")
-        return self._entries[0][1]
-
-    def max_deficit(self) -> int:
-        if not self._entries:
-            raise EmptyLedger("no active destinations")
-        return sum(delta for _, delta in self._entries)
-
     def charge(self, dest: int, amount: int) -> None:
         """Increase a destination's deficit by ``amount`` and re-sort it."""
         if amount < 0:

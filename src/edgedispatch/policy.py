@@ -1,7 +1,8 @@
 """Destination selection: least-impedance, random-proportional, round-robin.
 
-All three policies pick among the destinations of a single lambda using that
-lambda's weight table; only finite-weight (non-congested) destinations are
+All three policies pick among the destinations of a single lambda using the
+weight table the policy owns; every weight and congestion change goes
+through the policy, and only finite-weight (non-congested) destinations are
 ever considered. Round-robin additionally runs the active-set state machine:
 destinations whose weight stays within twice the active minimum are
 scheduled by deficit counter, everyone else waits for a probe slot governed
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .core import INFINITE, US_PER_MS
-from .estimator import WeightTable
+from .estimator import DEFAULT_ALPHA, WeightTable
 from .ledger import DeficitLedger, UnknownDestination
 
 DEFAULT_B_MIN_US = 100 * US_PER_MS
@@ -40,9 +41,10 @@ class SelectionOutcome:
 class PolicyState:
     """Forwarding state for one (router, lambda) pair.
 
-    Owned and mutated by a single router; never shared. ``rng`` drives the
-    random-proportional draw and the probe pick, so a seed makes the whole
-    policy replayable.
+    Owned and mutated by a single router; never shared. ``table`` holds the
+    pair's latency estimates, smoothed by ``alpha``; only this object writes
+    to it. ``rng`` drives the random-proportional draw and the probe pick, so
+    a seed makes the whole policy replayable.
     """
 
     def __init__(
@@ -51,10 +53,12 @@ class PolicyState:
         destinations: list[int],
         seed: int = 0,
         b_min_us: int = DEFAULT_B_MIN_US,
+        alpha: float = DEFAULT_ALPHA,
     ) -> None:
         if not destinations:
             raise ValueError("a policy needs at least one destination")
         self.kind = kind
+        self.table = WeightTable(alpha)
         self.destinations = sorted(destinations)
         self.rng = random.Random(seed)
         self.b_min_us = b_min_us
@@ -68,20 +72,15 @@ class PolicyState:
         self.probes_admitted = 0
         self.probes_rejected = 0
         self.stale_responses = 0
+        self.responses_unmeasured = 0
 
     @classmethod
-    def preloaded(
-        cls,
-        kind: PolicyKind,
-        table: WeightTable,
-        weights_us: dict[int, int],
-        **kwargs,
-    ) -> "PolicyState":
+    def preloaded(cls, kind: PolicyKind, weights_us: dict[int, int], **kwargs) -> "PolicyState":
         """State with every destination already measured (and, for round-robin,
-        active with deficit zero). Used by tests and the schedule printer."""
+        active with deficit zero). Used by tests and the proportional-draw check."""
         state = cls(kind, sorted(weights_us), **kwargs)
         for dest in state.destinations:
-            table.assign(dest, weights_us[dest])
+            state.table.assign(dest, weights_us[dest])
             if kind is PolicyKind.ROUND_ROBIN:
                 state.ledger.admit(dest, 0)
                 state.active.add(dest)
@@ -89,13 +88,14 @@ class PolicyState:
 
     # -- selection ---------------------------------------------------------
 
-    def select(self, table: WeightTable, now: int) -> SelectionOutcome:
+    def select(self, now: int) -> SelectionOutcome:
         if self.kind is PolicyKind.ROUND_ROBIN:
-            return self._select_rr(table, now)
-        return self._select_greedy(table)
+            return self._select_rr(now)
+        return self._select_greedy()
 
-    def _select_greedy(self, table: WeightTable) -> SelectionOutcome:
-        weights = [(table.get(d), d) for d in self.destinations]
+    def _select_greedy(self) -> SelectionOutcome:
+        get = self.table.get
+        weights = [(get(d), d) for d in self.destinations]
         unmeasured = [d for w, d in weights if w is None]
         if unmeasured:
             # Bootstrap: hand requests to the not-yet-measured destinations in
@@ -123,7 +123,8 @@ class PolicyState:
                 return SelectionOutcome(d, is_probe=False)
         return SelectionOutcome(cumulative[-1][1], is_probe=False)
 
-    def _select_rr(self, table: WeightTable, now: int) -> SelectionOutcome:
+    def _select_rr(self, now: int) -> SelectionOutcome:
+        table = self.table
         eligible = [
             d
             for d in self.destinations
@@ -148,17 +149,26 @@ class PolicyState:
 
     # -- feedback ----------------------------------------------------------
 
-    def on_response(self, table: WeightTable, dest: int, measured_us: int, now: int) -> None:
-        """Fold one response latency back into the policy state."""
+    def on_response(self, dest: int, measured_us: int, now: int) -> None:
+        """Fold one response latency back into the policy state.
+
+        A response from a destination marked congested while the request was
+        in flight still reaches the client, but its measurement is discarded
+        and only counted in ``responses_unmeasured``.
+        """
         if dest not in self.backoff:
             raise UnknownDestination(f"destination {dest} is not managed here")
+        table = self.table
+        if table.is_congested(dest):
+            self.responses_unmeasured += 1
+            return
         if self.kind is not PolicyKind.ROUND_ROBIN:
             table.observe(dest, measured_us)
             return
         if dest in self.probing:
             self.probing.discard(dest)
             value = max(int(measured_us), 1)
-            if value <= 2 * self._min_active_weight(table):
+            if value <= 2 * self._min_active_weight():
                 self.ledger.admit(dest, value)
                 self.active.add(dest)
                 table.assign(dest, value)
@@ -170,7 +180,7 @@ class PolicyState:
                 self.probes_rejected += 1
         elif dest in self.active:
             new_weight = table.observe(dest, measured_us)
-            if new_weight > 2 * self._min_active_weight(table):
+            if new_weight > 2 * self._min_active_weight():
                 self.ledger.evict(dest)
                 self.active.discard(dest)
                 self.eligible_at[dest] = now + self.backoff[dest]
@@ -179,18 +189,25 @@ class PolicyState:
             # signal) while the request was in flight: stale, keep the count.
             self.stale_responses += 1
 
-    def _min_active_weight(self, table: WeightTable) -> int | float:
+    def _min_active_weight(self) -> int | float:
         if not self.active:
             # Empty active set admits any probe, otherwise nothing could ever
             # bootstrap the scheduler.
             return float("inf")
-        return min(table.get(d) for d in self.active)
+        get = self.table.get
+        return min(get(d) for d in self.active)
 
     # -- congestion --------------------------------------------------------
 
-    def sync_congestion(self, table: WeightTable, dest: int, congested: bool, now: int) -> None:
-        """Apply a congestion signal from the controller. Idempotent."""
+    def sync_congestion(self, dest: int, congested: bool, now: int) -> int | None:
+        """Apply a congestion signal from the controller. Idempotent.
+
+        Returns the finite weight just before a mark or just after a clear,
+        or None when the destination has none at that moment.
+        """
+        table = self.table
         if congested:
+            weight = table.get(dest)
             table.mark_congested(dest)
             if self.kind is PolicyKind.ROUND_ROBIN:
                 if dest in self.active:
@@ -202,6 +219,8 @@ class PolicyState:
                 table.clear_congestion(dest)
                 if self.kind is PolicyKind.ROUND_ROBIN:
                     self.eligible_at[dest] = now
+            weight = table.get(dest)
+        return None if weight is INFINITE else weight
 
     # -- introspection -----------------------------------------------------
 

@@ -18,9 +18,9 @@ import jsonschema
 import yaml
 
 from .core import from_ms, string_keys, to_ms
+from .estimator import DEFAULT_ALPHA
 from .policy import DEFAULT_B_MIN_US, PolicyKind
 
-DEFAULT_ALPHA = 0.9
 DEFAULT_RETRY_US = 50 * 1000
 
 _BUILTINS = {"line": "line.yaml", "ring-tree": "ring_tree.yaml"}

@@ -6,6 +6,17 @@ link, queue for one of the computer's workers, execute, and travel back. The
 router measures dispatch-to-response time and feeds it to the policy.
 Congestion signals arrive on a script and toggle per-(router, computer)
 blackouts. Identical scenario and seed always reproduce the identical trace.
+
+Events at the same microsecond run in this order:
+
+1. congestion toggles, ordered by their window's (start, router, computer);
+   windows on one pair never overlap, so a touching window's clear precedes
+   its mark;
+2. arrivals, in ``seq`` order;
+3. events pushed while the simulation runs, in push order.
+
+A service start is not an event: a request takes a worker the moment it is
+delivered to an idle one, or the moment a worker it queued for frees up.
 """
 
 from __future__ import annotations
@@ -18,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import RequestRecord
-from .estimator import WeightTable
 from .policy import NoEligibleDestination, PolicyKind, PolicyState
 from .scenario import Scenario, ensure_valid
 
@@ -30,7 +40,6 @@ class UnknownLambda(KeyError):
 # Event kinds, in the order a request experiences them.
 ARRIVAL = "arrival"  # request reaches its router
 DELIVER = "deliver"  # request reaches the computer
-SERVICE_START = "service-start"
 SERVICE_END = "service-end"
 RESPONSE = "response"  # response reaches the router
 TOGGLE = "congestion-toggle"
@@ -148,7 +157,8 @@ def service_time(computer: _Computer, lam: int) -> int:
     """Processing time for one invocation under the computer's current load.
 
     The base time scales by 1 + beta * busy/workers, where busy already
-    counts the request being started.
+    counts the request being started. It also counts requests started
+    earlier in the same microsecond, never ones started later.
     """
     if lam not in computer.service_us:
         raise UnknownLambda(f"computer {computer.id} has no service time for lambda {lam}")
@@ -159,20 +169,19 @@ def service_time(computer: _Computer, lam: int) -> int:
 
 
 class _Router:
-    __slots__ = ("id", "links_us", "tables", "policies")
+    __slots__ = ("id", "links_us", "policies")
 
-    def __init__(self, spec, alpha, policy_seeds, policy_cfg) -> None:
+    def __init__(self, spec, policy_seeds, policy_cfg) -> None:
         self.id = spec.id
         self.links_us = dict(spec.links_us)
-        self.tables: dict[int, WeightTable] = {}
         self.policies: dict[int, PolicyState] = {}
         for l in sorted(spec.lambdas, key=lambda l: l.id):
-            self.tables[l.id] = WeightTable(alpha=alpha)
             self.policies[l.id] = PolicyState(
                 policy_cfg.kind,
                 list(l.destinations),
                 seed=policy_seeds[(spec.id, l.id)],
                 b_min_us=policy_cfg.b_min_us,
+                alpha=policy_cfg.alpha,
             )
 
 
@@ -233,15 +242,12 @@ class _Sim:
                 policy_seeds[(r.id, l.id)] = master.getrandbits(48)
 
         self.routers = {
-            r.id: _Router(r, scenario.policy.alpha, policy_seeds, scenario.policy)
+            r.id: _Router(r, policy_seeds, scenario.policy)
             for r in sorted(scenario.routers, key=lambda r: r.id)
         }
-        self.unmeasured_responses = {
-            (r.id, l.id): 0 for r in scenario.routers for l in r.lambdas
-        }
 
-        # Toggles go on the heap first: a toggle and an arrival at the same
-        # microsecond resolve with the toggle already applied.
+        # Toggles go on the heap first, then arrivals: the push counter is
+        # the tie-break that gives the order in the module docstring.
         for win in sorted(
             scenario.congestion, key=lambda w: (w.start_us, w.router, w.computer)
         ):
@@ -268,9 +274,8 @@ class _Sim:
 
     def _try_dispatch(self, now: int, req: _Request) -> None:
         router = self.routers[req.router]
-        policy = router.policies[req.lam]
         try:
-            outcome = policy.select(router.tables[req.lam], now)
+            outcome = router.policies[req.lam].select(now)
         except NoEligibleDestination:
             retry_at = now + self.s.policy.retry_us
             if retry_at >= self.duration:
@@ -298,41 +303,32 @@ class _Sim:
         req.dispatch_us = now
         self._push(now + router.links_us[outcome.destination], DELIVER, req)
 
-    def _on_deliver(self, now: int, req: _Request) -> None:
-        comp = self.computers[req.destination]
-        req.delivered_us = now
-        if comp.busy < comp.workers:
-            comp.busy += 1  # reserve the worker now; start fires at the same time
-            self._push(now, SERVICE_START, req)
-        else:
-            comp.queue.append(req)
-
-    def _on_service_start(self, now: int, req: _Request) -> None:
-        comp = self.computers[req.destination]
+    def _start(self, now: int, comp: _Computer, req: _Request) -> None:
+        comp.busy += 1
         req.service_start_us = now
         req.processing_us = service_time(comp, req.lam)
         self._push(now + req.processing_us, SERVICE_END, req)
 
+    def _on_deliver(self, now: int, req: _Request) -> None:
+        comp = self.computers[req.destination]
+        req.delivered_us = now
+        if comp.busy < comp.workers:
+            self._start(now, comp, req)
+        else:
+            comp.queue.append(req)
+
     def _on_service_end(self, now: int, req: _Request) -> None:
         comp = self.computers[req.destination]
         comp.busy -= 1
-        if comp.queue:
-            nxt = comp.queue.popleft()
-            comp.busy += 1
-            self._push(now, SERVICE_START, nxt)
         router = self.routers[req.router]
         self._push(now + router.links_us[req.destination], RESPONSE, req)
+        if comp.queue:
+            self._start(now, comp, comp.queue.popleft())
 
     def _on_response(self, now: int, req: _Request) -> None:
         router = self.routers[req.router]
-        table = router.tables[req.lam]
         dest = req.destination
-        if table.is_congested(dest):
-            # The pair went congested while this response was in flight: the
-            # client still gets its answer but the measurement is discarded.
-            self.unmeasured_responses[(req.router, req.lam)] += 1
-        else:
-            router.policies[req.lam].on_response(table, dest, now - req.dispatch_us, now)
+        router.policies[req.lam].on_response(dest, now - req.dispatch_us, now)
         link = router.links_us[dest]
         self.completed.append(
             TraceRow(
@@ -354,21 +350,13 @@ class _Sim:
 
     def _on_toggle(self, now: int, payload) -> None:
         rid, dest, on = payload
-        router = self.routers[rid]
-        weights: list[tuple[int, int | None]] = []
-        for lam in sorted(router.policies):
-            table = router.tables[lam]
-            if on:
-                before = table.get(dest)
-                router.policies[lam].sync_congestion(table, dest, True, now)
-                weights.append((lam, before if isinstance(before, int) else None))
-            else:
-                router.policies[lam].sync_congestion(table, dest, False, now)
-                after = table.get(dest)
-                weights.append((lam, after if isinstance(after, int) else None))
+        policies = self.routers[rid].policies
+        weights = tuple(
+            (lam, policies[lam].sync_congestion(dest, on, now)) for lam in sorted(policies)
+        )
         self.congestion_log.append(
             CongestionLogEntry(
-                at_us=now, router=rid, computer=dest, congested=on, weights_us=tuple(weights)
+                at_us=now, router=rid, computer=dest, congested=on, weights_us=weights
             )
         )
 
@@ -379,7 +367,6 @@ class _Sim:
             ARRIVAL: self._try_dispatch,
             RETRY: self._try_dispatch,
             DELIVER: self._on_deliver,
-            SERVICE_START: self._on_service_start,
             SERVICE_END: self._on_service_end,
             RESPONSE: self._on_response,
             TOGGLE: self._on_toggle,
@@ -393,9 +380,9 @@ class _Sim:
             lambdas = {}
             for lam, policy in router.policies.items():
                 lambdas[lam] = {
-                    "weights": router.tables[lam].snapshot(),
+                    "weights": policy.table.snapshot(),
                     "policy": policy.snapshot(),
-                    "responses_unmeasured": self.unmeasured_responses[(rid, lam)],
+                    "responses_unmeasured": policy.responses_unmeasured,
                 }
             snapshot["routers"][rid] = {"lambdas": lambdas}
         self.completed.sort(key=lambda r: r.seq)

@@ -9,7 +9,6 @@ step.
 import random
 import time
 
-from edgedispatch.estimator import WeightTable
 from edgedispatch.fairness import (
     exact_convergence_suite,
     proportional_selection_check,
@@ -41,12 +40,9 @@ def spread_runs():
 
 
 def test_criterion_1_reference_schedule(capsys):
-    table = WeightTable()
-    state = PolicyState.preloaded(
-        PolicyKind.ROUND_ROBIN, table, {1: 2000, 2: 3000, 3: 4000}
-    )
+    state = PolicyState.preloaded(PolicyKind.ROUND_ROBIN, {1: 2000, 2: 3000, 3: 4000})
     start = time.perf_counter()
-    picks = [state.select(table, 0).destination for _ in range(13)]
+    picks = [state.select(0).destination for _ in range(13)]
     elapsed = time.perf_counter() - start
     counts = tuple(picks.count(d) for d in (1, 2, 3))
     deficits = state.ledger.decode()

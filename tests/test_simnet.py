@@ -107,6 +107,22 @@ def test_second_simultaneous_arrival_waits_for_the_worker():
     assert second.completed_us == first.completed_us + 5000
 
 
+def test_simultaneous_starts_see_only_earlier_starts_as_busy():
+    # two workers, beta 0.5, both requests delivered at one microsecond: the
+    # first starts alone (1 of 2 busy), the second beside it (2 of 2 busy)
+    doc = tiny_doc()
+    doc["computers"][0].update(workers=2, beta=0.5)
+    doc["workload"] = [dict(doc["workload"][0]), dict(doc["workload"][0])]
+    for w in doc["workload"]:
+        w["rate_per_s"] = 5
+    s = tiny_scenario(duration_ms=250, computers=doc["computers"], workload=doc["workload"])
+    result = run(s)
+    first, second = result.completed
+    assert first.dispatch_us == second.dispatch_us
+    assert (first.queue_us, second.queue_us) == (0, 0)
+    assert (first.processing_us, second.processing_us) == (6250, 7500)
+
+
 def test_every_arrival_is_accounted_for():
     s = load_scenario("line").with_overrides(duration_us=500_000)
     result = run(s)
