@@ -38,20 +38,22 @@ class AlreadyAdmitted(Exception):
 class DeficitLedger:
     """Sorted difference-encoded deficit counters.
 
-    Renormalization on admit is O(1); charge and evict are O(position) plus
-    an O(n) index rebuild, which is fine at the fan-outs a single router
-    sees.
+    Renormalization on admit is O(1). Charge and evict are O(position): a
+    walk from the front finds the entry and its implied deficit, and a
+    membership set rejects unknown destinations without one. Nothing is
+    re-indexed. Round-robin always charges the front entry, so its lookup
+    is O(1); the re-insert is a walk to the entry's new place.
     """
 
     def __init__(self) -> None:
         self._entries: list[list[int]] = []  # [dest, delta_to_previous]
-        self._pos: dict[int, int] = {}
+        self._members: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, dest: int) -> bool:
-        return dest in self._pos
+        return dest in self._members
 
     def pop_min(self) -> int:
         """Destination with the minimum deficit, smallest id on ties.
@@ -66,15 +68,8 @@ class DeficitLedger:
         """Increase a destination's deficit by ``amount`` and re-sort it."""
         if amount < 0:
             raise ValueError("charge amount must be non-negative")
-        pos = self._pos.get(dest)
-        if pos is None:
-            raise UnknownDestination(f"destination {dest} is not in the ledger")
-        new_value = self._implied(pos) + amount
-        delta = self._entries[pos][1]
-        if pos + 1 < len(self._entries):
-            self._entries[pos + 1][1] += delta
-        del self._entries[pos]
-        self._insert(dest, new_value)
+        value = self._remove(dest)
+        self._insert(dest, value + amount)
 
     def admit(self, dest: int, initial_deficit: int = 0) -> None:
         """Renormalize all deficits by the current minimum, then insert.
@@ -83,24 +78,19 @@ class DeficitLedger:
         enters with ``initial_deficit`` (relative to the renormalized
         counters).
         """
-        if dest in self._pos:
+        if dest in self._members:
             raise AlreadyAdmitted(f"destination {dest} is already in the ledger")
         if initial_deficit < 0:
             raise ValueError("initial deficit must be non-negative")
         if self._entries:
             self._entries[0][1] = 0
         self._insert(dest, initial_deficit)
+        self._members.add(dest)
 
     def evict(self, dest: int) -> None:
         """Remove a destination; every other decoded deficit is unchanged."""
-        pos = self._pos.get(dest)
-        if pos is None:
-            raise UnknownDestination(f"destination {dest} is not in the ledger")
-        delta = self._entries[pos][1]
-        if pos + 1 < len(self._entries):
-            self._entries[pos + 1][1] += delta
-        del self._entries[pos]
-        self._reindex()
+        self._remove(dest)
+        self._members.discard(dest)
 
     def decode(self) -> dict[int, int]:
         """Absolute deficit per destination."""
@@ -115,8 +105,23 @@ class DeficitLedger:
         """The encoded form, in ledger order, for tests and snapshots."""
         return [(dest, delta) for dest, delta in self._entries]
 
-    def _implied(self, pos: int) -> int:
-        return sum(self._entries[i][1] for i in range(pos + 1))
+    def _remove(self, dest: int) -> int:
+        """Take ``dest``'s entry out, folding its delta into its successor.
+
+        Returns its implied deficit.
+        """
+        if dest not in self._members:
+            raise UnknownDestination(f"destination {dest} is not in the ledger")
+        entries = self._entries
+        running = 0
+        for pos, (other, delta) in enumerate(entries):
+            running += delta
+            if other == dest:
+                break
+        if pos + 1 < len(entries):
+            entries[pos + 1][1] += delta
+        del entries[pos]
+        return running
 
     def _insert(self, dest: int, value: int) -> None:
         # Walk to the first entry ordered after (value, dest).
@@ -131,10 +136,6 @@ class DeficitLedger:
         if pos < len(self._entries):
             self._entries[pos][1] = running - value
         self._entries.insert(pos, [dest, value - prev_implied])
-        self._reindex()
-
-    def _reindex(self) -> None:
-        self._pos = {dest: i for i, (dest, _) in enumerate(self._entries)}
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,42 @@ ever considered. Round-robin additionally runs the active-set state machine:
 destinations whose weight stays within twice the active minimum are
 scheduled by deficit counter, everyone else waits for a probe slot governed
 by exponential backoff.
+
+Because every change goes through the policy, it keeps indexes up to date as
+the state changes, so that no selection scans all k destinations:
+
+* The **ready list** (round-robin): the sorted ids that may be probed now,
+  that is not active, not probing, not congested and with ``eligible_at``
+  reached. A probe is ``ready[rng.randrange(len(ready))]``: the same single
+  ``_randbelow`` draw and the same pick as ``Random.choice`` over a full
+  scan in id order. ``_refresh`` re-files a destination each time its active,
+  probing, congestion or ``eligible_at`` state changes.
+* The **pending heap** (round-robin): ``(eligible_at, dest)`` for backoffs
+  not yet expired, pushed by ``_refresh`` on a probe rejection or an
+  eviction. A selection first moves the expired entries to the ready list.
+* The **lazy min-heap** of ``(weight, dest)``: round-robin pushes on each
+  admission and each observation of an active destination and reads the
+  active minimum from it; least-impedance pushes on each observation and
+  each clear that restores a finite weight, and selects its top. Entries
+  whose weight has moved since, or (round-robin) whose destination left the
+  active set, are dropped when they reach the top. The heap is rebuilt from
+  the table when it holds more than four times its live entries plus 16.
+* The **bootstrap list** (least-impedance, random-proportional): the sorted
+  ids never measured and not congested. A first observation or a congestion
+  mark removes an id; a clear that brings back a never-measured destination
+  puts it back.
+
+Random-proportional still walks every finite weight to draw: its float
+cumulative sums decide the pick.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .core import INFINITE, US_PER_MS
 from .estimator import DEFAULT_ALPHA, WeightTable
@@ -38,13 +67,28 @@ class SelectionOutcome:
     is_probe: bool
 
 
+def _add(items: list[int], value: int) -> None:
+    """Insert ``value`` into the sorted list ``items`` unless present."""
+    i = bisect_left(items, value)
+    if i == len(items) or items[i] != value:
+        items.insert(i, value)
+
+
+def _discard(items: list[int], value: int) -> None:
+    """Remove ``value`` from the sorted list ``items`` if present."""
+    i = bisect_left(items, value)
+    if i < len(items) and items[i] == value:
+        del items[i]
+
+
 class PolicyState:
     """Forwarding state for one (router, lambda) pair.
 
     Owned and mutated by a single router; never shared. ``table`` holds the
     pair's latency estimates, smoothed by ``alpha``; only this object writes
     to it. ``rng`` drives the random-proportional draw and the probe pick, so
-    a seed makes the whole policy replayable.
+    a seed makes the whole policy replayable. ``now`` never decreases from
+    one call to the next.
     """
 
     def __init__(
@@ -68,6 +112,11 @@ class PolicyState:
         self.eligible_at: dict[int, int] = {d: 0 for d in self.destinations}
         self.ledger = DeficitLedger()
         self._bootstrap_cursor = 0
+        rr = kind is PolicyKind.ROUND_ROBIN
+        self._ready: list[int] = list(self.destinations) if rr else []
+        self._pending: list[tuple[int, int]] = []
+        self._unmeasured: list[int] = [] if rr else list(self.destinations)
+        self._rebuild_heap()
         self.probes_launched = 0
         self.probes_admitted = 0
         self.probes_rejected = 0
@@ -84,6 +133,9 @@ class PolicyState:
             if kind is PolicyKind.ROUND_ROBIN:
                 state.ledger.admit(dest, 0)
                 state.active.add(dest)
+        state._ready.clear()
+        state._unmeasured.clear()
+        state._rebuild_heap()
         return state
 
     # -- selection ---------------------------------------------------------
@@ -94,9 +146,7 @@ class PolicyState:
         return self._select_greedy()
 
     def _select_greedy(self) -> SelectionOutcome:
-        get = self.table.get
-        weights = [(get(d), d) for d in self.destinations]
-        unmeasured = [d for w, d in weights if w is None]
+        unmeasured = self._unmeasured
         if unmeasured:
             # Bootstrap: hand requests to the not-yet-measured destinations in
             # id order until each has produced a first sample. Starting the
@@ -105,12 +155,15 @@ class PolicyState:
             dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
             self._bootstrap_cursor += 1
             return SelectionOutcome(dest, is_probe=False)
-        measured = [(w, d) for w, d in weights if w is not INFINITE]
+        if self.kind is PolicyKind.LEAST_IMPEDANCE:
+            top = self._heap_min()
+            if top is None:
+                raise NoEligibleDestination("no destination with a finite weight")
+            return SelectionOutcome(top[1], is_probe=False)
+        get = self.table.get
+        measured = [(w, d) for d in self.destinations if (w := get(d)) is not INFINITE]
         if not measured:
             raise NoEligibleDestination("no destination with a finite weight")
-        if self.kind is PolicyKind.LEAST_IMPEDANCE:
-            _, dest = min(measured)
-            return SelectionOutcome(dest, is_probe=False)
         # Random-proportional: reciprocal weights, normalized.
         total = 0.0
         cumulative = []
@@ -124,17 +177,16 @@ class PolicyState:
         return SelectionOutcome(cumulative[-1][1], is_probe=False)
 
     def _select_rr(self, now: int) -> SelectionOutcome:
-        table = self.table
-        eligible = [
-            d
-            for d in self.destinations
-            if d not in self.active
-            and d not in self.probing
-            and not table.is_congested(d)
-            and self.eligible_at[d] <= now
-        ]
-        if eligible:
-            dest = self.rng.choice(eligible)
+        pending = self._pending
+        while pending and pending[0][0] <= now:
+            _, dest = heappop(pending)
+            # An entry whose eligible_at has since moved later is stale: the
+            # push that moved it files the destination when it expires.
+            if self.eligible_at[dest] <= now:
+                self._refresh(dest, now)
+        ready = self._ready
+        if ready:
+            dest = ready.pop(self.rng.randrange(len(ready)))
             self.probing.add(dest)
             self.probes_launched += 1
             return SelectionOutcome(dest, is_probe=True)
@@ -143,8 +195,7 @@ class PolicyState:
                 "active set empty and no destination is probe-eligible"
             )
         dest = self.ledger.pop_min()
-        weight = table.get(dest)
-        self.ledger.charge(dest, weight)
+        self.ledger.charge(dest, self.table.get(dest))
         return SelectionOutcome(dest, is_probe=False)
 
     # -- feedback ----------------------------------------------------------
@@ -163,7 +214,11 @@ class PolicyState:
             self.responses_unmeasured += 1
             return
         if self.kind is not PolicyKind.ROUND_ROBIN:
-            table.observe(dest, measured_us)
+            weight = table.observe(dest, measured_us)
+            if self._unmeasured:
+                _discard(self._unmeasured, dest)
+            if self.kind is PolicyKind.LEAST_IMPEDANCE:
+                self._push(weight, dest)
             return
         if dest in self.probing:
             self.probing.discard(dest)
@@ -172,18 +227,22 @@ class PolicyState:
                 self.ledger.admit(dest, value)
                 self.active.add(dest)
                 table.assign(dest, value)
+                self._push(value, dest)
                 self.backoff[dest] = self.b_min_us
                 self.probes_admitted += 1
             else:
                 self.backoff[dest] *= 2
                 self.eligible_at[dest] = now + self.backoff[dest]
                 self.probes_rejected += 1
+            self._refresh(dest, now)
         elif dest in self.active:
             new_weight = table.observe(dest, measured_us)
+            self._push(new_weight, dest)
             if new_weight > 2 * self._min_active_weight():
                 self.ledger.evict(dest)
                 self.active.discard(dest)
                 self.eligible_at[dest] = now + self.backoff[dest]
+                self._refresh(dest, now)
         else:
             # Response for a destination evicted (or de-probed by a congestion
             # signal) while the request was in flight: stale, keep the count.
@@ -194,8 +253,54 @@ class PolicyState:
             # Empty active set admits any probe, otherwise nothing could ever
             # bootstrap the scheduler.
             return float("inf")
+        return self._heap_min()[0]
+
+    # -- indexes -----------------------------------------------------------
+
+    def _refresh(self, dest: int, now: int) -> None:
+        """File a round-robin destination in the ready list or the pending heap."""
+        if dest in self.active or dest in self.probing or self.table.is_congested(dest):
+            _discard(self._ready, dest)
+        elif self.eligible_at[dest] <= now:
+            _add(self._ready, dest)
+        else:
+            _discard(self._ready, dest)
+            heappush(self._pending, (self.eligible_at[dest], dest))
+
+    def _push(self, weight: int, dest: int) -> None:
+        heap = self._heap
+        heappush(heap, (weight, dest))
+        if len(heap) > self._heap_limit:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Build the lazy min-heap from the table, live entries only."""
         get = self.table.get
-        return min(get(d) for d in self.active)
+        if self.kind is PolicyKind.ROUND_ROBIN:
+            heap = [(get(d), d) for d in self.active]
+        elif self.kind is PolicyKind.LEAST_IMPEDANCE:
+            heap = [
+                (w, d)
+                for d in self.destinations
+                if (w := get(d)) is not None and w is not INFINITE
+            ]
+        else:
+            heap = []
+        heapify(heap)
+        self._heap = heap
+        self._heap_limit = 4 * len(heap) + 16
+
+    def _heap_min(self) -> tuple[int, int] | None:
+        """The smallest live ``(weight, dest)``, dropping stale entries on top."""
+        heap = self._heap
+        get = self.table.get
+        rr = self.kind is PolicyKind.ROUND_ROBIN
+        while heap:
+            weight, dest = top = heap[0]
+            if get(dest) == weight and (not rr or dest in self.active):
+                return top
+            heappop(heap)
+        return None
 
     # -- congestion --------------------------------------------------------
 
@@ -214,11 +319,23 @@ class PolicyState:
                     self.ledger.evict(dest)
                     self.active.discard(dest)
                 self.probing.discard(dest)
+                self._refresh(dest, now)
+            else:
+                _discard(self._unmeasured, dest)
         else:
             if table.is_congested(dest):
-                table.clear_congestion(dest)
+                weight = table.clear_congestion(dest)
+                # The router signals every lambda; a destination of another
+                # lambda only has a table entry (and an eligible_at) here.
+                managed = dest in self.backoff
                 if self.kind is PolicyKind.ROUND_ROBIN:
                     self.eligible_at[dest] = now
+                    if managed:
+                        self._refresh(dest, now)
+                elif managed and weight is None:
+                    _add(self._unmeasured, dest)
+                elif managed and self.kind is PolicyKind.LEAST_IMPEDANCE:
+                    self._push(weight, dest)
             weight = table.get(dest)
         return None if weight is INFINITE else weight
 

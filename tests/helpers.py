@@ -1,10 +1,19 @@
-"""Shared test helpers: a naive deficit-ledger oracle and scenario builders."""
+"""Shared test helpers: naive ledger and policy oracles, scenario builders."""
 
+import random
+
+from edgedispatch.core import INFINITE
 from edgedispatch.ledger import (
     AlreadyAdmitted,
     DeficitLedger,
     EmptyLedger,
     UnknownDestination,
+)
+from edgedispatch.policy import (
+    NoEligibleDestination,
+    PolicyKind,
+    PolicyState,
+    SelectionOutcome,
 )
 from edgedispatch.scenario import scenario_from_mapping
 
@@ -65,6 +74,65 @@ def check_same_state(ledger: DeficitLedger, oracle: NaiveLedger):
         assert sum(delta for _, delta in deltas) == max(oracle.decode().values())
 
 
+class NaivePolicy(PolicyState):
+    """``PolicyState`` whose selections rescan all k destinations.
+
+    The state changes are inherited; only the three lookups the indexes
+    replace are done the obvious way: the probe candidates by comprehension
+    and ``rng.choice``, the active minimum by ``min`` and the bootstrap
+    cursor over a freshly built list of unmeasured destinations.
+    """
+
+    def _select_greedy(self):
+        get = self.table.get
+        weights = [(get(d), d) for d in self.destinations]
+        unmeasured = [d for w, d in weights if w is None]
+        if unmeasured:
+            dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
+            self._bootstrap_cursor += 1
+            return SelectionOutcome(dest, is_probe=False)
+        measured = [(w, d) for w, d in weights if w is not INFINITE]
+        if not measured:
+            raise NoEligibleDestination("no destination with a finite weight")
+        if self.kind is PolicyKind.LEAST_IMPEDANCE:
+            return SelectionOutcome(min(measured)[1], is_probe=False)
+        total = 0.0
+        cumulative = []
+        for weight, d in measured:
+            total += 1.0 / weight
+            cumulative.append((total, d))
+        draw = self.rng.random() * total
+        for bound, d in cumulative:
+            if draw < bound:
+                return SelectionOutcome(d, is_probe=False)
+        return SelectionOutcome(cumulative[-1][1], is_probe=False)
+
+    def _select_rr(self, now):
+        eligible = [
+            d
+            for d in self.destinations
+            if d not in self.active
+            and d not in self.probing
+            and not self.table.is_congested(d)
+            and self.eligible_at[d] <= now
+        ]
+        if eligible:
+            dest = self.rng.choice(eligible)
+            self.probing.add(dest)
+            self.probes_launched += 1
+            return SelectionOutcome(dest, is_probe=True)
+        if len(self.ledger) == 0:
+            raise NoEligibleDestination("nothing active or probe-eligible")
+        dest = self.ledger.pop_min()
+        self.ledger.charge(dest, self.table.get(dest))
+        return SelectionOutcome(dest, is_probe=False)
+
+    def _min_active_weight(self):
+        if not self.active:
+            return float("inf")
+        return min(self.table.get(d) for d in self.active)
+
+
 def tiny_doc(**overrides):
     """Raw mapping for a one-router one-computer scenario, pre-validation."""
     doc = {
@@ -101,3 +169,60 @@ def tiny_scenario(**overrides):
     """One router, one computer, deterministic arrivals. Keyword overrides
     replace top-level scenario fields."""
     return scenario_from_mapping(tiny_doc(**overrides))
+
+
+def fanout_doc(seed, computers=48, duration_ms=200):
+    """Raw mapping for one router fanning one lambda out to many computers.
+
+    Computers draw 1 or 2 workers, beta 0 or 0.5, and a service and link
+    time from the seed. Every third computer gets blackout windows laid out
+    left to right with gaps, so no two windows on a pair overlap or touch.
+    They start after 30 ms, once every computer has answered once. Poisson
+    arrivals run at 70% of the aggregate base capacity.
+    """
+    rng = random.Random(seed)
+    comps, links = [], {}
+    for cid in range(computers):
+        workers = rng.choice((1, 2))
+        service = rng.choice((3, 5, 8))
+        comps.append(
+            {
+                "id": cid,
+                "workers": workers,
+                "beta": rng.choice((0.0, 0.5)),
+                "service_ms": {0: service},
+            }
+        )
+        links[cid] = rng.choice((1, 2, 4))
+    capacity = sum(c["workers"] * 1000 / c["service_ms"][0] for c in comps)
+    congestion = []
+    for cid in range(0, computers, 3):
+        start = rng.randint(30, 30 + duration_ms // 3)
+        while start < duration_ms - 1:
+            end = min(start + rng.randint(5, 30), duration_ms)
+            congestion.append({"router": 0, "computer": cid, "start_ms": start, "end_ms": end})
+            start = end + rng.randint(10, 60)
+    return {
+        "name": f"fanout-{computers}",
+        "duration_ms": duration_ms,
+        "seed": rng.getrandbits(31),
+        "policy": {"kind": "rr", "alpha": 0.9, "b_min_ms": 10, "retry_ms": 5},
+        "computers": comps,
+        "routers": [
+            {
+                "id": 0,
+                "links_ms": links,
+                "lambdas": [{"id": 0, "destinations": list(range(computers))}],
+            }
+        ],
+        "workload": [
+            {
+                "router": 0,
+                "lambda": 0,
+                "process": "poisson",
+                "rate_per_s": round(0.7 * capacity, 3),
+                "client_link_ms": 1,
+            }
+        ],
+        "congestion": congestion,
+    }

@@ -1,10 +1,10 @@
-"""Golden digests of the built-in runs.
+"""Golden digests of the built-in runs and of one seeded fan-out run.
 
 The trace and summary bytes are the simulator's behavioural contract. These
-SHA-256 digests pin them for every built-in scenario under every policy, so
-a change to event order, rounding, selection or formatting shows up here
-even when a rerun still matches itself. A change that alters them on
-purpose must say why and re-pin them.
+SHA-256 digests pin them for every built-in scenario and a 48-computer
+fan-out under every policy, so a change to event order, rounding, selection
+or formatting shows up here even when a rerun still matches itself. A change
+that alters them on purpose must say why and re-pin them.
 """
 
 import hashlib
@@ -13,8 +13,10 @@ import pytest
 
 from edgedispatch.metrics import summarize, trace_bytes
 from edgedispatch.policy import PolicyKind
-from edgedispatch.scenario import load_scenario
+from edgedispatch.scenario import load_scenario, scenario_from_mapping
 from edgedispatch.simnet import run
+
+from helpers import fanout_doc
 
 GOLDEN = {
     ("line", "rr"): (
@@ -44,6 +46,25 @@ GOLDEN = {
 }
 
 
+# ``helpers.fanout_doc(7)``: 48 computers, 16 of them with blackout windows,
+# so the policies' indexes see probes, evictions, congestion marks and
+# clears at a fan-out the built-ins do not reach.
+FANOUT_GOLDEN = {
+    "rr": (
+        "f13e96fcfca555f490e93fe78da10011c787a13c8a6bb293dd2a3da0ec0885d1",
+        "91c69ce6d415b3ddbc989bedb729711b4f94874245162cc32ade90d35e2fb94c",
+    ),
+    "li": (
+        "9d124c58cc7f14f1c85020c8703eead44af55a4e2c4cf1f522bec0e9ee3ba0bc",
+        "e87ef22929231be562ae6187b6e40192c6475b1cf623a6564f44baaa9e51b6ff",
+    ),
+    "rp": (
+        "ef2f67b2639e0994dbc223f1722dc48abe5320a3190d79c57e9d27c490f87448",
+        "2e5fdc1ad15a188a413d52969bc5070be0ff9bd4d89d1e9554259eb019076483",
+    ),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -56,3 +77,14 @@ def test_builtin_run_digests(name, policy):
         sha256(trace_bytes(result.rows)),
         sha256(summary.encode("utf-8")),
     ) == GOLDEN[name, policy]
+
+
+@pytest.mark.parametrize("policy", sorted(FANOUT_GOLDEN))
+def test_fanout_run_digests(policy):
+    scenario = scenario_from_mapping(fanout_doc(7))
+    result = run(scenario.with_overrides(policy_kind=PolicyKind(policy)))
+    summary = summarize(result.rows, result.snapshot).to_json()
+    assert (
+        sha256(trace_bytes(result.rows)),
+        sha256(summary.encode("utf-8")),
+    ) == FANOUT_GOLDEN[policy]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from edgedispatch.ledger import (
     REPLAY_BACKEND,
@@ -150,6 +152,77 @@ def test_random_sequences_match_oracle():
             elif op == "select" and len(oracle):
                 assert led.pop_min() == oracle.pop_min()
             check_same_state(led, oracle)
+
+
+DESTS = st.integers(0, 5)
+# mostly tiny amounts, so equal deficits (ties broken by id) are common
+AMOUNTS = st.integers(0, 3) | st.integers(0, 10**6)
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Random admit, charge and evict sequences, every error path included,
+    checked against the naive oracle after each step."""
+
+    def __init__(self):
+        super().__init__()
+        self.ledger = DeficitLedger()
+        self.oracle = NaiveLedger()
+
+    @rule(dest=DESTS, amount=AMOUNTS)
+    def admit(self, dest, amount):
+        if dest in self.oracle:
+            with pytest.raises(AlreadyAdmitted):
+                self.ledger.admit(dest, amount)
+        else:
+            self.ledger.admit(dest, amount)
+            self.oracle.admit(dest, amount)
+
+    @precondition(lambda self: len(self.oracle))
+    @rule(amount=AMOUNTS)
+    def charge_the_minimum(self, amount):
+        dest = self.ledger.pop_min()
+        self.ledger.charge(dest, amount)
+        self.oracle.charge(dest, amount)
+
+    @rule(dest=DESTS, amount=AMOUNTS)
+    def charge_any(self, dest, amount):
+        if dest not in self.oracle:
+            with pytest.raises(UnknownDestination):
+                self.ledger.charge(dest, amount)
+        else:
+            self.ledger.charge(dest, amount)
+            self.oracle.charge(dest, amount)
+
+    @rule(dest=DESTS)
+    def evict(self, dest):
+        if dest not in self.oracle:
+            with pytest.raises(UnknownDestination):
+                self.ledger.evict(dest)
+        else:
+            self.ledger.evict(dest)
+            self.oracle.evict(dest)
+
+    @rule(dest=DESTS, amount=st.integers(max_value=-1))
+    def negative_amount(self, dest, amount):
+        with pytest.raises(ValueError):
+            self.ledger.charge(dest, amount)
+        if dest not in self.oracle:
+            with pytest.raises(ValueError):
+                self.ledger.admit(dest, amount)
+
+    @precondition(lambda self: not len(self.oracle))
+    @rule()
+    def select_from_empty(self):
+        with pytest.raises(EmptyLedger):
+            self.ledger.pop_min()
+
+    @invariant()
+    def matches_oracle(self):
+        check_same_state(self.ledger, self.oracle)
+        assert all((d in self.ledger) == (d in self.oracle) for d in range(6))
+
+
+TestLedgerMachine = LedgerMachine.TestCase
 
 
 def manual_replay(led, weights, steps):

@@ -11,6 +11,8 @@ from edgedispatch.policy import (
     SelectionOutcome,
 )
 
+from helpers import NaivePolicy
+
 MS = 1000
 
 
@@ -303,3 +305,112 @@ def test_snapshot_round_trip_fields():
     assert snap["active"] == [0, 1]
     assert snap["deficits_us"] == state.ledger.decode()
     assert snap["probes_launched"] == 0
+
+
+def apply(state, op, args):
+    """Run one operation; a selection that finds nothing returns None."""
+    try:
+        return getattr(state, op)(*args)
+    except NoEligibleDestination:
+        return None
+
+
+def drive_against_naive(kind, k, seed, steps=1500):
+    """Drive the indexed policy and the rescanning one through one random
+    sequence of operations, asserting identical state after every step.
+    Returns how often each interesting transition happened."""
+    rng = random.Random(seed)
+    dests = sorted(rng.sample(range(3 * k), k))
+    # the router also signals the destinations of its other lambdas
+    pool = dests + [d for d in range(3 * k + 3) if d not in dests][:3]
+    real = PolicyState(kind, dests, seed=seed, b_min_us=5 * MS)
+    naive = NaivePolicy(kind, dests, seed=seed, b_min_us=5 * MS)
+    seen = dict(admit=0, reject=0, evict=0, stale=0, fresh_clear=0, jump=0)
+    outstanding = []
+    now = 0
+    for _ in range(steps):
+        now += rng.randint(0, 2 * MS)
+        roll = rng.random()
+        if roll < 0.4:
+            op, args = "select", (now,)
+        elif roll < 0.75:
+            if outstanding and rng.random() < 0.9:
+                dest = outstanding.pop(rng.randrange(len(outstanding)))
+            else:
+                dest = rng.choice(dests)
+            latency = rng.choice((rng.randint(1, 4 * MS), rng.randint(4 * MS, 40 * MS)))
+            op, args = "on_response", (dest, latency, now)
+        elif roll < 0.95:
+            dest = rng.choice(pool)
+            congested = rng.random() < 0.5
+            entry = real.table.snapshot().get(dest)
+            if not congested and entry and entry["congested"] and entry["shadow"] is None:
+                seen["fresh_clear"] += 1
+            op, args = "sync_congestion", (dest, congested, now)
+        else:
+            now = max(real.eligible_at.values()) + rng.randint(0, MS)
+            seen["jump"] += 1
+            continue
+        before = (real.probes_admitted, real.probes_rejected, real.stale_responses, len(real.active))
+        got = apply(real, op, args)
+        assert got == apply(naive, op, args), (op, args)
+        assert real.rng.getstate() == naive.rng.getstate()
+        assert real.snapshot() == naive.snapshot()
+        assert real.table.snapshot() == naive.table.snapshot()
+        if op == "select" and got is not None:
+            outstanding.append(got.destination)
+        if op == "on_response":
+            seen["admit"] += real.probes_admitted - before[0]
+            seen["reject"] += real.probes_rejected - before[1]
+            seen["stale"] += real.stale_responses - before[2]
+            seen["evict"] += len(real.active) < before[3]
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+@pytest.mark.parametrize("kind", list(PolicyKind))
+def test_indexed_selection_matches_full_scans(kind, k):
+    seen = {}
+    for seed in range(3):
+        for name, count in drive_against_naive(kind, k, seed).items():
+            seen[name] = seen.get(name, 0) + count
+    assert seen["jump"] and seen["fresh_clear"]
+    if kind is PolicyKind.ROUND_ROBIN:
+        assert seen["admit"] and seen["stale"]
+        # a lone destination is always its own active minimum
+        if k > 1:
+            assert seen["reject"] and seen["evict"]
+
+
+def test_randrange_draws_what_choice_drew():
+    # The probe pick indexes the ready list with randrange where the full
+    # scan called choice. Both must make the same single draw, or every
+    # seeded trace moves; an interpreter that changes either fails here.
+    for seed in range(50):
+        for n in (1, 2, 3, 7, 64, 255, 256, 1000, 2**31 + 1):
+            a, b = random.Random(seed), random.Random(seed)
+            assert a.choice(range(n)) == b.randrange(n)
+            assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize(
+    "kind", [PolicyKind.LEAST_IMPEDANCE, PolicyKind.ROUND_ROBIN]
+)
+def test_lazy_heaps_stay_within_the_rebuild_bound(kind):
+    k = 4
+    rng = random.Random(kind.value)
+    state = PolicyState(kind, list(range(k)), seed=3, b_min_us=2 * MS)
+    now = 0
+    longest = longest_pending = 0
+    for _ in range(100_000):
+        now += rng.randint(100, 3 * MS)
+        try:
+            dest = state.select(now).destination
+        except NoEligibleDestination:
+            dest = rng.randrange(k)
+        state.on_response(dest, rng.randint(MS, 20 * MS), now)
+        longest = max(longest, len(state._heap))
+        longest_pending = max(longest_pending, len(state._pending))
+    assert longest <= 4 * k + 16
+    # one pending backoff per destination at most when nothing is congested
+    assert longest_pending <= k
