@@ -32,17 +32,36 @@ the state changes, so that no selection scans all k destinations:
   mark removes an id; a clear that brings back a never-measured destination
   puts it back.
 
-Random-proportional still walks every finite weight to draw: its float
-cumulative sums decide the pick.
+* The **reciprocal sums** (random-proportional): ``1.0 / w`` per position in
+  ``destinations`` order, ``0.0`` for a congested or never-measured
+  destination, their running sums with a leading ``0.0``, and the first
+  position whose reciprocal changed since the sums were last brought up to
+  date. An observation, a mark or a clear writes one reciprocal and lowers
+  that position; a selection re-accumulates only the tail from there, seeded
+  with the sum before it, and bisects for the pick.
+
+The random-proportional draw must reproduce the full scan's float sums bit
+for bit, or the picks and the traces move. A partial-sum tree would add in
+another order, so the sums stay a left-to-right running total, and the tail
+re-accumulation makes the same IEEE additions in the same order as a
+``total += 1.0 / w`` loop over the finite weights. A zero reciprocal is
+exact to carry along: for ``x >= 0``, ``x + 0.0 == x``, so the sums are the
+scan's with repeated entries where it skipped one. ``bisect_right`` finds the
+first bound above the draw, which is where the scan's ``draw < bound`` first
+held, and a zero entry never wins because its bound equals the one before it.
+No exact index can do better than the changed tail: one changed reciprocal
+can change the rounding of every later partial sum, so a selection costs
+O(k - first changed position) additions, done in C by ``accumulate``.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 
 from .core import INFINITE, US_PER_MS
 from .estimator import DEFAULT_ALPHA, WeightTable
@@ -117,6 +136,10 @@ class PolicyState:
         self._pending: list[tuple[int, int]] = []
         self._unmeasured: list[int] = [] if rr else list(self.destinations)
         self._rebuild_heap()
+        k = len(self.destinations)
+        self._reciprocals = [0.0] * k
+        self._sums = [0.0] * (k + 1)
+        self._stale = k
         self.probes_launched = 0
         self.probes_admitted = 0
         self.probes_rejected = 0
@@ -129,10 +152,12 @@ class PolicyState:
         active with deficit zero). Used by tests and the proportional-draw check."""
         state = cls(kind, sorted(weights_us), **kwargs)
         for dest in state.destinations:
-            state.table.assign(dest, weights_us[dest])
+            weight = state.table.assign(dest, weights_us[dest])
             if kind is PolicyKind.ROUND_ROBIN:
                 state.ledger.admit(dest, 0)
                 state.active.add(dest)
+            elif kind is PolicyKind.RANDOM_PROPORTIONAL:
+                state._set_reciprocal(dest, 1.0 / weight)
         state._ready.clear()
         state._unmeasured.clear()
         state._rebuild_heap()
@@ -160,21 +185,17 @@ class PolicyState:
             if top is None:
                 raise NoEligibleDestination("no destination with a finite weight")
             return SelectionOutcome(top[1], is_probe=False)
-        get = self.table.get
-        measured = [(w, d) for d in self.destinations if (w := get(d)) is not INFINITE]
-        if not measured:
-            raise NoEligibleDestination("no destination with a finite weight")
         # Random-proportional: reciprocal weights, normalized.
-        total = 0.0
-        cumulative = []
-        for weight, d in measured:
-            total += 1.0 / weight
-            cumulative.append((total, d))
+        sums = self._cumulative_sums()
+        total = sums[-1]
+        if total == 0.0:
+            raise NoEligibleDestination("no destination with a finite weight")
+        # random() is at most 1 - 2**-53, and under round-to-nearest that
+        # times any total from 2**-1021 up (a reciprocal of integer
+        # microseconds is far above it) rounds below the total, so some bound
+        # exceeds the draw and the pick is always in range.
         draw = self.rng.random() * total
-        for bound, d in cumulative:
-            if draw < bound:
-                return SelectionOutcome(d, is_probe=False)
-        return SelectionOutcome(cumulative[-1][1], is_probe=False)
+        return SelectionOutcome(self.destinations[bisect_right(sums, draw) - 1], is_probe=False)
 
     def _select_rr(self, now: int) -> SelectionOutcome:
         pending = self._pending
@@ -219,6 +240,8 @@ class PolicyState:
                 _discard(self._unmeasured, dest)
             if self.kind is PolicyKind.LEAST_IMPEDANCE:
                 self._push(weight, dest)
+            else:
+                self._set_reciprocal(dest, 1.0 / weight)
             return
         if dest in self.probing:
             self.probing.discard(dest)
@@ -290,6 +313,24 @@ class PolicyState:
         self._heap = heap
         self._heap_limit = 4 * len(heap) + 16
 
+    def _set_reciprocal(self, dest: int, reciprocal: float) -> None:
+        """Store ``dest``'s reciprocal weight; the sums after it go stale."""
+        i = bisect_left(self.destinations, dest)
+        if self._reciprocals[i] != reciprocal:
+            self._reciprocals[i] = reciprocal
+            if i < self._stale:
+                self._stale = i
+
+    def _cumulative_sums(self) -> list[float]:
+        """Running sums of the reciprocals, ``sums[i + 1]`` through position
+        ``i``, re-accumulated from the first stale position on."""
+        sums, i = self._sums, self._stale
+        reciprocals = self._reciprocals
+        if i < len(reciprocals):
+            sums[i:] = accumulate(reciprocals[i:], initial=sums[i])
+            self._stale = len(reciprocals)
+        return sums
+
     def _heap_min(self) -> tuple[int, int] | None:
         """The smallest live ``(weight, dest)``, dropping stale entries on top."""
         heap = self._heap
@@ -308,8 +349,12 @@ class PolicyState:
         """Apply a congestion signal from the controller. Idempotent.
 
         Returns the finite weight just before a mark or just after a clear,
-        or None when the destination has none at that moment.
+        or None when the destination has none at that moment. The router
+        signals every lambda; a destination of another lambda is not managed
+        here, gets None and changes nothing.
         """
+        if dest not in self.backoff:
+            return None
         table = self.table
         if congested:
             weight = table.get(dest)
@@ -322,20 +367,20 @@ class PolicyState:
                 self._refresh(dest, now)
             else:
                 _discard(self._unmeasured, dest)
+                if self.kind is PolicyKind.RANDOM_PROPORTIONAL:
+                    self._set_reciprocal(dest, 0.0)
         else:
             if table.is_congested(dest):
                 weight = table.clear_congestion(dest)
-                # The router signals every lambda; a destination of another
-                # lambda only has a table entry (and an eligible_at) here.
-                managed = dest in self.backoff
                 if self.kind is PolicyKind.ROUND_ROBIN:
                     self.eligible_at[dest] = now
-                    if managed:
-                        self._refresh(dest, now)
-                elif managed and weight is None:
+                    self._refresh(dest, now)
+                elif weight is None:
                     _add(self._unmeasured, dest)
-                elif managed and self.kind is PolicyKind.LEAST_IMPEDANCE:
+                elif self.kind is PolicyKind.LEAST_IMPEDANCE:
                     self._push(weight, dest)
+                else:
+                    self._set_reciprocal(dest, 1.0 / weight)
             weight = table.get(dest)
         return None if weight is INFINITE else weight
 

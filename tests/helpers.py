@@ -77,10 +77,11 @@ def check_same_state(ledger: DeficitLedger, oracle: NaiveLedger):
 class NaivePolicy(PolicyState):
     """``PolicyState`` whose selections rescan all k destinations.
 
-    The state changes are inherited; only the three lookups the indexes
+    The state changes are inherited; only the four lookups the indexes
     replace are done the obvious way: the probe candidates by comprehension
-    and ``rng.choice``, the active minimum by ``min`` and the bootstrap
-    cursor over a freshly built list of unmeasured destinations.
+    and ``rng.choice``, the active minimum by ``min``, the bootstrap cursor
+    over a freshly built list of unmeasured destinations, and the
+    random-proportional draw by a linear scan of freshly added sums.
     """
 
     def _select_greedy(self):

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -315,6 +316,22 @@ def apply(state, op, args):
         return None
 
 
+def as_hex(floats):
+    return [x.hex() for x in floats]
+
+
+def scan_sums(state):
+    """The reciprocal running sums as the full scan adds them, repeated where
+    it skips a congested or never-measured destination, after a leading 0.0."""
+    total, sums = 0.0, [0.0]
+    for d in state.destinations:
+        weight = state.table.get(d)
+        if weight is not None and weight is not INFINITE:
+            total += 1.0 / weight
+        sums.append(total)
+    return sums
+
+
 def drive_against_naive(kind, k, seed, steps=1500):
     """Drive the indexed policy and the rescanning one through one random
     sequence of operations, asserting identical state after every step.
@@ -325,7 +342,10 @@ def drive_against_naive(kind, k, seed, steps=1500):
     pool = dests + [d for d in range(3 * k + 3) if d not in dests][:3]
     real = PolicyState(kind, dests, seed=seed, b_min_us=5 * MS)
     naive = NaivePolicy(kind, dests, seed=seed, b_min_us=5 * MS)
-    seen = dict(admit=0, reject=0, evict=0, stale=0, fresh_clear=0, jump=0)
+    seen = dict(
+        admit=0, reject=0, evict=0, stale=0, fresh_clear=0, jump=0,
+        first_weight=0, first_congested=0, last_congested=0,
+    )
     outstanding = []
     now = 0
     for _ in range(steps):
@@ -352,11 +372,21 @@ def drive_against_naive(kind, k, seed, steps=1500):
             seen["jump"] += 1
             continue
         before = (real.probes_admitted, real.probes_rejected, real.stale_responses, len(real.active))
+        first_weight = real.table.get(dests[0])
         got = apply(real, op, args)
         assert got == apply(naive, op, args), (op, args)
         assert real.rng.getstate() == naive.rng.getstate()
         assert real.snapshot() == naive.snapshot()
         assert real.table.snapshot() == naive.table.snapshot()
+        if kind is PolicyKind.RANDOM_PROPORTIONAL:
+            # The sums up to the first stale position are exact: a selection
+            # trusts them and re-accumulates only the rest.
+            clean = real._stale + 1
+            assert as_hex(real._sums[:clean]) == as_hex(scan_sums(real)[:clean]), (op, args)
+        seen["first_weight"] += real.table.get(dests[0]) != first_weight
+        if op == "select":
+            seen["first_congested"] += real.table.is_congested(dests[0])
+            seen["last_congested"] += real.table.is_congested(dests[-1])
         if op == "select" and got is not None:
             outstanding.append(got.destination)
         if op == "on_response":
@@ -375,6 +405,7 @@ def test_indexed_selection_matches_full_scans(kind, k):
         for name, count in drive_against_naive(kind, k, seed).items():
             seen[name] = seen.get(name, 0) + count
     assert seen["jump"] and seen["fresh_clear"]
+    assert seen["first_weight"] and seen["first_congested"] and seen["last_congested"]
     if kind is PolicyKind.ROUND_ROBIN:
         assert seen["admit"] and seen["stale"]
         # a lone destination is always its own active minimum
@@ -391,6 +422,83 @@ def test_randrange_draws_what_choice_drew():
             a, b = random.Random(seed), random.Random(seed)
             assert a.choice(range(n)) == b.randrange(n)
             assert a.getstate() == b.getstate()
+
+
+def test_accumulate_adds_what_the_scan_loop_added():
+    # The rp sums are re-accumulated with accumulate, seeded with the sum
+    # before the stale tail, where the scan added in a Python loop. Both must
+    # make the same float additions, or every seeded rp trace moves; an
+    # interpreter that changes either fails here.
+    rng = random.Random(8)
+    for n in (1, 2, 3, 7, 64, 256):
+        xs = [rng.choice((0.0, 1.0 / rng.randint(1, 10**7))) for _ in range(n)]
+        for start in (0.0, 1.0 / 3, rng.random() * n):
+            total, loop = start, [start]
+            for x in xs:
+                total += x
+                loop.append(total)
+            assert as_hex(accumulate(xs, initial=start)) == as_hex(loop)
+        total, loop = 0.0, []
+        for x in xs:
+            total += x
+            loop.append(total)
+        assert as_hex(accumulate(xs)) == as_hex(loop)
+
+
+def test_largest_draw_stays_below_the_total():
+    # random() is at most 1 - 2**-53; the rp draw relies on that times the
+    # total rounding to below the total, so a bound always exceeds it. That
+    # holds from 2**-1021 up; at the smallest normal, 2**-1022, the product
+    # is a tie in the subnormal range and rounds back up to the total.
+    largest = 1 - 2**-53
+    assert largest * 2.0**-1022 == 2.0**-1022
+    totals = [2.0**e for e in range(-1021, 1024)]
+    rng = random.Random(13)
+    for _ in range(2000):
+        n = rng.randint(1, 300)
+        totals.append(sum(1.0 / rng.randint(1, 10**9) for _ in range(n)))
+    assert all(largest * total < total for total in totals)
+
+
+class FixedDraws(random.Random):
+    """A ``Random`` whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("congested", [(), (0,), (1,), (3,), (0, 1), (1, 2), (0, 3)])
+def test_rp_draw_on_a_bound_picks_what_the_scan_picked(congested):
+    # A draw equal to a cumulative bound goes to the next destination, and a
+    # congested one (a repeated bound, or 0.0 at the front) never wins.
+    weights = {0: 1, 1: 2, 2: 1, 3: 4}
+    states = [cls.preloaded(PolicyKind.RANDOM_PROPORTIONAL, weights) for cls in (PolicyState, NaivePolicy)]
+    for state in states:
+        for dest in congested:
+            state.sync_congestion(dest, True, 0)
+    bounds = scan_sums(states[0])
+    total = bounds[-1]
+    draws = [0.0, 1 - 2**-53] + [b / total for b in bounds if b < total and (b / total) * total == b]
+    assert len(draws) > 4  # the draws hit the bounds exactly
+    for state in states:
+        state.rng = FixedDraws(draws)
+    picks = [[state.select(0).destination for _ in draws] for state in states]
+    assert picks[0] == picks[1]
+    assert not set(picks[0]) & set(congested)
+
+
+@pytest.mark.parametrize("kind", list(PolicyKind))
+def test_signal_for_another_lambdas_destination_changes_nothing(kind):
+    # The router signals every lambda; destination 5 belongs to another one.
+    state = PolicyState(kind, [0, 1])
+    before = (state.snapshot(), state.table.snapshot())
+    assert state.sync_congestion(5, True, 10) is None
+    assert state.sync_congestion(5, False, 20) is None
+    assert (state.snapshot(), state.table.snapshot()) == before
 
 
 @pytest.mark.parametrize(
