@@ -1,11 +1,13 @@
-"""Difference-encoded deficit counters and the frozen-weight replay.
+"""Base-relative deficit counters and the frozen-weight replay.
 
-The ledger keeps one entry per active destination, ordered by implied
-absolute deficit with ties broken by destination id. Each entry stores only
-the difference from its predecessor, so the front entry's delta is the
-minimum deficit and renormalizing every counter by that minimum (done when
-a destination is admitted) is a single front reset. Deficits {4, 6, 7, 7}
-are held as deltas {4, 2, 1, 0}.
+The ledger keeps one key ``(raw, dest)`` per active destination in a sorted
+list, so the keys run in order of deficit with ties broken by destination
+id. A destination's deficit is its raw value minus the ledger's base.
+Renormalizing every counter by the minimum (done when a destination is
+admitted) moves the base up to the front key's raw value, which is O(1).
+Every operation is a binary search plus C-level list inserts and deletes.
+``deltas()`` reads out the difference encoding, each deficit less its
+predecessor's: deficits {4, 6, 7, 7} read as deltas {4, 2, 1, 0}.
 
 ``replay_frozen`` is the bulk select-then-charge loop behind the fairness
 suites. It does not drive ``DeficitLedger``: with weights frozen and no
@@ -16,6 +18,7 @@ select-then-charge loops over ``DeficitLedger`` and a naive oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 
@@ -36,106 +39,88 @@ class AlreadyAdmitted(Exception):
 
 
 class DeficitLedger:
-    """Sorted difference-encoded deficit counters.
+    """Sorted deficit counters stored relative to a base.
 
-    Renormalization on admit is O(1). Charge and evict are O(position): a
-    walk from the front finds the entry and its implied deficit, and a
-    membership set rejects unknown destinations without one. Nothing is
-    re-indexed. Round-robin always charges the front entry, so its lookup
-    is O(1); the re-insert is a walk to the entry's new place.
+    ``_keys`` is the sorted list of ``(raw, dest)``, ``_raw`` maps each
+    destination to its raw value, and a deficit is ``raw - _base``. Charge
+    and evict find a key by bisection, charge and admit place one by
+    ``insort``, so each is O(log k) comparisons plus a memmove of the list;
+    selection reads the front key. Renormalization on admit only moves the base.
     """
 
     def __init__(self) -> None:
-        self._entries: list[list[int]] = []  # [dest, delta_to_previous]
-        self._members: set[int] = set()
+        self._keys: list[tuple[int, int]] = []
+        self._raw: dict[int, int] = {}
+        self._base = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def __contains__(self, dest: int) -> bool:
-        return dest in self._members
+        return dest in self._raw
 
     def pop_min(self) -> int:
         """Destination with the minimum deficit, smallest id on ties.
 
         Selection only; the entry stays in place.
         """
-        if not self._entries:
+        if not self._keys:
             raise EmptyLedger("no active destinations")
-        return self._entries[0][0]
+        return self._keys[0][1]
 
     def charge(self, dest: int, amount: int) -> None:
         """Increase a destination's deficit by ``amount`` and re-sort it."""
         if amount < 0:
             raise ValueError("charge amount must be non-negative")
-        value = self._remove(dest)
-        self._insert(dest, value + amount)
+        raw = self._remove(dest) + amount
+        self._raw[dest] = raw
+        insort(self._keys, (raw, dest))
 
     def admit(self, dest: int, initial_deficit: int = 0) -> None:
         """Renormalize all deficits by the current minimum, then insert.
 
-        The renormalization is the O(1) front reset; the new destination
-        enters with ``initial_deficit`` (relative to the renormalized
-        counters).
+        The renormalization moves the base to the minimum's raw value; the
+        new destination enters with ``initial_deficit`` (relative to the
+        renormalized counters).
         """
-        if dest in self._members:
+        if dest in self._raw:
             raise AlreadyAdmitted(f"destination {dest} is already in the ledger")
         if initial_deficit < 0:
             raise ValueError("initial deficit must be non-negative")
-        if self._entries:
-            self._entries[0][1] = 0
-        self._insert(dest, initial_deficit)
-        self._members.add(dest)
+        if self._keys:
+            self._base = self._keys[0][0]
+        raw = self._base + initial_deficit
+        self._raw[dest] = raw
+        insort(self._keys, (raw, dest))
 
     def evict(self, dest: int) -> None:
         """Remove a destination; every other decoded deficit is unchanged."""
         self._remove(dest)
-        self._members.discard(dest)
+        del self._raw[dest]
 
     def decode(self) -> dict[int, int]:
-        """Absolute deficit per destination."""
-        out = {}
-        running = 0
-        for dest, delta in self._entries:
-            running += delta
-            out[dest] = running
-        return out
+        """Absolute deficit per destination, in ledger order."""
+        base = self._base
+        return {dest: raw - base for raw, dest in self._keys}
 
     def deltas(self) -> list[tuple[int, int]]:
-        """The encoded form, in ledger order, for tests and snapshots."""
-        return [(dest, delta) for dest, delta in self._entries]
+        """The difference encoding, in ledger order, for tests and snapshots."""
+        out = []
+        previous = self._base
+        for raw, dest in self._keys:
+            out.append((dest, raw - previous))
+            previous = raw
+        return out
 
     def _remove(self, dest: int) -> int:
-        """Take ``dest``'s entry out, folding its delta into its successor.
-
-        Returns its implied deficit.
-        """
-        if dest not in self._members:
-            raise UnknownDestination(f"destination {dest} is not in the ledger")
-        entries = self._entries
-        running = 0
-        for pos, (other, delta) in enumerate(entries):
-            running += delta
-            if other == dest:
-                break
-        if pos + 1 < len(entries):
-            entries[pos + 1][1] += delta
-        del entries[pos]
-        return running
-
-    def _insert(self, dest: int, value: int) -> None:
-        # Walk to the first entry ordered after (value, dest).
-        running = 0
-        pos = len(self._entries)
-        for i, (other, delta) in enumerate(self._entries):
-            running += delta
-            if (running, other) > (value, dest):
-                pos = i
-                break
-        prev_implied = running - self._entries[pos][1] if pos < len(self._entries) else running
-        if pos < len(self._entries):
-            self._entries[pos][1] = running - value
-        self._entries.insert(pos, [dest, value - prev_implied])
+        """Take ``dest``'s key out of the sorted list; return its raw value."""
+        try:
+            raw = self._raw[dest]
+        except KeyError:
+            raise UnknownDestination(f"destination {dest} is not in the ledger") from None
+        keys = self._keys
+        del keys[bisect_left(keys, (raw, dest))]
+        return raw
 
 
 @dataclass(frozen=True)

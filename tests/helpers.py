@@ -63,15 +63,20 @@ class NaiveLedger:
 
 
 def check_same_state(ledger: DeficitLedger, oracle: NaiveLedger):
-    """Every observable of the real ledger must match the oracle."""
-    assert ledger.decode() == oracle.decode()
+    """Every observable of the real ledger must match the oracle.
+
+    Order counts: ``decode()`` runs by ``(deficit, id)``, and ``deltas()``
+    is each deficit less its predecessor's, the first less zero.
+    """
+    ordered = sorted(oracle.decode().items(), key=lambda item: (item[1], item[0]))
+    assert list(ledger.decode().items()) == ordered
+    previous = [0] + [deficit for _, deficit in ordered]
+    assert ledger.deltas() == [
+        (dest, deficit - before) for (dest, deficit), before in zip(ordered, previous)
+    ]
     assert len(ledger) == len(oracle)
-    deltas = ledger.deltas()
-    assert all(delta >= 0 for _, delta in deltas)
     if len(oracle):
         assert ledger.pop_min() == oracle.pop_min()
-        # difference encoding: deltas sum to the largest deficit
-        assert sum(delta for _, delta in deltas) == max(oracle.decode().values())
 
 
 class NaivePolicy(PolicyState):

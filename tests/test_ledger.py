@@ -154,6 +154,52 @@ def test_random_sequences_match_oracle():
             check_same_state(led, oracle)
 
 
+def test_large_ledger_matches_oracle():
+    """k = 300 against the oracle: select-then-charge runs mixed with admits
+    and evicts at the front, the back and anywhere between; admits after
+    long charge runs, so renormalization moves a large base; and a full
+    drain and refill, so the base outlives an empty ledger."""
+    rng = random.Random(300)
+    k = 300
+    weights = [rng.randint(1, 60_000) for _ in range(k)]
+    led, oracle = DeficitLedger(), NaiveLedger()
+
+    def both(op, *args):
+        getattr(led, op)(*args)
+        getattr(oracle, op)(*args)
+
+    def select_and_charge(steps):
+        for _ in range(steps):
+            dest = led.pop_min()
+            assert dest == oracle.pop_min()
+            both("charge", dest, weights[dest])
+
+    def admit_some(count):
+        absent = [d for d in range(k) if d not in oracle]
+        for dest in rng.sample(absent, min(count, len(absent))):
+            # mostly zero, so admitted destinations tie with the minimum
+            both("admit", dest, rng.choice((0, 0, rng.randint(0, 70_000))))
+            check_same_state(led, oracle)
+
+    admit_some(k)
+    for _ in range(40):
+        select_and_charge(rng.randint(1, 400))
+        check_same_state(led, oracle)
+        order = list(led.decode())
+        for dest in {order[0], order[-1], rng.choice(order)}:
+            both("evict", dest)
+            check_same_state(led, oracle)
+        dest = rng.choice(sorted(oracle.decode()))
+        both("charge", dest, rng.randint(0, 70_000))
+        admit_some(rng.randint(1, 4))
+    for dest in rng.sample(sorted(oracle.decode()), len(oracle)):
+        both("evict", dest)
+    check_same_state(led, oracle)
+    admit_some(k)
+    select_and_charge(3000)
+    check_same_state(led, oracle)
+
+
 DESTS = st.integers(0, 5)
 # mostly tiny amounts, so equal deficits (ties broken by id) are common
 AMOUNTS = st.integers(0, 3) | st.integers(0, 10**6)

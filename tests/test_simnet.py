@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgedispatch.scenario import ComputerSpec, load_scenario
+from edgedispatch.metrics import summarize, trace_bytes
+from edgedispatch.scenario import ComputerSpec, load_scenario, scenario_from_mapping
 from edgedispatch.simnet import (
     UnknownLambda,
     _Computer,
@@ -273,3 +276,83 @@ def test_congestion_log_shows_bit_exact_restore():
     for row in result.completed:
         if row.router == 0 and row.destination == 1:
             assert not 2_000_000 <= row.dispatch_us < 4_000_000
+
+
+@st.composite
+def rr_churn_docs(draw):
+    """One router over 2-8 computers under ``rr``, offered 30-150% of their
+    base capacity, each computer with its own non-overlapping blackout
+    windows (touching ones included): probes, admissions, evictions,
+    backoffs and congestion marks all occur."""
+    n = draw(st.integers(2, 8))
+    duration_ms = draw(st.integers(60, 400))
+    computers, links, congestion = [], {}, []
+    for cid in range(n):
+        workers = draw(st.integers(1, 2))
+        service = draw(st.integers(1, 12))
+        computers.append(
+            {
+                "id": cid,
+                "workers": workers,
+                "beta": draw(st.sampled_from((0.0, 0.5))),
+                "service_ms": {0: service},
+            }
+        )
+        links[cid] = draw(st.integers(0, 4))
+        cuts = sorted(draw(st.lists(st.integers(0, duration_ms), max_size=6)))
+        for start, end in zip(cuts[::2], cuts[1::2]):
+            if start < end:
+                congestion.append(
+                    {"router": 0, "computer": cid, "start_ms": start, "end_ms": end}
+                )
+    capacity = sum(c["workers"] * 1000 / c["service_ms"][0] for c in computers)
+    return {
+        "name": "rr-churn",
+        "duration_ms": duration_ms,
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "policy": {
+            "kind": "rr",
+            "alpha": draw(st.sampled_from((0.5, 0.9))),
+            "b_min_ms": draw(st.integers(1, 20)),
+            "retry_ms": draw(st.integers(1, 10)),
+        },
+        "computers": computers,
+        "routers": [
+            {
+                "id": 0,
+                "links_ms": links,
+                "lambdas": [{"id": 0, "destinations": list(range(n))}],
+            }
+        ],
+        "workload": [
+            {
+                "router": 0,
+                "lambda": 0,
+                "process": "poisson",
+                "rate_per_s": round(draw(st.floats(0.3, 1.5)) * capacity, 3),
+                "client_link_ms": draw(st.integers(0, 2)),
+            }
+        ],
+        "congestion": congestion,
+    }
+
+
+@settings(max_examples=25)
+@given(doc=rr_churn_docs())
+def test_rr_under_churn_accounts_respects_blackouts_and_repeats(doc):
+    scenario = scenario_from_mapping(doc)
+    result = run(scenario)
+    rows = result.rows
+    assert [r.seq for r in rows] == list(range(result.arrivals))
+    windows = {}
+    for w in scenario.congestion:
+        windows.setdefault((w.router, w.computer), []).append((w.start_us, w.end_us))
+    for row in result.completed:
+        for start, end in windows.get((row.router, row.destination), ()):
+            assert not start <= row.dispatch_us < end, (row, start, end)
+    again = run(scenario_from_mapping(doc))
+    assert trace_bytes(again.rows) == trace_bytes(rows)
+    assert (
+        summarize(again.rows, again.snapshot).to_json()
+        == summarize(rows, result.snapshot).to_json()
+    )
