@@ -1,11 +1,15 @@
-"""Base-relative deficit counters and the frozen-weight replay.
+"""Exact sorted keys, base-relative deficit counters and the frozen-weight replay.
 
-The ledger keeps one key ``(raw, dest)`` per active destination in a sorted
-list, so the keys run in order of deficit with ties broken by destination
-id. A destination's deficit is its raw value minus the ledger's base.
+``SortedKeys`` is the package's one sorted index: a sorted list of one
+``(value, key)`` pair per key, so ``pairs[0]`` is the minimum with the
+smallest key on ties. A change bisects out the key's old pair and
+``insort``s the new one, O(log k) comparisons plus a C-level memmove, so no
+entry is ever stale.
+
+The ledger keeps its keys in one, ordered by deficit then destination id. A
+destination's deficit is its raw value minus the ledger's base.
 Renormalizing every counter by the minimum (done when a destination is
 admitted) moves the base up to the front key's raw value, which is O(1).
-Every operation is a binary search plus C-level list inserts and deletes.
 ``deltas()`` reads out the difference encoding, each deficit less its
 predecessor's: deficits {4, 6, 7, 7} read as deltas {4, 2, 1, 0}.
 
@@ -38,43 +42,78 @@ class AlreadyAdmitted(Exception):
     """Admission of a destination already present."""
 
 
+class SortedKeys:
+    """One ``(value, key)`` pair per key, kept sorted in ``pairs``.
+
+    ``values`` maps each key to its value. Callers read both directly and
+    change them only through the methods.
+    """
+
+    __slots__ = ("pairs", "values")
+
+    def __init__(self) -> None:
+        self.pairs: list[tuple[int, int]] = []
+        self.values: dict[int, int] = {}
+
+    def set(self, key: int, value: int) -> None:
+        """Give ``key`` the value ``value``, adding the key if it is new."""
+        pairs, values = self.pairs, self.values
+        if key in values:
+            del pairs[bisect_left(pairs, (values[key], key))]
+        values[key] = value
+        insort(pairs, (value, key))
+
+    def add(self, key: int, amount: int) -> None:
+        """Add ``amount`` to the value of ``key``; KeyError if it is absent."""
+        pairs, values = self.pairs, self.values
+        value = values[key]
+        del pairs[bisect_left(pairs, (value, key))]
+        values[key] = value = value + amount
+        insort(pairs, (value, key))
+
+    def discard(self, key: int) -> None:
+        """Remove ``key`` if present."""
+        values = self.values
+        if key in values:
+            pairs = self.pairs
+            del pairs[bisect_left(pairs, (values.pop(key), key))]
+
+
 class DeficitLedger:
     """Sorted deficit counters stored relative to a base.
 
-    ``_keys`` is the sorted list of ``(raw, dest)``, ``_raw`` maps each
-    destination to its raw value, and a deficit is ``raw - _base``. Charge
-    and evict find a key by bisection, charge and admit place one by
-    ``insort``, so each is O(log k) comparisons plus a memmove of the list;
-    selection reads the front key. Renormalization on admit only moves the base.
+    ``_keys`` holds each destination's raw value and a deficit is
+    ``raw - _base``, so renormalization on admit only moves the base.
     """
 
     def __init__(self) -> None:
-        self._keys: list[tuple[int, int]] = []
-        self._raw: dict[int, int] = {}
+        self._keys = SortedKeys()
         self._base = 0
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._keys.pairs)
 
     def __contains__(self, dest: int) -> bool:
-        return dest in self._raw
+        return dest in self._keys.values
 
     def pop_min(self) -> int:
         """Destination with the minimum deficit, smallest id on ties.
 
         Selection only; the entry stays in place.
         """
-        if not self._keys:
+        pairs = self._keys.pairs
+        if not pairs:
             raise EmptyLedger("no active destinations")
-        return self._keys[0][1]
+        return pairs[0][1]
 
     def charge(self, dest: int, amount: int) -> None:
         """Increase a destination's deficit by ``amount`` and re-sort it."""
         if amount < 0:
             raise ValueError("charge amount must be non-negative")
-        raw = self._remove(dest) + amount
-        self._raw[dest] = raw
-        insort(self._keys, (raw, dest))
+        try:
+            self._keys.add(dest, amount)
+        except KeyError:
+            raise UnknownDestination(f"destination {dest} is not in the ledger") from None
 
     def admit(self, dest: int, initial_deficit: int = 0) -> None:
         """Renormalize all deficits by the current minimum, then insert.
@@ -83,44 +122,34 @@ class DeficitLedger:
         new destination enters with ``initial_deficit`` (relative to the
         renormalized counters).
         """
-        if dest in self._raw:
+        keys = self._keys
+        if dest in keys.values:
             raise AlreadyAdmitted(f"destination {dest} is already in the ledger")
         if initial_deficit < 0:
             raise ValueError("initial deficit must be non-negative")
-        if self._keys:
-            self._base = self._keys[0][0]
-        raw = self._base + initial_deficit
-        self._raw[dest] = raw
-        insort(self._keys, (raw, dest))
+        if keys.pairs:
+            self._base = keys.pairs[0][0]
+        keys.set(dest, self._base + initial_deficit)
 
     def evict(self, dest: int) -> None:
         """Remove a destination; every other decoded deficit is unchanged."""
-        self._remove(dest)
-        del self._raw[dest]
+        if dest not in self._keys.values:
+            raise UnknownDestination(f"destination {dest} is not in the ledger")
+        self._keys.discard(dest)
 
     def decode(self) -> dict[int, int]:
         """Absolute deficit per destination, in ledger order."""
         base = self._base
-        return {dest: raw - base for raw, dest in self._keys}
+        return {dest: raw - base for raw, dest in self._keys.pairs}
 
     def deltas(self) -> list[tuple[int, int]]:
         """The difference encoding, in ledger order, for tests and snapshots."""
         out = []
         previous = self._base
-        for raw, dest in self._keys:
+        for raw, dest in self._keys.pairs:
             out.append((dest, raw - previous))
             previous = raw
         return out
-
-    def _remove(self, dest: int) -> int:
-        """Take ``dest``'s key out of the sorted list; return its raw value."""
-        try:
-            raw = self._raw[dest]
-        except KeyError:
-            raise UnknownDestination(f"destination {dest} is not in the ledger") from None
-        keys = self._keys
-        del keys[bisect_left(keys, (raw, dest))]
-        return raw
 
 
 @dataclass(frozen=True)

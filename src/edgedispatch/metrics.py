@@ -86,12 +86,16 @@ def read_trace(path) -> list[TraceRow]:
         for cells in reader:
             if len(cells) != len(TRACE_COLUMNS):
                 raise ValueError(f"trace row has {len(cells)} cells: {cells}")
+            destination = int(cells[3])
+            blanks = cells[5:9].count("")
+            if blanks and (blanks < 4 or destination != -1):
+                raise ValueError(f"completion cells not all filled or all unserved: {cells}")
             rows.append(
                 TraceRow(
                     seq=int(cells[0]),
                     lam=int(cells[1]),
                     router=int(cells[2]),
-                    destination=int(cells[3]),
+                    destination=destination,
                     issued_us=int(cells[4]),
                     completed_us=_unblank(cells[5]),
                     transfer_us=_unblank(cells[6]),

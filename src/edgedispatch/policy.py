@@ -17,16 +17,13 @@ the state changes, so that no selection scans all k destinations:
   ``_randbelow`` draw and the same pick as ``Random.choice`` over a full
   scan in id order. ``_refresh`` re-files a destination each time its active,
   probing, congestion or ``eligible_at`` state changes.
-* The **pending heap** (round-robin): ``(eligible_at, dest)`` for backoffs
-  not yet expired, pushed by ``_refresh`` on a probe rejection or an
-  eviction. A selection first moves the expired entries to the ready list.
-* The **lazy min-heap** of ``(weight, dest)``: round-robin pushes on each
-  admission and each observation of an active destination and reads the
-  active minimum from it; least-impedance pushes on each observation and
-  each clear that restores a finite weight, and selects its top. Entries
-  whose weight has moved since, or (round-robin) whose destination left the
-  active set, are dropped when they reach the top. The heap is rebuilt from
-  the table when it holds more than four times its live entries plus 16.
+* The **pending index** (round-robin): a ``SortedKeys`` of ``eligible_at``
+  over the destinations waiting out a backoff. ``_refresh`` files each one
+  that may be probed in exactly one of it and the ready list; a selection
+  first re-files the fronts whose time has come.
+* The **weight index**: a ``SortedKeys`` of the round-robin active set's
+  weights, whose front is the active minimum, or of every finite measured
+  weight for least-impedance, whose front is the pick.
 * The **bootstrap list** (least-impedance, random-proportional): the sorted
   ids never measured and not congested. A first observation or a congestion
   mark removes an id; a clear that brings back a never-measured destination
@@ -60,12 +57,11 @@ import enum
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
 from .core import INFINITE, US_PER_MS
 from .estimator import DEFAULT_ALPHA, WeightTable
-from .ledger import DeficitLedger, UnknownDestination
+from .ledger import DeficitLedger, SortedKeys, UnknownDestination
 
 DEFAULT_B_MIN_US = 100 * US_PER_MS
 
@@ -133,9 +129,9 @@ class PolicyState:
         self._bootstrap_cursor = 0
         rr = kind is PolicyKind.ROUND_ROBIN
         self._ready: list[int] = list(self.destinations) if rr else []
-        self._pending: list[tuple[int, int]] = []
+        self._pending = SortedKeys()
+        self._weights = SortedKeys()
         self._unmeasured: list[int] = [] if rr else list(self.destinations)
-        self._rebuild_heap()
         k = len(self.destinations)
         self._reciprocals = [0.0] * k
         self._sums = [0.0] * (k + 1)
@@ -156,11 +152,12 @@ class PolicyState:
             if kind is PolicyKind.ROUND_ROBIN:
                 state.ledger.admit(dest, 0)
                 state.active.add(dest)
-            elif kind is PolicyKind.RANDOM_PROPORTIONAL:
+            if kind is PolicyKind.RANDOM_PROPORTIONAL:
                 state._set_reciprocal(dest, 1.0 / weight)
+            else:
+                state._weights.set(dest, weight)
         state._ready.clear()
         state._unmeasured.clear()
-        state._rebuild_heap()
         return state
 
     # -- selection ---------------------------------------------------------
@@ -181,10 +178,10 @@ class PolicyState:
             self._bootstrap_cursor += 1
             return SelectionOutcome(dest, is_probe=False)
         if self.kind is PolicyKind.LEAST_IMPEDANCE:
-            top = self._heap_min()
-            if top is None:
+            pairs = self._weights.pairs
+            if not pairs:
                 raise NoEligibleDestination("no destination with a finite weight")
-            return SelectionOutcome(top[1], is_probe=False)
+            return SelectionOutcome(pairs[0][1], is_probe=False)
         # Random-proportional: reciprocal weights, normalized.
         sums = self._cumulative_sums()
         total = sums[-1]
@@ -198,13 +195,9 @@ class PolicyState:
         return SelectionOutcome(self.destinations[bisect_right(sums, draw) - 1], is_probe=False)
 
     def _select_rr(self, now: int) -> SelectionOutcome:
-        pending = self._pending
+        pending = self._pending.pairs
         while pending and pending[0][0] <= now:
-            _, dest = heappop(pending)
-            # An entry whose eligible_at has since moved later is stale: the
-            # push that moved it files the destination when it expires.
-            if self.eligible_at[dest] <= now:
-                self._refresh(dest, now)
+            self._refresh(pending[0][1], now)
         ready = self._ready
         if ready:
             dest = ready.pop(self.rng.randrange(len(ready)))
@@ -239,7 +232,7 @@ class PolicyState:
             if self._unmeasured:
                 _discard(self._unmeasured, dest)
             if self.kind is PolicyKind.LEAST_IMPEDANCE:
-                self._push(weight, dest)
+                self._weights.set(dest, weight)
             else:
                 self._set_reciprocal(dest, 1.0 / weight)
             return
@@ -250,7 +243,7 @@ class PolicyState:
                 self.ledger.admit(dest, value)
                 self.active.add(dest)
                 table.assign(dest, value)
-                self._push(value, dest)
+                self._weights.set(dest, value)
                 self.backoff[dest] = self.b_min_us
                 self.probes_admitted += 1
             else:
@@ -260,10 +253,11 @@ class PolicyState:
             self._refresh(dest, now)
         elif dest in self.active:
             new_weight = table.observe(dest, measured_us)
-            self._push(new_weight, dest)
+            self._weights.set(dest, new_weight)
             if new_weight > 2 * self._min_active_weight():
                 self.ledger.evict(dest)
                 self.active.discard(dest)
+                self._weights.discard(dest)
                 self.eligible_at[dest] = now + self.backoff[dest]
                 self._refresh(dest, now)
         else:
@@ -272,46 +266,25 @@ class PolicyState:
             self.stale_responses += 1
 
     def _min_active_weight(self) -> int | float:
-        if not self.active:
-            # Empty active set admits any probe, otherwise nothing could ever
-            # bootstrap the scheduler.
-            return float("inf")
-        return self._heap_min()[0]
+        pairs = self._weights.pairs
+        # Empty active set admits any probe, otherwise nothing could ever
+        # bootstrap the scheduler.
+        return pairs[0][0] if pairs else float("inf")
 
     # -- indexes -----------------------------------------------------------
 
     def _refresh(self, dest: int, now: int) -> None:
-        """File a round-robin destination in the ready list or the pending heap."""
+        """File a round-robin destination in the ready list or the pending
+        index, or in neither while it is active, probing or congested."""
         if dest in self.active or dest in self.probing or self.table.is_congested(dest):
             _discard(self._ready, dest)
+            self._pending.discard(dest)
         elif self.eligible_at[dest] <= now:
+            self._pending.discard(dest)
             _add(self._ready, dest)
         else:
             _discard(self._ready, dest)
-            heappush(self._pending, (self.eligible_at[dest], dest))
-
-    def _push(self, weight: int, dest: int) -> None:
-        heap = self._heap
-        heappush(heap, (weight, dest))
-        if len(heap) > self._heap_limit:
-            self._rebuild_heap()
-
-    def _rebuild_heap(self) -> None:
-        """Build the lazy min-heap from the table, live entries only."""
-        get = self.table.get
-        if self.kind is PolicyKind.ROUND_ROBIN:
-            heap = [(get(d), d) for d in self.active]
-        elif self.kind is PolicyKind.LEAST_IMPEDANCE:
-            heap = [
-                (w, d)
-                for d in self.destinations
-                if (w := get(d)) is not None and w is not INFINITE
-            ]
-        else:
-            heap = []
-        heapify(heap)
-        self._heap = heap
-        self._heap_limit = 4 * len(heap) + 16
+            self._pending.set(dest, self.eligible_at[dest])
 
     def _set_reciprocal(self, dest: int, reciprocal: float) -> None:
         """Store ``dest``'s reciprocal weight; the sums after it go stale."""
@@ -330,18 +303,6 @@ class PolicyState:
             sums[i:] = accumulate(reciprocals[i:], initial=sums[i])
             self._stale = len(reciprocals)
         return sums
-
-    def _heap_min(self) -> tuple[int, int] | None:
-        """The smallest live ``(weight, dest)``, dropping stale entries on top."""
-        heap = self._heap
-        get = self.table.get
-        rr = self.kind is PolicyKind.ROUND_ROBIN
-        while heap:
-            weight, dest = top = heap[0]
-            if get(dest) == weight and (not rr or dest in self.active):
-                return top
-            heappop(heap)
-        return None
 
     # -- congestion --------------------------------------------------------
 
@@ -363,12 +324,15 @@ class PolicyState:
                 if dest in self.active:
                     self.ledger.evict(dest)
                     self.active.discard(dest)
+                    self._weights.discard(dest)
                 self.probing.discard(dest)
                 self._refresh(dest, now)
             else:
                 _discard(self._unmeasured, dest)
                 if self.kind is PolicyKind.RANDOM_PROPORTIONAL:
                     self._set_reciprocal(dest, 0.0)
+                else:
+                    self._weights.discard(dest)
         else:
             if table.is_congested(dest):
                 weight = table.clear_congestion(dest)
@@ -378,7 +342,7 @@ class PolicyState:
                 elif weight is None:
                     _add(self._unmeasured, dest)
                 elif self.kind is PolicyKind.LEAST_IMPEDANCE:
-                    self._push(weight, dest)
+                    self._weights.set(dest, weight)
                 else:
                     self._set_reciprocal(dest, 1.0 / weight)
             weight = table.get(dest)

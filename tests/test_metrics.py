@@ -221,6 +221,22 @@ def test_read_trace_rejects_short_rows(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,0,0,1,10,30,,5,5,0,rr",  # one delay blank
+        "0,0,0,3,10,,10,5,5,0,rr",  # completion blank, delays filled
+        "0,0,0,3,10,,,,,0,rr",  # unserved but with a destination
+        "0,0,0,-1,10,,,,7,0,rr",  # unserved but with a delay
+    ],
+)
+def test_read_trace_rejects_partly_blank_completions(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="completion cells"):
+        read_trace(path)
+
+
 def test_summary_survives_the_disk_round_trip(tmp_path):
     result = run(load_scenario("ring-tree").with_overrides(duration_us=1_000_000))
     first = summarize(result.rows, result.snapshot)

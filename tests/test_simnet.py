@@ -279,11 +279,12 @@ def test_congestion_log_shows_bit_exact_restore():
 
 
 @st.composite
-def rr_churn_docs(draw):
-    """One router over 2-8 computers under ``rr``, offered 30-150% of their
-    base capacity, each computer with its own non-overlapping blackout
-    windows (touching ones included): probes, admissions, evictions,
-    backoffs and congestion marks all occur."""
+def churn_docs(draw):
+    """One router over 2-8 computers under ``rr``, ``li`` or ``rp``, offered
+    30-150% of their base capacity, each computer with its own
+    non-overlapping blackout windows (touching ones included): congestion
+    marks and clears occur under every policy, and under ``rr`` probes,
+    admissions, evictions and backoffs too."""
     n = draw(st.integers(2, 8))
     duration_ms = draw(st.integers(60, 400))
     computers, links, congestion = [], {}, []
@@ -307,11 +308,11 @@ def rr_churn_docs(draw):
                 )
     capacity = sum(c["workers"] * 1000 / c["service_ms"][0] for c in computers)
     return {
-        "name": "rr-churn",
+        "name": "churn",
         "duration_ms": duration_ms,
         "seed": draw(st.integers(0, 2**31 - 1)),
         "policy": {
-            "kind": "rr",
+            "kind": draw(st.sampled_from(("rr", "li", "rp"))),
             "alpha": draw(st.sampled_from((0.5, 0.9))),
             "b_min_ms": draw(st.integers(1, 20)),
             "retry_ms": draw(st.integers(1, 10)),
@@ -337,9 +338,9 @@ def rr_churn_docs(draw):
     }
 
 
-@settings(max_examples=25)
-@given(doc=rr_churn_docs())
-def test_rr_under_churn_accounts_respects_blackouts_and_repeats(doc):
+@settings(max_examples=45)
+@given(doc=churn_docs())
+def test_under_churn_accounts_respects_blackouts_and_repeats(doc):
     scenario = scenario_from_mapping(doc)
     result = run(scenario)
     rows = result.rows
