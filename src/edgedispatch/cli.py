@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .core import from_ms, string_keys, to_ms
 from .fairness import DEFAULT_SEED, all_suites, schedule_table
-from .metrics import summarize, write_trace
+from .metrics import fairness_ratios, summarize, write_trace
 from .policy import PolicyKind
 from .scenario import InvalidScenario, builtin_names, load_scenario
 from .simnet import run as run_simulation
@@ -48,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary-out", default="summary.json", help="summary JSON path"
     )
     p_run.add_argument(
-        "--verbose", action="store_true", help="also print the fairness detail"
+        "--verbose",
+        action="store_true",
+        help="also print the fairness groups with their ratio matrices",
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -102,10 +104,14 @@ def _cmd_run(args) -> int:
         f"-> {args.trace_out}, {args.summary_out}"
     )
     if args.verbose:
-        detail = {
-            "max_deviation": summary.fairness_max_deviation,
-            "groups": summary.fairness_groups,
+        groups = {
+            router: {
+                lam: {**group, "ratios": fairness_ratios(group)}
+                for lam, group in by_lam.items()
+            }
+            for router, by_lam in summary.fairness_groups.items()
         }
+        detail = {"max_deviation": summary.fairness_max_deviation, "groups": groups}
         print(json.dumps(string_keys(detail), indent=2, sort_keys=True))
     return 0
 

@@ -132,7 +132,7 @@ class Summary:
     p99_latency_us: int | None
     selections: dict  # router -> lambda -> destination -> count
     fairness_max_deviation: float | None
-    fairness_groups: dict  # router -> lambda -> per-group detail
+    fairness_groups: dict  # router -> lambda -> weights, counts, max_deviation
     probes: dict
     snapshot: dict
 
@@ -179,9 +179,11 @@ def _int_keys(obj):
 def summarize(rows, snapshot: dict) -> Summary:
     """Aggregate a trace against the run's final snapshot.
 
-    Percentiles cover completed requests only; the fairness ratios weight
-    each destination's selection count by its final estimate, grouped per
-    (router, lambda), skipping destinations with no finite estimate.
+    Percentiles cover completed requests only. Fairness weighs each
+    destination's selection count by its final estimate, grouped per
+    (router, lambda) and skipping destinations with no finite estimate. A
+    group keeps its weights, counts and worst ratio deviation, all O(k);
+    the k x k ratio matrix is built only on demand, by ``fairness_ratios``.
     """
     rows = list(rows)
     if not rows:
@@ -252,31 +254,46 @@ def summarize(rows, snapshot: dict) -> Summary:
 
 
 def _fairness_group(weights: dict, counts: dict) -> dict | None:
-    """Count-times-weight ratio matrix for one (router, lambda) group."""
+    """Weights, counts and worst deviation of one (router, lambda) group.
+
+    ``max_deviation`` is the largest ``abs(p_i / p_j - 1.0)`` over ordered
+    pairs ``i != j`` of count-times-weight products with ``p_j != 0``: the
+    worst entry of the ``fairness_ratios`` matrix. Float division of
+    integers rounds monotonically, so the extreme products give it in O(k)
+    and bit for bit: ``hi/lo - 1.0`` and ``1.0 - lo/hi`` over the nonzero
+    products, and 1.0 (from ``0 / p_j``) when some but not all products are
+    zero. It is None when every product is zero, and 0.0 for a lone
+    destination with a nonzero product.
+    """
     finite = sorted(
         d for d, w in weights.items() if isinstance(w, int) and w > 0
     )
     if not finite:
         return None
-    products = {d: counts.get(d, 0) * weights[d] for d in finite}
-    ratios: dict = {}
-    deviations: list[float] = []
-    for i in finite:
-        ratios[i] = {}
-        for j in finite:
-            if products[j] == 0:
-                ratios[i][j] = None
-            else:
-                value = products[i] / products[j]
-                ratios[i][j] = value
-                if i != j:
-                    deviations.append(abs(value - 1.0))
-    if len(finite) == 1 and products[finite[0]] > 0:
-        # One destination trivially gets its fair share.
-        deviations.append(0.0)
+    group_counts = {d: counts.get(d, 0) for d in finite}
+    nonzero = [n * weights[d] for d, n in group_counts.items() if n]
+    deviation = None
+    if nonzero:
+        lo, hi = min(nonzero), max(nonzero)
+        deviation = max(hi / lo - 1.0, 1.0 - lo / hi)
+        if len(nonzero) < len(finite):
+            deviation = max(deviation, 1.0)
     return {
         "weights_us": {d: weights[d] for d in finite},
-        "counts": {d: counts.get(d, 0) for d in finite},
-        "ratios": ratios,
-        "max_deviation": max(deviations) if deviations else None,
+        "counts": group_counts,
+        "max_deviation": deviation,
+    }
+
+
+def fairness_ratios(group: dict) -> dict:
+    """The k x k matrix ``ratios[i][j] = p_i / p_j`` of one fairness group,
+    where ``p`` is count times weight; None where ``p_j`` is zero.
+
+    Built on demand for ``edgedispatch run --verbose``; summaries carry only
+    the group's ``max_deviation``.
+    """
+    products = {d: n * group["weights_us"][d] for d, n in group["counts"].items()}
+    return {
+        i: {j: (p_i / p_j if p_j else None) for j, p_j in products.items()}
+        for i, p_i in products.items()
     }

@@ -139,6 +139,27 @@ class NaivePolicy(PolicyState):
         return min(self.table.get(d) for d in self.active)
 
 
+def naive_max_deviation(weights, counts):
+    """Worst fairness deviation of one group from its full ratio matrix.
+
+    The destinations with a positive integer weight each have the product
+    count x weight; the result is the largest ``abs(p_i / p_j - 1.0)`` over
+    ordered pairs ``i != j`` with ``p_j != 0``, 0.0 for a lone destination
+    with a nonzero product, and None when no pair or lone product counts.
+    """
+    finite = sorted(d for d, w in weights.items() if isinstance(w, int) and w > 0)
+    products = {d: counts.get(d, 0) * weights[d] for d in finite}
+    deviations = [
+        abs(products[i] / products[j] - 1.0)
+        for i in finite
+        for j in finite
+        if i != j and products[j] != 0
+    ]
+    if len(finite) == 1 and products[finite[0]] > 0:
+        deviations.append(0.0)
+    return max(deviations) if deviations else None
+
+
 def tiny_doc(**overrides):
     """Raw mapping for a one-router one-computer scenario, pre-validation."""
     doc = {

@@ -141,7 +141,12 @@ def test_run_verbose_prints_fairness_detail(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert '"max_deviation"' in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert '"max_deviation"' in out
+    assert '"ratios"' in out
+    summary = (tmp_path / "s.json").read_text(encoding="utf-8")
+    assert '"max_deviation"' in summary
+    assert '"ratios"' not in summary
 
 
 def test_lemmas_pass(capsys):

@@ -1,20 +1,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgedispatch.metrics import (
     TRACE_COLUMNS,
     EmptyTrace,
+    fairness_ratios,
     nearest_rank,
     read_trace,
     summarize,
     trace_bytes,
     write_trace,
 )
-from edgedispatch.scenario import load_scenario
+from edgedispatch.policy import PolicyKind
+from edgedispatch.scenario import load_scenario, scenario_from_mapping
 from edgedispatch.simnet import TraceRow, run
 
-from helpers import tiny_scenario
+from helpers import fanout_doc, naive_max_deviation, tiny_scenario
 
 
 def completed_row(seq, dest, latency_us, lam=0, router=0, policy="rr"):
@@ -119,7 +123,9 @@ def test_perfectly_weighted_counts_have_zero_deviation():
     assert s.fairness_max_deviation == 0.0
     group = s.fairness_groups[0][0]
     assert group["counts"] == {1: 6, 2: 4, 3: 3}
-    assert all(v == 1.0 for row in group["ratios"].values() for v in row.values())
+    ratios = fairness_ratios(group)
+    assert sorted(ratios) == [1, 2, 3]
+    assert all(v == 1.0 for row in ratios.values() for v in row.values())
 
 
 def test_single_destination_is_trivially_fair():
@@ -146,10 +152,87 @@ def test_fairness_ignores_destinations_without_estimates():
 def test_zero_count_destination_gives_none_ratio():
     rows = [completed_row(0, 0, 5000), completed_row(1, 0, 5000)]
     s = summarize(rows, snapshot_for({0: 1000, 1: 1000}))
-    group = s.fairness_groups[0][0]
-    assert group["ratios"][0][1] is None  # divide by an unselected destination
-    assert group["ratios"][1][0] == 0.0
+    ratios = fairness_ratios(s.fairness_groups[0][0])
+    assert ratios[0][1] is None  # divide by an unselected destination
+    assert ratios[1][0] == 0.0
     assert s.fairness_max_deviation == 1.0
+
+
+def test_summary_groups_carry_no_ratio_matrix():
+    rows = [completed_row(0, 0, 5000), completed_row(1, 1, 5000)]
+    s = summarize(rows, snapshot_for({0: 1000, 1: 3000}))
+    assert s.fairness_groups[0][0] == {
+        "weights_us": {0: 1000, 1: 3000},
+        "counts": {0: 1, 1: 1},
+        "max_deviation": 2.0,
+    }
+    assert "ratios" not in s.to_json()
+
+
+def test_deviation_takes_the_larger_of_the_two_quotients():
+    # Near 1e16 the quotient above 1 rounds to exactly 1.0 while the one
+    # below 1 does not, so only 1 - lo/hi sees the difference.
+    rows = [completed_row(0, 0, 5000), completed_row(1, 1, 5000)]
+    weights = {0: 10**16, 1: 10**16 + 1}
+    s = summarize(rows, snapshot_for(weights))
+    assert (10**16 + 1) / 10**16 - 1.0 == 0.0
+    assert s.fairness_max_deviation == 1.0 - 10**16 / (10**16 + 1) > 0.0
+    assert s.fairness_max_deviation == naive_max_deviation(weights, {0: 1, 1: 1})
+
+
+@st.composite
+def fairness_groups(draw):
+    """Weights and counts of one group: k = 1-10 destinations, with
+    no estimate, non-positive weights, zero counts, products up to about
+    1e12 and, for tie-heavy groups, weights that make count x weight equal."""
+    k = draw(st.integers(1, 10))
+    base = draw(st.integers(1, 4 * 10**7))
+    weights, counts = {}, {}
+    for dest in range(k):
+        count = draw(st.integers(0, 12))
+        kind = draw(st.sampled_from(("tie", "tie", "free", "none", "nonpositive")))
+        if kind == "tie" and count:
+            # 27720 = lcm(1..12): every tied product is base * 27720
+            weight = base * 27720 // count
+        elif kind == "none":
+            weight = None
+        elif kind == "nonpositive":
+            weight = draw(st.integers(-5, 0))
+        else:
+            weight = draw(st.integers(1, 10**11))
+        weights[dest] = weight
+        if count:
+            counts[dest] = count
+    return weights, counts
+
+
+@settings(max_examples=400)
+@given(fairness_groups())
+def test_linear_max_deviation_matches_the_ratio_matrix(group):
+    weights, counts = group
+    rows = []
+    for dest, count in counts.items():
+        rows += [completed_row(len(rows), dest, 5000) for _ in range(count)]
+    if not rows:
+        rows = [unserved_row(0)]
+    expected = naive_max_deviation(weights, counts)
+    got = summarize(rows, snapshot_for(weights)).fairness_max_deviation
+    assert type(got) is type(expected)
+    assert got == expected
+
+
+@pytest.mark.parametrize("policy", ["rr", "li", "rp"])
+def test_fanout_groups_match_the_ratio_matrix(policy):
+    scenario = scenario_from_mapping(fanout_doc(7))
+    result = run(scenario.with_overrides(policy_kind=PolicyKind(policy)))
+    s = summarize(result.rows, result.snapshot)
+    # one router, one lambda: the run's only group
+    entry = result.snapshot["routers"][0]["lambdas"][0]
+    weights = {d: info["weight"] for d, info in entry["weights"].items()}
+    expected = naive_max_deviation(weights, s.selections[0][0])
+    got = s.fairness_groups[0][0]["max_deviation"]
+    assert type(got) is type(expected)
+    assert got == expected == s.fairness_max_deviation
 
 
 def test_selections_sum_to_completed():
