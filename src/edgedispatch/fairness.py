@@ -10,6 +10,14 @@ Three suites back the scheduler's claims with brute force:
   to the weights and all deficits are exactly equal;
 * proportional draws: the randomized reciprocal-weight policy hits the same
   inverse-proportional frequencies in the long run, within tolerance.
+
+The first two run on ``ledger.replay_frozen``. In its frozen replay each
+deficit is exactly ``count * weight``, so the weighted-count spread equals
+the deficit spread and the replay computes it once: the weighted-count bound
+follows from the deficit bound, and both stay reported separately. The
+independent ``count * weight`` check lives in the ledger's pin tests. The
+draw check calls ``PolicyState.select``, which returns interned outcomes and
+allocates nothing per draw.
 """
 
 from __future__ import annotations

@@ -49,6 +49,12 @@ held, and a zero entry never wins because its bound equals the one before it.
 No exact index can do better than the changed tail: one changed reciprocal
 can change the rounding of every later partial sum, so a selection costs
 O(k - first changed position) additions, done in C by ``accumulate``.
+
+``SelectionOutcome`` is frozen, so a policy builds one non-probe outcome per
+destination up front, and every non-probe selection returns one of these
+interned objects instead of allocating: found by position for the
+random-proportional bisect, by id otherwise. Only a round-robin probe builds
+a fresh ``SelectionOutcome(dest, is_probe=True)``.
 """
 
 from __future__ import annotations
@@ -136,6 +142,8 @@ class PolicyState:
         self._reciprocals = [0.0] * k
         self._sums = [0.0] * (k + 1)
         self._stale = k
+        self._outcomes = [SelectionOutcome(d, is_probe=False) for d in self.destinations]
+        self._outcome_of = dict(zip(self.destinations, self._outcomes))
         self.probes_launched = 0
         self.probes_admitted = 0
         self.probes_rejected = 0
@@ -176,14 +184,16 @@ class PolicyState:
             # probability mass to whichever destination answered last.
             dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
             self._bootstrap_cursor += 1
-            return SelectionOutcome(dest, is_probe=False)
+            return self._outcome_of[dest]
         if self.kind is PolicyKind.LEAST_IMPEDANCE:
             pairs = self._weights.pairs
             if not pairs:
                 raise NoEligibleDestination("no destination with a finite weight")
-            return SelectionOutcome(pairs[0][1], is_probe=False)
+            return self._outcome_of[pairs[0][1]]
         # Random-proportional: reciprocal weights, normalized.
-        sums = self._cumulative_sums()
+        if self._stale < len(self._reciprocals):
+            self._cumulative_sums()
+        sums = self._sums
         total = sums[-1]
         if total == 0.0:
             raise NoEligibleDestination("no destination with a finite weight")
@@ -192,7 +202,7 @@ class PolicyState:
         # microseconds is far above it) rounds below the total, so some bound
         # exceeds the draw and the pick is always in range.
         draw = self.rng.random() * total
-        return SelectionOutcome(self.destinations[bisect_right(sums, draw) - 1], is_probe=False)
+        return self._outcomes[bisect_right(sums, draw) - 1]
 
     def _select_rr(self, now: int) -> SelectionOutcome:
         pending = self._pending.pairs
@@ -210,7 +220,7 @@ class PolicyState:
             )
         dest = self.ledger.pop_min()
         self.ledger.charge(dest, self.table.get(dest))
-        return SelectionOutcome(dest, is_probe=False)
+        return self._outcome_of[dest]
 
     # -- feedback ----------------------------------------------------------
 
@@ -294,15 +304,14 @@ class PolicyState:
             if i < self._stale:
                 self._stale = i
 
-    def _cumulative_sums(self) -> list[float]:
-        """Running sums of the reciprocals, ``sums[i + 1]`` through position
-        ``i``, re-accumulated from the first stale position on."""
+    def _cumulative_sums(self) -> None:
+        """Bring the running sums of the reciprocals (``_sums[i + 1]``
+        through position ``i``) up to date, re-accumulating them from the
+        first stale position on."""
         sums, i = self._sums, self._stale
         reciprocals = self._reciprocals
-        if i < len(reciprocals):
-            sums[i:] = accumulate(reciprocals[i:], initial=sums[i])
-            self._stale = len(reciprocals)
-        return sums
+        sums[i:] = accumulate(reciprocals[i:], initial=sums[i])
+        self._stale = len(reciprocals)
 
     # -- congestion --------------------------------------------------------
 

@@ -117,12 +117,17 @@ LEDGER_OPS = ("charge", "admit", "evict")
 
 
 def apply_both(ledger, oracle, op, *args):
-    """Apply one op to both implementations; identical outcome required."""
+    """Apply one op to both implementations; identical outcome required:
+    both succeed, or both raise an exception of the same type."""
     try:
         getattr(ledger, op)(*args)
     except Exception as exc:
-        with pytest.raises(type(exc)):
+        try:
             getattr(oracle, op)(*args)
+        except Exception as oracle_exc:
+            assert type(oracle_exc) is type(exc), (op, args, exc, oracle_exc)
+        else:
+            raise AssertionError(f"{op}{args}: ledger raised {exc!r}, oracle did not")
     else:
         getattr(oracle, op)(*args)
     check_same_state(ledger, oracle)

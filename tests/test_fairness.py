@@ -55,6 +55,13 @@ def test_proportional_check_details():
     assert report.details["worst_deviation"] < 0.01
 
 
+def test_proportional_draw_sequence_is_pinned():
+    # Exact counts at the default seed: a pick that moves shows here even
+    # when every ratio stays within the tolerance.
+    report = proportional_selection_check(draws=100_000, tolerance=0.05)
+    assert report.details["counts"] == {0: 57707, 1: 28107, 2: 14186}
+
+
 def test_all_suites_order():
     reports = all_suites(runs=5, steps=100, cases=2, draws=2000)
     assert [r.name for r in reports] == [

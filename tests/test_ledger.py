@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -337,6 +339,21 @@ def test_replay_matches_naive_oracle_loop():
         steps = rng.randint(1, 3000)
         result = replay_frozen(weights, steps, record_sequence=True)
         assert result == manual_replay(NaiveLedger(), weights, steps), weights
+
+
+# few distinct small weights (ties on most steps) or spread-out ones
+REPLAY_WEIGHTS = st.lists(st.integers(1, 3), min_size=1, max_size=10) | st.lists(
+    st.integers(1, 60_000), min_size=1, max_size=10
+)
+
+
+@settings(max_examples=200)
+@given(weights=REPLAY_WEIGHTS, steps=st.integers(0, 2000), record=st.booleans())
+def test_replay_matches_manual_ledger_loop_property(weights, steps, record):
+    expected = manual_replay(DeficitLedger(), weights, steps)
+    if not record:
+        expected = replace(expected, sequence=None)
+    assert replay_frozen(weights, steps, record_sequence=record) == expected
 
 
 def test_replay_single_destination():

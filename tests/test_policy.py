@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from itertools import accumulate
 
 import pytest
@@ -296,6 +297,62 @@ def test_active_and_probing_stay_disjoint():
 def test_policy_needs_destinations():
     with pytest.raises(ValueError):
         PolicyState(PolicyKind.ROUND_ROBIN, [])
+
+
+def check_outcome(out, dest, is_probe):
+    """``out`` equals a fresh ``SelectionOutcome`` and cannot be changed."""
+    assert out == SelectionOutcome(dest, is_probe)
+    with pytest.raises(FrozenInstanceError):
+        out.destination = dest + 1
+    with pytest.raises(FrozenInstanceError):
+        out.is_probe = not is_probe
+    assert out == SelectionOutcome(dest, is_probe)
+
+
+def test_bootstrap_and_li_return_interned_outcomes():
+    boot = PolicyState(PolicyKind.LEAST_IMPEDANCE, [2, 0, 1], seed=4)
+    outs = [boot.select(0) for _ in range(6)]
+    for out, dest in zip(outs, [0, 1, 2, 0, 1, 2]):
+        check_outcome(out, dest, False)
+    assert outs[0] is outs[3]
+    li = PolicyState.preloaded(PolicyKind.LEAST_IMPEDANCE, {0: 10 * MS, 1: 5 * MS})
+    out = li.select(0)
+    check_outcome(out, 1, False)
+    assert li.select(0) is out
+
+
+def test_rp_returns_interned_outcomes():
+    state = PolicyState.preloaded(
+        PolicyKind.RANDOM_PROPORTIONAL, {4: MS, 7: 2 * MS, 9: 4 * MS}, seed=3
+    )
+    first = {}
+    for _ in range(300):
+        out = state.select(0)
+        assert first.setdefault(out.destination, out) is out
+    assert sorted(first) == [4, 7, 9]
+    for dest, out in first.items():
+        check_outcome(out, dest, False)
+
+
+def test_rr_deficit_picks_are_interned_and_probes_are_not():
+    state = PolicyState(PolicyKind.ROUND_ROBIN, [0, 1], seed=5)
+    probes = [state.select(0), state.select(0)]
+    for probe in probes:
+        check_outcome(probe, probe.destination, True)
+    for dest in (0, 1):
+        state.on_response(dest, 5 * MS, 0)
+    assert state.active == {0, 1}
+    # 1 was admitted last, at 5 ms above the renormalized 0
+    picks = [state.select(0) for _ in range(4)]
+    for out, dest in zip(picks, [0, 0, 1, 0]):
+        check_outcome(out, dest, False)
+    assert picks[0] is picks[1] is picks[3]
+    # congestion evicts 0 and its clear makes it probe-eligible at once
+    state.sync_congestion(0, True, 0)
+    state.sync_congestion(0, False, 0)
+    probe = state.select(0)
+    check_outcome(probe, 0, True)
+    assert probe is not picks[0] and probe != picks[0]
 
 
 def test_snapshot_round_trip_fields():
