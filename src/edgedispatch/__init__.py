@@ -9,7 +9,7 @@ deficit scheduler whose fairness properties are machine-checked.
 from .core import INFINITE, US_PER_MS, RequestRecord, Weight, from_ms, to_ms
 from .estimator import NotCongested, ObservationWhileCongested, WeightTable
 from .ledger import (
-    REPLAY_BACKEND,
+    REPLAY_BACKEND,  # kept: perfbench/run.py records it in every run
     AlreadyAdmitted,
     DeficitLedger,
     EmptyLedger,

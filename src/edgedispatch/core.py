@@ -81,6 +81,26 @@ INFINITE = _InfiniteWeight()
 Weight = int | _InfiniteWeight
 
 
+def check_delays(
+    issued: int, completed: int, transfer: int, queue: int, processing: int
+) -> None:
+    """Raise ValueError unless every time and delay is non-negative and the
+    three delay components add up to the span from issue to completion.
+
+    The one rule behind ``RequestRecord`` and ``simnet.TraceRow``.
+    """
+    if issued < 0 or completed < 0 or transfer < 0 or queue < 0 or processing < 0:
+        raise ValueError(
+            "times and delays must be non-negative: "
+            f"issued {issued}, completed {completed}, transfer {transfer}, "
+            f"queue {queue}, processing {processing}"
+        )
+    span = completed - issued
+    parts = transfer + queue + processing
+    if span != parts:
+        raise ValueError(f"delay components sum to {parts}us but the record spans {span}us")
+
+
 @dataclass(frozen=True)
 class RequestRecord:
     """Outcome of one completed lambda invocation; all times in microseconds.
@@ -99,21 +119,13 @@ class RequestRecord:
     processing_delay: int
 
     def __post_init__(self) -> None:
-        for name in (
-            "issued_at",
-            "completed_at",
-            "transfer_delay",
-            "queue_delay",
-            "processing_delay",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        span = self.completed_at - self.issued_at
-        parts = self.transfer_delay + self.queue_delay + self.processing_delay
-        if span != parts:
-            raise ValueError(
-                f"delay components sum to {parts}us but the record spans {span}us"
-            )
+        check_delays(
+            self.issued_at,
+            self.completed_at,
+            self.transfer_delay,
+            self.queue_delay,
+            self.processing_delay,
+        )
 
     @property
     def latency(self) -> int:

@@ -76,40 +76,37 @@ def _blank(value) -> object:
 
 
 def read_trace(path) -> list[TraceRow]:
-    """Parse a trace file back into rows (validating completed rows)."""
+    """Parse a trace file back into rows.
+
+    Each line is parsed once: a fully filled line in one ``map(int, ...)``,
+    whose row then checks its own delays (``TraceRow``); an unserved line
+    must have destination -1 and all four completion cells blank.
+    """
     rows: list[TraceRow] = []
+    append = rows.append
+    width = len(TRACE_COLUMNS)
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header: {header}")
         for cells in reader:
-            if len(cells) != len(TRACE_COLUMNS):
+            if len(cells) != width:
                 raise ValueError(f"trace row has {len(cells)} cells: {cells}")
-            destination = int(cells[3])
             blanks = cells[5:9].count("")
-            if blanks and (blanks < 4 or destination != -1):
+            if not blanks:
+                append(TraceRow(*map(int, cells[:9]), bool(int(cells[9])), cells[10]))
+                continue
+            seq, lam, router, destination, issued = map(int, cells[:5])
+            if blanks < 4 or destination != -1:
                 raise ValueError(f"completion cells not all filled or all unserved: {cells}")
-            rows.append(
+            append(
                 TraceRow(
-                    seq=int(cells[0]),
-                    lam=int(cells[1]),
-                    router=int(cells[2]),
-                    destination=destination,
-                    issued_us=int(cells[4]),
-                    completed_us=_unblank(cells[5]),
-                    transfer_us=_unblank(cells[6]),
-                    queue_us=_unblank(cells[7]),
-                    processing_us=_unblank(cells[8]),
-                    is_probe=bool(int(cells[9])),
-                    policy=cells[10],
+                    seq, lam, router, -1, issued,
+                    None, None, None, None, bool(int(cells[9])), cells[10],
                 )
             )
     return rows
-
-
-def _unblank(cell: str) -> int | None:
-    return None if cell == "" else int(cell)
 
 
 def nearest_rank(sorted_values, percentile: float):

@@ -17,6 +17,12 @@ Events at the same microsecond run in this order:
 
 A service start is not an event: a request takes a worker the moment it is
 delivered to an idle one, or the moment a worker it queued for frees up.
+
+Each request ends as one ``TraceRow``, built once, positionally, when the
+request completes or is given up. A row is slotted and frozen, and checks
+its own delays with ``core.check_delays``: a row whose delays are negative
+or do not add up to its span cannot be built, here or when a trace is read
+back.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import RequestRecord
+from .core import check_delays
+from .core import RequestRecord  # noqa: F401 (unused; perfbench/run.py wraps simnet.RequestRecord)
 from .policy import NoEligibleDestination, PolicyKind, PolicyState
 from .scenario import Scenario, ensure_valid
 
@@ -46,10 +53,14 @@ TOGGLE = "congestion-toggle"
 RETRY = "retry"  # router re-attempts a dispatch that found no destination
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     """One request's outcome. Completed rows carry the full delay breakdown;
-    unserved rows have destination -1 and no completion fields."""
+    unserved rows have destination -1 and no completion fields.
+
+    A completed row must have non-negative times and delays whose sum is its
+    span (``core.check_delays``); construction raises ValueError otherwise.
+    """
 
     seq: int
     lam: int
@@ -68,15 +79,12 @@ class TraceRow:
 
     def __post_init__(self) -> None:
         if self.completed_us is not None:
-            # Constructing the record re-checks the component-sum identity.
-            RequestRecord(
-                lam=self.lam,
-                destination=self.destination,
-                issued_at=self.issued_us,
-                completed_at=self.completed_us,
-                transfer_delay=self.transfer_us,
-                queue_delay=self.queue_us,
-                processing_delay=self.processing_us,
+            check_delays(
+                self.issued_us,
+                self.completed_us,
+                self.transfer_us,
+                self.queue_us,
+                self.processing_us,
             )
 
     @property
@@ -221,6 +229,7 @@ class _Sim:
         ensure_valid(scenario)
         self.s = scenario
         self.duration = scenario.duration_us
+        self.policy_label = scenario.policy.kind.value
         self.heap: list = []
         self.counter = itertools.count()
         self.completed: list[TraceRow] = []
@@ -281,18 +290,9 @@ class _Sim:
             if retry_at >= self.duration:
                 self.unserved.append(
                     TraceRow(
-                        seq=req.seq,
-                        lam=req.lam,
-                        router=req.router,
-                        destination=-1,
-                        issued_us=req.issued_us,
-                        completed_us=None,
-                        transfer_us=None,
-                        queue_us=None,
-                        processing_us=None,
-                        is_probe=False,
-                        policy=self.s.policy.kind.value,
-                        reason="no-eligible-destination",
+                        req.seq, req.lam, req.router, -1, req.issued_us,
+                        None, None, None, None, False, self.policy_label,
+                        None, "no-eligible-destination",
                     )
                 )
             else:
@@ -328,23 +328,18 @@ class _Sim:
     def _on_response(self, now: int, req: _Request) -> None:
         router = self.routers[req.router]
         dest = req.destination
-        router.policies[req.lam].on_response(dest, now - req.dispatch_us, now)
-        link = router.links_us[dest]
+        dispatched = req.dispatch_us
+        router.policies[req.lam].on_response(dest, now - dispatched, now)
+        client = req.client_link_us
+        issued = req.issued_us
+        # Positional, in field order: ..., issued, completed, transfer, queue,
+        # processing, is_probe, policy, dispatch_us.
         self.completed.append(
             TraceRow(
-                seq=req.seq,
-                lam=req.lam,
-                router=req.router,
-                destination=dest,
-                issued_us=req.issued_us,
-                completed_us=now + req.client_link_us,
-                transfer_us=2 * req.client_link_us + 2 * link,
-                queue_us=(req.dispatch_us - req.issued_us - req.client_link_us)
-                + (req.service_start_us - req.delivered_us),
-                processing_us=req.processing_us,
-                is_probe=req.is_probe,
-                policy=self.s.policy.kind.value,
-                dispatch_us=req.dispatch_us,
+                req.seq, req.lam, req.router, dest, issued, now + client,
+                2 * (client + router.links_us[dest]),
+                (dispatched - issued - client) + (req.service_start_us - req.delivered_us),
+                req.processing_us, req.is_probe, self.policy_label, dispatched,
             )
         )
 
@@ -389,7 +384,7 @@ class _Sim:
         self.unserved.sort(key=lambda r: r.seq)
         return SimResult(
             scenario=self.s.name,
-            policy=self.s.policy.kind.value,
+            policy=self.policy_label,
             seed=self.s.seed,
             duration_us=self.duration,
             arrivals=self.arrivals,

@@ -320,6 +320,35 @@ def test_read_trace_rejects_partly_blank_completions(tmp_path, row):
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,0,0,3,10,31,10,5,5,0,rr",  # delays sum to 20 over a span of 21
+        "0,0,0,3,10,30,16,-1,5,0,rr",  # negative queue_us, sum holds
+        ",0,0,3,10,30,10,5,5,0,rr",  # blank seq on a completed row
+        ",0,0,-1,10,,,,,0,rr",  # blank seq on an unserved row
+    ],
+)
+def test_read_trace_rejects_rows_that_break_the_delay_rule(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_trace(path)
+
+
+def test_read_trace_keeps_probe_flags_and_blanks(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        ",".join(TRACE_COLUMNS) + "\n0,0,0,3,10,30,10,5,5,1,rr\n1,0,0,-1,20,,,,,0,rr\n",
+        encoding="utf-8",
+    )
+    served, unserved = read_trace(path)
+    assert served.is_probe is True and served.latency_us == 20
+    assert unserved.is_probe is False
+    assert unserved.destination == -1 and unserved.completed_us is None
+    assert trace_bytes([served, unserved]) == path.read_bytes()
+
+
 def test_summary_survives_the_disk_round_trip(tmp_path):
     result = run(load_scenario("ring-tree").with_overrides(duration_us=1_000_000))
     first = summarize(result.rows, result.snapshot)

@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgedispatch.core import RequestRecord
 from edgedispatch.metrics import summarize, trace_bytes
 from edgedispatch.scenario import ComputerSpec, load_scenario, scenario_from_mapping
 from edgedispatch.simnet import (
+    TraceRow,
     UnknownLambda,
     _Computer,
     arrival_process,
@@ -68,6 +71,90 @@ def test_service_time_scales_with_load():
     assert service_time(flat, 0) == 5000
     with pytest.raises(UnknownLambda):
         service_time(comp, 9)
+
+
+def trace_row(issued, completed, transfer, queue, processing, lam=0, destination=2):
+    return TraceRow(
+        0, lam, 0, destination, issued, completed, transfer, queue, processing, False, "rr"
+    )
+
+
+def test_trace_row_accepts_delays_that_sum_to_its_span():
+    row = trace_row(1000, 8000, 2000, 0, 5000)
+    assert row.latency_us == 7000
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        (1000, 8001, 2000, 0, 5000),
+        (1000, 7999, 2000, 0, 5000),
+        (1000, 8000, 2001, 0, 5000),
+        (1000, 8000, 2000, 1, 5000),
+        (1000, 8000, 2000, 0, 4999),
+    ],
+)
+def test_trace_row_rejects_a_sum_off_by_one(times):
+    with pytest.raises(ValueError, match="sum to"):
+        trace_row(*times)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        (-10, 6990, 2000, 0, 5000),  # issued
+        (0, -7, 0, 0, -7),  # completed: a negative span needs a negative delay too
+        (1000, 8000, -1, 2001, 5000),  # transfer
+        (1000, 8000, 2001, -1, 5000),  # queue
+        (1000, 8000, 2001, 5000, -1),  # processing
+    ],
+)
+def test_trace_row_rejects_each_negative_field(times):
+    # Every case but the negative completion sums to its span, so the
+    # rejection comes from the sign rule alone.
+    with pytest.raises(ValueError, match="non-negative"):
+        trace_row(*times)
+
+
+def test_trace_row_accepts_unserved_rows():
+    row = TraceRow(
+        3, 0, 0, -1, 500, None, None, None, None, False, "li", None, "no-eligible-destination"
+    )
+    assert row.latency_us is None
+    assert row.reason == "no-eligible-destination"
+
+
+def test_trace_row_is_frozen_and_slotted():
+    row = trace_row(1000, 8000, 2000, 0, 5000)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.queue_us = 1
+    assert not hasattr(row, "__dict__")
+    (completed, *_) = run(tiny_scenario()).completed
+    assert not hasattr(completed, "__dict__")
+
+
+def _raises_value_error(build, *args) -> bool:
+    try:
+        build(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=300)
+@given(
+    fields=st.tuples(*[st.integers(-1_000, 1_000)] * 7),
+    balanced=st.booleans(),
+)
+def test_trace_row_raises_exactly_when_request_record_does(fields, balanced):
+    lam, destination, issued, completed, transfer, queue, processing = fields
+    if balanced:  # else the sum almost never holds
+        completed = issued + transfer + queue + processing
+    times = (issued, completed, transfer, queue, processing)
+    row_raises = _raises_value_error(trace_row, *times, lam, destination)
+    record_raises = _raises_value_error(RequestRecord, lam, destination, *times)
+    assert row_raises == record_raises
+    assert row_raises == (min(times) < 0 or completed - issued != transfer + queue + processing)
 
 
 def test_single_request_delay_breakdown():
