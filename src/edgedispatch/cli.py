@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .core import from_ms, string_keys, to_ms
 from .fairness import DEFAULT_SEED, all_suites, schedule_table
-from .metrics import fairness_ratios, summarize, write_trace
+from .metrics import fairness_ratios, group_weights, summarize, write_trace
 from .policy import PolicyKind
 from .scenario import InvalidScenario, builtin_names, load_scenario
 from .simnet import run as run_simulation
@@ -106,8 +106,14 @@ def _cmd_run(args) -> int:
     if args.verbose:
         groups = {
             router: {
-                lam: {**group, "ratios": fairness_ratios(group)}
-                for lam, group in by_lam.items()
+                lam: {
+                    "max_deviation": deviation,
+                    "ratios": fairness_ratios(
+                        group_weights(summary.snapshot, router, lam),
+                        summary.selections.get(router, {}).get(lam, {}),
+                    ),
+                }
+                for lam, deviation in by_lam.items()
             }
             for router, by_lam in summary.fairness_groups.items()
         }

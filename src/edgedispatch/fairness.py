@@ -12,12 +12,12 @@ Three suites back the scheduler's claims with brute force:
   inverse-proportional frequencies in the long run, within tolerance.
 
 The first two run on ``ledger.replay_frozen``. In its frozen replay each
-deficit is exactly ``count * weight``, so the weighted-count spread equals
-the deficit spread and the replay computes it once: the weighted-count bound
-follows from the deficit bound, and both stay reported separately. The
-independent ``count * weight`` check lives in the ledger's pin tests. The
-draw check calls ``PolicyState.select``, which returns interned outcomes and
-allocates nothing per draw.
+deficit is exactly ``count * weight``, so the weighted-count spread is the
+deficit spread: the weighted-count bound holds on a run whose deficit bound
+holds and whose final deficits are its ``count * weight`` products, which
+the short-term suite checks at the end of each run. The draw check calls
+``PolicyState.select``, which returns interned outcomes and allocates
+nothing per draw.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ def short_term_suite(
     steps: int = 10_000,
     seed: int = DEFAULT_SEED,
 ) -> SuiteReport:
-    """Bounded deficit spread and bounded weighted-count spread, checked at
-    every step of every randomized run (2-10 destinations, weights 1-50 ms)."""
+    """Bounded deficit spread, checked at every step of every randomized run
+    (2-10 destinations, weights 1-50 ms), and bounded weighted-count spread:
+    the deficit bound plus ``deficit == count * weight`` at the run's end."""
     rng = random.Random(seed)
     failures: list[str] = []
     spread_violations = 0
@@ -70,12 +71,14 @@ def short_term_suite(
                 f"case {case} weights {weights}: deficit spread exceeded the "
                 f"largest weight at step {result.spread_violation}"
             )
-        if result.weighted_violation >= 0:
-            weighted_violations += 1
+        products = [n * w for n, w in zip(result.counts, weights)]
+        if products != result.deficits:
             failures.append(
-                f"case {case} weights {weights}: weighted count spread exceeded "
-                f"the largest weight at step {result.weighted_violation}"
+                f"case {case} weights {weights}: deficits {result.deficits} "
+                f"!= count x weight {products}"
             )
+        if products != result.deficits or result.spread_violation >= 0:
+            weighted_violations += 1
     return SuiteReport(
         name="short-term fairness bounds",
         passed=not failures,

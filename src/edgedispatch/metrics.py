@@ -13,7 +13,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .core import string_keys
 from .simnet import TraceRow
@@ -129,7 +128,7 @@ class Summary:
     p99_latency_us: int | None
     selections: dict  # router -> lambda -> destination -> count
     fairness_max_deviation: float | None
-    fairness_groups: dict  # router -> lambda -> weights, counts, max_deviation
+    fairness_groups: dict  # router -> lambda -> max_deviation
     probes: dict
     snapshot: dict
 
@@ -179,8 +178,9 @@ def summarize(rows, snapshot: dict) -> Summary:
     Percentiles cover completed requests only. Fairness weighs each
     destination's selection count by its final estimate, grouped per
     (router, lambda) and skipping destinations with no finite estimate. A
-    group keeps its weights, counts and worst ratio deviation, all O(k);
-    the k x k ratio matrix is built only on demand, by ``fairness_ratios``.
+    group keeps only its worst ratio deviation, in O(k); its weights live in
+    the snapshot and its counts in ``selections``, from which
+    ``fairness_ratios`` builds the k x k ratio matrix on demand.
     """
     rows = list(rows)
     if not rows:
@@ -209,17 +209,15 @@ def summarize(rows, snapshot: dict) -> Summary:
     routers_snap = snapshot.get("routers", {})
     for router_id in sorted(routers_snap):
         for lam in sorted(routers_snap[router_id].get("lambdas", {})):
-            entry = routers_snap[router_id]["lambdas"][lam]
-            weights = {
-                dest: info.get("weight")
-                for dest, info in entry.get("weights", {}).items()
-            }
-            counts = selections.get(router_id, {}).get(lam, {})
-            group = _fairness_group(weights, counts)
-            if group is not None:
-                fairness_groups.setdefault(router_id, {})[lam] = group
-                if group["max_deviation"] is not None:
-                    deviations.append(group["max_deviation"])
+            products = _products(
+                group_weights(snapshot, router_id, lam),
+                selections.get(router_id, {}).get(lam, {}),
+            )
+            if products:
+                deviation = _max_deviation(products)
+                fairness_groups.setdefault(router_id, {})[lam] = deviation
+                if deviation is not None:
+                    deviations.append(deviation)
 
     probes = {"launched": 0, "admitted": 0, "rejected": 0, "stale_responses": 0}
     for router_id in sorted(routers_snap):
@@ -250,46 +248,49 @@ def summarize(rows, snapshot: dict) -> Summary:
     )
 
 
-def _fairness_group(weights: dict, counts: dict) -> dict | None:
-    """Weights, counts and worst deviation of one (router, lambda) group.
+def group_weights(snapshot: dict, router, lam) -> dict:
+    """Final estimate per destination of one (router, lambda) group."""
+    weights = snapshot["routers"][router]["lambdas"][lam].get("weights", {})
+    return {dest: info.get("weight") for dest, info in weights.items()}
 
-    ``max_deviation`` is the largest ``abs(p_i / p_j - 1.0)`` over ordered
-    pairs ``i != j`` of count-times-weight products with ``p_j != 0``: the
-    worst entry of the ``fairness_ratios`` matrix. Float division of
-    integers rounds monotonically, so the extreme products give it in O(k)
-    and bit for bit: ``hi/lo - 1.0`` and ``1.0 - lo/hi`` over the nonzero
-    products, and 1.0 (from ``0 / p_j``) when some but not all products are
-    zero. It is None when every product is zero, and 0.0 for a lone
-    destination with a nonzero product.
-    """
-    finite = sorted(
-        d for d, w in weights.items() if isinstance(w, int) and w > 0
-    )
-    if not finite:
-        return None
-    group_counts = {d: counts.get(d, 0) for d in finite}
-    nonzero = [n * weights[d] for d, n in group_counts.items() if n]
-    deviation = None
-    if nonzero:
-        lo, hi = min(nonzero), max(nonzero)
-        deviation = max(hi / lo - 1.0, 1.0 - lo / hi)
-        if len(nonzero) < len(finite):
-            deviation = max(deviation, 1.0)
+
+def _products(weights: dict, counts: dict) -> dict:
+    """Count times weight per destination with a positive integer weight, in
+    id order; the others have no finite estimate and take no part."""
     return {
-        "weights_us": {d: weights[d] for d in finite},
-        "counts": group_counts,
-        "max_deviation": deviation,
+        d: counts.get(d, 0) * w
+        for d, w in sorted(weights.items())
+        if isinstance(w, int) and w > 0
     }
 
 
-def fairness_ratios(group: dict) -> dict:
+def _max_deviation(products: dict) -> float | None:
+    """Worst deviation of one group's nonempty ``products``.
+
+    The largest ``abs(p_i / p_j - 1.0)`` over ordered pairs ``i != j`` with
+    ``p_j != 0``: the worst entry of the ``fairness_ratios`` matrix. Float
+    division of integers rounds monotonically, so the extreme products give
+    it in O(k) and bit for bit: ``hi/lo - 1.0`` and ``1.0 - lo/hi`` over the
+    nonzero products, and 1.0 (from ``0 / p_j``) when some but not all
+    products are zero. It is None when every product is zero, and 0.0 for a
+    lone destination with a nonzero product.
+    """
+    nonzero = [p for p in products.values() if p]
+    if not nonzero:
+        return None
+    lo, hi = min(nonzero), max(nonzero)
+    deviation = max(hi / lo - 1.0, 1.0 - lo / hi)
+    return max(deviation, 1.0) if len(nonzero) < len(products) else deviation
+
+
+def fairness_ratios(weights: dict, counts: dict) -> dict:
     """The k x k matrix ``ratios[i][j] = p_i / p_j`` of one fairness group,
     where ``p`` is count times weight; None where ``p_j`` is zero.
 
-    Built on demand for ``edgedispatch run --verbose``; summaries carry only
-    the group's ``max_deviation``.
+    Built on demand for ``edgedispatch run --verbose`` from the group's
+    weights and selection counts; summaries carry only ``max_deviation``.
     """
-    products = {d: n * group["weights_us"][d] for d, n in group["counts"].items()}
+    products = _products(weights, counts)
     return {
         i: {j: (p_i / p_j if p_j else None) for j, p_j in products.items()}
         for i, p_i in products.items()

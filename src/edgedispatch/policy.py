@@ -109,7 +109,8 @@ class PolicyState:
     pair's latency estimates, smoothed by ``alpha``; only this object writes
     to it. ``rng`` drives the random-proportional draw and the probe pick, so
     a seed makes the whole policy replayable. ``now`` never decreases from
-    one call to the next.
+    one call to the next. The round-robin active set is the ledger's key
+    set, and only round-robin fills ``backoff`` and ``eligible_at``.
     """
 
     def __init__(
@@ -127,13 +128,13 @@ class PolicyState:
         self.destinations = sorted(destinations)
         self.rng = random.Random(seed)
         self.b_min_us = b_min_us
-        self.active: set[int] = set()
+        rr = kind is PolicyKind.ROUND_ROBIN
         self.probing: set[int] = set()
-        self.backoff: dict[int, int] = {d: b_min_us for d in self.destinations}
-        self.eligible_at: dict[int, int] = {d: 0 for d in self.destinations}
+        probed = self.destinations if rr else ()
+        self.backoff: dict[int, int] = dict.fromkeys(probed, b_min_us)
+        self.eligible_at: dict[int, int] = dict.fromkeys(probed, 0)
         self.ledger = DeficitLedger()
         self._bootstrap_cursor = 0
-        rr = kind is PolicyKind.ROUND_ROBIN
         self._ready: list[int] = list(self.destinations) if rr else []
         self._pending = SortedKeys()
         self._weights = SortedKeys()
@@ -159,7 +160,6 @@ class PolicyState:
             weight = state.table.assign(dest, weights_us[dest])
             if kind is PolicyKind.ROUND_ROBIN:
                 state.ledger.admit(dest, 0)
-                state.active.add(dest)
             if kind is PolicyKind.RANDOM_PROPORTIONAL:
                 state._set_reciprocal(dest, 1.0 / weight)
             else:
@@ -231,7 +231,7 @@ class PolicyState:
         in flight still reaches the client, but its measurement is discarded
         and only counted in ``responses_unmeasured``.
         """
-        if dest not in self.backoff:
+        if dest not in self._outcome_of:
             raise UnknownDestination(f"destination {dest} is not managed here")
         table = self.table
         if table.is_congested(dest):
@@ -251,7 +251,6 @@ class PolicyState:
             value = max(int(measured_us), 1)
             if value <= 2 * self._min_active_weight():
                 self.ledger.admit(dest, value)
-                self.active.add(dest)
                 table.assign(dest, value)
                 self._weights.set(dest, value)
                 self.backoff[dest] = self.b_min_us
@@ -261,12 +260,11 @@ class PolicyState:
                 self.eligible_at[dest] = now + self.backoff[dest]
                 self.probes_rejected += 1
             self._refresh(dest, now)
-        elif dest in self.active:
+        elif dest in self.ledger:
             new_weight = table.observe(dest, measured_us)
             self._weights.set(dest, new_weight)
             if new_weight > 2 * self._min_active_weight():
                 self.ledger.evict(dest)
-                self.active.discard(dest)
                 self._weights.discard(dest)
                 self.eligible_at[dest] = now + self.backoff[dest]
                 self._refresh(dest, now)
@@ -286,7 +284,7 @@ class PolicyState:
     def _refresh(self, dest: int, now: int) -> None:
         """File a round-robin destination in the ready list or the pending
         index, or in neither while it is active, probing or congested."""
-        if dest in self.active or dest in self.probing or self.table.is_congested(dest):
+        if dest in self.ledger or dest in self.probing or self.table.is_congested(dest):
             _discard(self._ready, dest)
             self._pending.discard(dest)
         elif self.eligible_at[dest] <= now:
@@ -323,16 +321,15 @@ class PolicyState:
         signals every lambda; a destination of another lambda is not managed
         here, gets None and changes nothing.
         """
-        if dest not in self.backoff:
+        if dest not in self._outcome_of:
             return None
         table = self.table
         if congested:
             weight = table.get(dest)
             table.mark_congested(dest)
             if self.kind is PolicyKind.ROUND_ROBIN:
-                if dest in self.active:
+                if dest in self.ledger:
                     self.ledger.evict(dest)
-                    self.active.discard(dest)
                     self._weights.discard(dest)
                 self.probing.discard(dest)
                 self._refresh(dest, now)
@@ -362,7 +359,6 @@ class PolicyState:
     def snapshot(self) -> dict:
         return {
             "kind": self.kind.value,
-            "active": sorted(self.active),
             "probing": sorted(self.probing),
             "backoff_us": dict(sorted(self.backoff.items())),
             "eligible_at_us": dict(sorted(self.eligible_at.items())),

@@ -36,7 +36,7 @@ from typing import Iterator
 
 from .core import check_delays
 from .core import RequestRecord  # noqa: F401 (unused; perfbench/run.py wraps simnet.RequestRecord)
-from .policy import NoEligibleDestination, PolicyKind, PolicyState
+from .policy import NoEligibleDestination, PolicyState
 from .scenario import Scenario, ensure_valid
 
 

@@ -86,7 +86,8 @@ class NaivePolicy(PolicyState):
     replace are done the obvious way: the probe candidates by comprehension
     and ``rng.choice``, the active minimum by ``min``, the bootstrap cursor
     over a freshly built list of unmeasured destinations, and the
-    random-proportional draw by a linear scan of freshly added sums.
+    random-proportional draw by a linear scan of freshly added sums. Active
+    membership is read from the ledger, the one place that holds it.
     """
 
     def _select_greedy(self):
@@ -117,7 +118,7 @@ class NaivePolicy(PolicyState):
         eligible = [
             d
             for d in self.destinations
-            if d not in self.active
+            if d not in self.ledger
             and d not in self.probing
             and not self.table.is_congested(d)
             and self.eligible_at[d] <= now
@@ -134,9 +135,10 @@ class NaivePolicy(PolicyState):
         return SelectionOutcome(dest, is_probe=False)
 
     def _min_active_weight(self):
-        if not self.active:
+        active = [d for d in self.destinations if d in self.ledger]
+        if not active:
             return float("inf")
-        return min(self.table.get(d) for d in self.active)
+        return min(self.table.get(d) for d in active)
 
 
 def naive_max_deviation(weights, counts):

@@ -142,11 +142,16 @@ def test_run_verbose_prints_fairness_detail(tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert '"max_deviation"' in out
-    assert '"ratios"' in out
+    detail = json.loads(out[out.index("{"):])
+    group = detail["groups"]["0"]["0"]
+    assert set(group) == {"max_deviation", "ratios"}
+    assert group["max_deviation"] == detail["max_deviation"]
+    # line: one router fanning out to four computers, a full 4 x 4 matrix
+    assert [sorted(row) for row in group["ratios"].values()] == [["0", "1", "2", "3"]] * 4
     summary = (tmp_path / "s.json").read_text(encoding="utf-8")
     assert '"max_deviation"' in summary
-    assert '"ratios"' not in summary
+    for key in ('"ratios"', '"weights_us"', '"counts"'):
+        assert key not in summary
 
 
 def test_lemmas_pass(capsys):

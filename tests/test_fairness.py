@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+from edgedispatch import fairness
 from edgedispatch.fairness import (
     SuiteReport,
     all_suites,
@@ -39,6 +42,25 @@ def test_short_term_suite_small():
     assert report.details["deficit_spread_violations"] == 0
     assert report.details["weighted_spread_violations"] == 0
     assert report.describe() == "PASS short-term fairness bounds: 10 cases"
+
+
+def test_short_term_suite_checks_count_times_weight(monkeypatch):
+    # A replay whose final deficits are not count x weight breaks the
+    # identity the weighted-count bound rests on, with every deficit spread
+    # still in bounds: only the weighted-count count may catch it.
+    real = fairness.replay_frozen
+
+    def off_by_one(weights, steps):
+        result = real(weights, steps)
+        return replace(result, deficits=[result.deficits[0] + 1] + result.deficits[1:])
+
+    monkeypatch.setattr(fairness, "replay_frozen", off_by_one)
+    report = short_term_suite(runs=4, steps=300, seed=5)
+    assert not report.passed
+    assert report.details["deficit_spread_violations"] == 0
+    assert report.details["weighted_spread_violations"] == 4
+    assert len(report.failures) == 4
+    assert all("!= count x weight" in f for f in report.failures)
 
 
 def test_exact_convergence_suite_small():

@@ -6,10 +6,15 @@ fan-out under every policy, so a change to event order, rounding, selection
 or formatting shows up here even when a rerun still matches itself. A change
 that alters them on purpose must say why and re-pin them.
 
-The summary digests were last re-pinned when the k x k fairness ratio matrix
-left the summary file (it is built only for ``run --verbose``). Each new
-summary is the old one with every ``"ratios"`` key deleted, byte for byte,
-and every trace digest stayed the same.
+The summary digests were last re-pinned when the summary stopped restating
+facts it holds elsewhere. Each new summary is the old one, byte for byte,
+with each fairness group replaced by its ``max_deviation`` (its
+``weights_us`` repeated the snapshot's weights, its ``counts`` repeated
+``selections``), each policy snapshot's ``"active"`` list deleted (the keys
+of ``deficits_us`` are that set) and, for ``li`` and ``rp``, ``backoff_us``
+and ``eligible_at_us`` emptied (only ``rr`` has backoffs). Every trace
+digest stayed the same. The re-pin before that deleted the k x k fairness
+ratio matrix from the summary file.
 """
 
 import hashlib
@@ -26,27 +31,27 @@ from helpers import fanout_doc
 GOLDEN = {
     ("line", "rr"): (
         "fda36a72e5e72f3e851c8587428e8d895dd7b8513d1615fa020fa22648399e41",
-        "19e8cb4c497b53660d8a0685d39fb99372dcc449b19f2aefacc7a76bd6d17dee",
+        "c0821637abd6974d39c013bda891216f63fec779172395fd035cc8e241230c4b",
     ),
     ("line", "li"): (
         "573abca5d1888f74cfc27bd3b3e2fe1b26da0925cf1fcd4f7f82467eeb938450",
-        "2918b1641d376951ca982152f3f83c0b892b8d714c6da53cd651714df65f3a68",
+        "8a1b8c0b15b04b8d892439b9b1456396ba1ee682bbaf2f22d915ff2dbc85f30b",
     ),
     ("line", "rp"): (
         "b4df15b32c74ab4f85517704289948be8f36c058747539629ad958505a1f41e0",
-        "de64155c0f1496c8047d5c45becb1cfd36d9509478439ee4922ed9219e4ceb1d",
+        "1f9d85b693bf07f5e0c34efbb6ebd4130216a40e91e3e0cf428ab8abc38f5f1f",
     ),
     ("ring-tree", "rr"): (
         "a45ec681b9e8d8caf3f663dc4fa2da71ed707d14f54579655c8952caed645017",
-        "3a96384fe21b26434f45c2a65f6eedf7381e2969926e86f851658b59d85adc57",
+        "8049a5cc7b157498f2ad7cae30660812317089dde066b56b77c06cbeca948bb9",
     ),
     ("ring-tree", "li"): (
         "48e3d81a9b742eeec568f236569f530cae72aeef8d7f711fd4d35c0f84fa9a62",
-        "e58ce0524794e999d9af8031c52eba4d422bc14ab8441e574c991894128038fb",
+        "d8c061fe2501a4839daf1582aef3a76f6f2dad58b1f1c5c9ff4e88120322f044",
     ),
     ("ring-tree", "rp"): (
         "e6d390608842e9d607526501882ee39912d9049561e8045413aaa0d37188aceb",
-        "b49a1d04c735a34fd677cf162fb6c1aa142ce0f6f6cb5a5e36922b1d6d90680c",
+        "43c1d96171d18a50c3fd49375f88227ea2371f2895a31b1d5a7878f290044d67",
     ),
 }
 
@@ -57,15 +62,15 @@ GOLDEN = {
 FANOUT_GOLDEN = {
     "rr": (
         "f13e96fcfca555f490e93fe78da10011c787a13c8a6bb293dd2a3da0ec0885d1",
-        "e9c79be9a47d8909f0cc902fe898352822730068ab6876ac63582b22b5dd6146",
+        "60f19bf938308351a76a1fdd436d9883ba258dce4bee5abf21c0f7e6f88f3d79",
     ),
     "li": (
         "9d124c58cc7f14f1c85020c8703eead44af55a4e2c4cf1f522bec0e9ee3ba0bc",
-        "0cd0d4a85930273d1cc53a2f2975beb36a7d2095a7dc90b3e018d1ee7cdf3a35",
+        "a561e4f791e87658da168acb25664b90a280bee2d054471a3b5785ddd8937a9d",
     ),
     "rp": (
         "ef2f67b2639e0994dbc223f1722dc48abe5320a3190d79c57e9d27c490f87448",
-        "d2f49bbd5b64e5154e047455179fe93aa9a1e17ddaf38c302237844da42fffa9",
+        "62eba8515eb2565b0c868658cd07d3b5c2940cc6ab7130d14f2288bb24676cf2",
     ),
 }
 

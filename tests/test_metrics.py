@@ -119,11 +119,12 @@ def test_perfectly_weighted_counts_have_zero_deviation():
         for _ in range(count):
             rows.append(completed_row(seq, dest, 5000))
             seq += 1
-    s = summarize(rows, snapshot_for({1: 2000, 2: 3000, 3: 4000}))
+    weights = {1: 2000, 2: 3000, 3: 4000}
+    s = summarize(rows, snapshot_for(weights))
     assert s.fairness_max_deviation == 0.0
-    group = s.fairness_groups[0][0]
-    assert group["counts"] == {1: 6, 2: 4, 3: 3}
-    ratios = fairness_ratios(group)
+    assert s.fairness_groups == {0: {0: 0.0}}
+    assert s.selections[0][0] == {1: 6, 2: 4, 3: 3}
+    ratios = fairness_ratios(weights, s.selections[0][0])
     assert sorted(ratios) == [1, 2, 3]
     assert all(v == 1.0 for row in ratios.values() for v in row.values())
 
@@ -143,30 +144,39 @@ def test_unbalanced_counts_show_up_as_deviation():
 
 def test_fairness_ignores_destinations_without_estimates():
     rows = [completed_row(0, 0, 5000)]
-    s = summarize(rows, snapshot_for({0: 5000, 1: None}))
-    group = s.fairness_groups[0][0]
-    assert list(group["weights_us"]) == [0]
+    weights = {0: 5000, 1: None}
+    s = summarize(rows, snapshot_for(weights))
+    assert fairness_ratios(weights, s.selections[0][0]) == {0: {0: 1.0}}
     assert s.fairness_max_deviation == 0.0
 
 
 def test_zero_count_destination_gives_none_ratio():
     rows = [completed_row(0, 0, 5000), completed_row(1, 0, 5000)]
     s = summarize(rows, snapshot_for({0: 1000, 1: 1000}))
-    ratios = fairness_ratios(s.fairness_groups[0][0])
+    ratios = fairness_ratios({0: 1000, 1: 1000}, s.selections[0][0])
     assert ratios[0][1] is None  # divide by an unselected destination
     assert ratios[1][0] == 0.0
     assert s.fairness_max_deviation == 1.0
 
 
 def test_summary_groups_carry_no_ratio_matrix():
+    # weights live in the snapshot and counts in selections, once each
     rows = [completed_row(0, 0, 5000), completed_row(1, 1, 5000)]
-    s = summarize(rows, snapshot_for({0: 1000, 1: 3000}))
-    assert s.fairness_groups[0][0] == {
-        "weights_us": {0: 1000, 1: 3000},
-        "counts": {0: 1, 1: 1},
-        "max_deviation": 2.0,
-    }
-    assert "ratios" not in s.to_json()
+    s = summarize(rows, snapshot_for({0: 1000, 1: 3000, 2: None}))
+    assert s.fairness_groups == {0: {0: 2.0}}
+    text = s.to_json()
+    assert json.loads(text)["fairness"]["groups"] == {"0": {"0": 2.0}}
+    for key in ('"ratios"', '"weights_us"', '"counts"'):
+        assert key not in text
+
+
+def test_group_with_no_nonzero_product_is_null():
+    # a group with finite weights but no completions has no deviation; a
+    # group with no finite weight at all has no entry
+    s = summarize([unserved_row(0)], snapshot_for({0: 1000}))
+    assert s.fairness_groups == {0: {0: None}}
+    assert s.fairness_max_deviation is None
+    assert summarize([unserved_row(0)], snapshot_for({0: None})).fairness_groups == {}
 
 
 def test_deviation_takes_the_larger_of_the_two_quotients():
@@ -215,10 +225,18 @@ def test_linear_max_deviation_matches_the_ratio_matrix(group):
         rows += [completed_row(len(rows), dest, 5000) for _ in range(count)]
     if not rows:
         rows = [unserved_row(0)]
-    expected = naive_max_deviation(weights, counts)
-    got = summarize(rows, snapshot_for(weights)).fairness_max_deviation
+    s = summarize(rows, snapshot_for(weights))
+    # the group's number against the full matrix over the group's weights
+    # as the summary's snapshot holds them and its selections
+    group_weights = {
+        d: info["weight"]
+        for d, info in s.snapshot["routers"][0]["lambdas"][0]["weights"].items()
+    }
+    expected = naive_max_deviation(group_weights, s.selections.get(0, {}).get(0, {}))
+    got = s.fairness_groups.get(0, {}).get(0)
     assert type(got) is type(expected)
     assert got == expected
+    assert s.fairness_max_deviation == expected
 
 
 @pytest.mark.parametrize("policy", ["rr", "li", "rp"])
@@ -230,7 +248,7 @@ def test_fanout_groups_match_the_ratio_matrix(policy):
     entry = result.snapshot["routers"][0]["lambdas"][0]
     weights = {d: info["weight"] for d, info in entry["weights"].items()}
     expected = naive_max_deviation(weights, s.selections[0][0])
-    got = s.fairness_groups[0][0]["max_deviation"]
+    got = s.fairness_groups[0][0]
     assert type(got) is type(expected)
     assert got == expected == s.fairness_max_deviation
 

@@ -7,6 +7,7 @@ import pytest
 from edgedispatch.core import INFINITE, from_ms
 from edgedispatch.ledger import UnknownDestination
 from edgedispatch.policy import (
+    DEFAULT_B_MIN_US,
     NoEligibleDestination,
     PolicyKind,
     PolicyState,
@@ -124,7 +125,7 @@ def test_rr_probe_admission_on_empty_active_set():
     state = PolicyState(PolicyKind.ROUND_ROBIN, [0], seed=5)
     dest = state.select(0).destination
     state.on_response(dest, 7 * MS, 1000)
-    assert state.active == {0}
+    assert set(state.ledger.decode()) == {0}
     assert state.ledger.decode() == {0: 7 * MS}
     assert state.table.get(0) == 7 * MS
     assert state.probes_admitted == 1
@@ -140,7 +141,7 @@ def active_0_probing_1(now, weight_0):
     assert sorted(p.destination for p in probes) == [0, 1]
     assert all(p.is_probe for p in probes)
     state.on_response(0, weight_0, now)
-    assert state.active == {0} and state.probing == {1}
+    assert set(state.ledger.decode()) == {0} and state.probing == {1}
     return state
 
 
@@ -148,7 +149,7 @@ def test_rr_probe_admission_boundary_is_inclusive():
     # active min 10 ms, probe measured exactly 20 ms -> admitted with w = deficit = 20 ms
     state = active_0_probing_1(0, 10 * MS)
     state.on_response(1, 20 * MS, 0)
-    assert 1 in state.active
+    assert 1 in state.ledger.decode()
     assert state.table.get(1) == 20 * MS
     assert state.ledger.decode()[1] == 20 * MS
 
@@ -158,7 +159,7 @@ def test_rr_probe_rejection_doubles_backoff():
     now = 500 * MS
     state = active_0_probing_1(now, 10 * MS)
     state.on_response(1, 21 * MS, now)
-    assert 1 not in state.active
+    assert 1 not in state.ledger.decode()
     assert state.backoff[1] == 200 * MS
     assert state.eligible_at[1] == now + 200 * MS
     assert state.probes_rejected == 1
@@ -173,7 +174,7 @@ def test_rr_eviction_when_weight_exceeds_twice_min():
     state = PolicyState.preloaded(PolicyKind.ROUND_ROBIN, {0: 4 * MS, 1: 10 * MS})
     state.on_response(1, 100 * MS, 7000)
     assert state.table.get(1) == 19 * MS
-    assert state.active == {0}
+    assert set(state.ledger.decode()) == {0}
     assert 1 not in state.ledger
     assert state.eligible_at[1] == 7000 + state.backoff[1]
 
@@ -182,13 +183,13 @@ def test_rr_min_includes_the_updated_destination_itself():
     state = PolicyState.preloaded(PolicyKind.ROUND_ROBIN, {0: 10 * MS, 1: 30 * MS})
     state.on_response(0, 100 * MS, 0)
     # new w_0 = 19 ms is itself the active minimum, 19 <= 2*19 -> stays
-    assert state.active == {0, 1}
+    assert set(state.ledger.decode()) == {0, 1}
 
 
 def test_rr_stale_response_is_counted_not_applied():
     state = PolicyState.preloaded(PolicyKind.ROUND_ROBIN, {0: 4 * MS, 1: 10 * MS})
     state.on_response(1, 100 * MS, 0)  # blended 19 ms > 2 * 4 ms: evicted
-    assert 1 not in state.active
+    assert 1 not in state.ledger.decode()
     before = state.table.get(1)
     state.on_response(1, 50 * MS, 0)
     assert state.stale_responses == 1
@@ -198,7 +199,7 @@ def test_rr_stale_response_is_counted_not_applied():
 def test_rr_congestion_evicts_and_restores():
     state = PolicyState.preloaded(PolicyKind.ROUND_ROBIN, {0: 5 * MS, 1: 6 * MS})
     assert state.sync_congestion(1, True, 1000) == 6 * MS  # the weight before the mark
-    assert state.active == {0}
+    assert set(state.ledger.decode()) == {0}
     assert 1 not in state.ledger
     assert state.sync_congestion(1, True, 1000) is None  # idempotent, already INFINITE
     assert state.sync_congestion(1, False, 9000) == 6 * MS  # the weight restored
@@ -233,11 +234,11 @@ def test_response_marked_congested_in_flight_is_unmeasured(kind):
     state = PolicyState.preloaded(kind, {0: 4 * MS, 1: 10 * MS})
     state.sync_congestion(1, True, 0)
     weights = state.table.snapshot()
-    active = set(state.active)
+    deficits = state.ledger.decode()
     state.on_response(1, 50 * MS, 10)
     assert state.responses_unmeasured == 1
     assert state.table.snapshot() == weights
-    assert state.active == active
+    assert state.ledger.decode() == deficits
     assert state.stale_responses == 0
 
 
@@ -288,10 +289,10 @@ def test_active_and_probing_stay_disjoint():
             state.sync_congestion(rng.randrange(4), True, now)
         else:
             state.sync_congestion(rng.randrange(4), False, now)
-        assert not (state.active & state.probing)
-        assert set(state.ledger.decode()) == state.active
+        active = set(state.ledger.decode())
+        assert not (active & state.probing)
         assert all(state.backoff[d] >= state.b_min_us for d in range(4))
-        assert all(isinstance(state.table.get(d), int) for d in state.active)
+        assert all(isinstance(state.table.get(d), int) for d in active)
 
 
 def test_policy_needs_destinations():
@@ -341,7 +342,7 @@ def test_rr_deficit_picks_are_interned_and_probes_are_not():
         check_outcome(probe, probe.destination, True)
     for dest in (0, 1):
         state.on_response(dest, 5 * MS, 0)
-    assert state.active == {0, 1}
+    assert set(state.ledger.decode()) == {0, 1}
     # 1 was admitted last, at 5 ms above the renormalized 0
     picks = [state.select(0) for _ in range(4)]
     for out, dest in zip(picks, [0, 0, 1, 0]):
@@ -358,11 +359,29 @@ def test_rr_deficit_picks_are_interned_and_probes_are_not():
 def test_snapshot_round_trip_fields():
     state = PolicyState.preloaded(PolicyKind.ROUND_ROBIN, {0: MS, 1: 2 * MS})
     state.select(0)
+    state.on_response(1, 50 * MS, 0)  # blended 6.8 ms > 2 * 1 ms: evicted
     snap = state.snapshot()
     assert snap["kind"] == "rr"
-    assert snap["active"] == [0, 1]
-    assert snap["deficits_us"] == state.ledger.decode()
+    assert "active" not in snap
+    # the active set is the ledger's key set, and only that
+    assert snap["deficits_us"] == state.ledger.decode() == {0: MS}
+    assert set(snap["deficits_us"]) == {d for d in state.destinations if d in state.ledger}
+    assert snap["backoff_us"] == {0: DEFAULT_B_MIN_US, 1: DEFAULT_B_MIN_US}
+    assert snap["eligible_at_us"] == {0: 0, 1: DEFAULT_B_MIN_US}
     assert snap["probes_launched"] == 0
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.LEAST_IMPEDANCE, PolicyKind.RANDOM_PROPORTIONAL])
+def test_li_and_rp_hold_no_backoff_state(kind):
+    state = PolicyState(kind, [0, 1, 2], seed=3)
+    for now in range(3):
+        state.on_response(state.select(now).destination, 5 * MS, now)
+    state.sync_congestion(1, True, 10)
+    state.sync_congestion(1, False, 20)
+    snap = state.snapshot()
+    assert snap["backoff_us"] == snap["eligible_at_us"] == {}
+    assert snap["deficits_us"] == {} and snap["probing"] == []
+    assert not state.backoff and not state.eligible_at
 
 
 def apply(state, op, args):
@@ -394,7 +413,7 @@ def check_indexes(state):
     backoffs say, with no stale or missing entry."""
     get = state.table.get
     if state.kind is PolicyKind.ROUND_ROBIN:
-        held = state.active
+        held = list(state.ledger.decode())
     elif state.kind is PolicyKind.LEAST_IMPEDANCE:
         held = [d for d in state.destinations if get(d) not in (None, INFINITE)]
     else:
@@ -405,11 +424,11 @@ def check_indexes(state):
     assert state._pending.pairs == sorted((t, d) for d, t in pending.items())
     assert all(t == state.eligible_at[d] for d, t in pending.items())
     if state.kind is not PolicyKind.ROUND_ROBIN:
-        assert not pending
+        assert not pending and not state.backoff and not state.eligible_at
         return
     for d in state.destinations:
         filed = (d in state._ready) + (d in pending)
-        waiting = d in state.active or d in state.probing or state.table.is_congested(d)
+        waiting = d in state.ledger or d in state.probing or state.table.is_congested(d)
         assert filed == (0 if waiting else 1), d
 
 
@@ -449,10 +468,10 @@ def drive_against_naive(kind, k, seed, steps=1500):
                 seen["fresh_clear"] += 1
             op, args = "sync_congestion", (dest, congested, now)
         else:
-            now = max(real.eligible_at.values()) + rng.randint(0, MS)
+            now = max(real.eligible_at.values(), default=now) + rng.randint(0, MS)
             seen["jump"] += 1
             continue
-        before = (real.probes_admitted, real.probes_rejected, real.stale_responses, len(real.active))
+        before = (real.probes_admitted, real.probes_rejected, real.stale_responses, len(real.ledger))
         first_weight = real.table.get(dests[0])
         got = apply(real, op, args)
         assert got == apply(naive, op, args), (op, args)
@@ -475,7 +494,7 @@ def drive_against_naive(kind, k, seed, steps=1500):
             seen["admit"] += real.probes_admitted - before[0]
             seen["reject"] += real.probes_rejected - before[1]
             seen["stale"] += real.stale_responses - before[2]
-            seen["evict"] += len(real.active) < before[3]
+            seen["evict"] += len(real.ledger) < before[3]
     return seen
 
 
