@@ -59,6 +59,10 @@ class WeightTable:
         if not 0 <= alpha <= 1:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
+        # Fraction's numerator and denominator are properties; the blend on
+        # every response reads these plain ints instead.
+        self._num = alpha.numerator
+        self._den = alpha.denominator
         self._entries: dict[int, _Entry] = {}
 
     def observe(self, dest: int, sample_us: int) -> int:
@@ -72,8 +76,8 @@ class WeightTable:
         if entry.value is None:
             entry.value = sample
         else:
-            num = self.alpha.numerator
-            den = self.alpha.denominator
+            num = self._num
+            den = self._den
             entry.value = (num * entry.value + (den - num) * sample + den // 2) // den
         return entry.value
 

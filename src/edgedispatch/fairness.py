@@ -15,9 +15,9 @@ The first two run on ``ledger.replay_frozen``. In its frozen replay each
 deficit is exactly ``count * weight``, so the weighted-count spread is the
 deficit spread: the weighted-count bound holds on a run whose deficit bound
 holds and whose final deficits are its ``count * weight`` products, which
-the short-term suite checks at the end of each run. The draw check calls
-``PolicyState.select``, which returns interned outcomes and allocates
-nothing per draw.
+the short-term suite checks at the end of each run. The draw check reads
+the bound ``PolicyState.select`` once and calls it once per draw; it returns
+interned outcomes and allocates nothing per draw.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ def proportional_selection_check(
     weights = {0: 1 * US_PER_MS, 1: 2 * US_PER_MS, 2: 4 * US_PER_MS}
     policy = PolicyState.preloaded(PolicyKind.RANDOM_PROPORTIONAL, weights, seed=seed)
     counts = {d: 0 for d in weights}
+    select = policy.select
     for _ in range(draws):
-        counts[policy.select(0).destination] += 1
+        counts[select(0).destination] += 1
     failures: list[str] = []
     worst = 0.0
     for i in sorted(weights):

@@ -88,9 +88,17 @@ class NaivePolicy(PolicyState):
     over a freshly built list of unmeasured destinations, and the
     random-proportional draw by a linear scan of freshly added sums. Active
     membership is read from the ledger, the one place that holds it.
+
+    ``naive_selections`` counts the selections these overrides made. A
+    caller asserts it is positive: if ``PolicyState`` renamed or split a
+    selection method, the override would go dead and the comparison would
+    set the indexed code against itself.
     """
 
+    naive_selections = 0
+
     def _select_greedy(self):
+        self.naive_selections += 1
         get = self.table.get
         weights = [(get(d), d) for d in self.destinations]
         unmeasured = [d for w, d in weights if w is None]
@@ -115,6 +123,7 @@ class NaivePolicy(PolicyState):
         return SelectionOutcome(cumulative[-1][1], is_probe=False)
 
     def _select_rr(self, now):
+        self.naive_selections += 1
         eligible = [
             d
             for d in self.destinations

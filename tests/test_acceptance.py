@@ -102,12 +102,15 @@ def test_criterion_4_exact_convergence(capsys):
 def test_criterion_5_proportional_draws(capsys):
     suite = proportional_selection_check(draws=1_000_000)
     worst = suite.details["worst_deviation"]
-    ok = suite.passed and worst <= 0.01
+    counts = suite.details["counts"]
+    # The exact draw sequence the lemmas benchmark times: a pick that moves
+    # shows here even when every ratio stays within the tolerance.
+    ok = suite.passed and worst <= 0.01 and counts == {0: 571790, 1: 285117, 2: 143093}
     report(
         capsys,
         5,
         ok,
-        f"1e6 draws over weights 1/2/4 ms, worst ratio deviation {worst:.2%}",
+        f"1e6 draws over weights 1/2/4 ms, worst ratio deviation {worst:.2%}, counts {counts}",
     )
 
 

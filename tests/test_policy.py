@@ -444,7 +444,7 @@ def drive_against_naive(kind, k, seed, steps=1500):
     naive = NaivePolicy(kind, dests, seed=seed, b_min_us=5 * MS)
     seen = dict(
         admit=0, reject=0, evict=0, stale=0, fresh_clear=0, jump=0,
-        first_weight=0, first_congested=0, last_congested=0,
+        first_weight=0, first_congested=0, last_congested=0, select=0,
     )
     outstanding = []
     now = 0
@@ -495,6 +495,8 @@ def drive_against_naive(kind, k, seed, steps=1500):
             seen["reject"] += real.probes_rejected - before[1]
             seen["stale"] += real.stale_responses - before[2]
             seen["evict"] += len(real.ledger) < before[3]
+        seen["select"] += op == "select"
+    seen["naive_selections"] = naive.naive_selections
     return seen
 
 
@@ -507,6 +509,9 @@ def test_indexed_selection_matches_full_scans(kind, k):
             seen[name] = seen.get(name, 0) + count
     assert seen["jump"] and seen["fresh_clear"]
     assert seen["first_weight"] and seen["first_congested"] and seen["last_congested"]
+    # every selection went through the rescanning overrides, so none of them
+    # is dead and the two sides really are two implementations
+    assert seen["naive_selections"] == seen["select"] > 0
     if kind is PolicyKind.ROUND_ROBIN:
         assert seen["admit"] and seen["stale"]
         # a lone destination is always its own active minimum
