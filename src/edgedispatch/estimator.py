@@ -65,11 +65,18 @@ class WeightTable:
         self._den = alpha.denominator
         self._entries: dict[int, _Entry] = {}
 
+    def _entry(self, dest: int) -> _Entry:
+        """The destination's entry, created on first use."""
+        entry = self._entries.get(dest)
+        if entry is None:
+            entry = self._entries[dest] = _Entry()
+        return entry
+
     def observe(self, dest: int, sample_us: int) -> int:
         """Fold one measured latency into the estimate, return the new value."""
         if sample_us < 0:
             raise ValueError("latency sample must be non-negative")
-        entry = self._entries.setdefault(dest, _Entry())
+        entry = self._entry(dest)
         if entry.congested:
             raise ObservationWhileCongested(f"destination {dest} is marked congested")
         sample = max(int(sample_us), 1)
@@ -83,7 +90,7 @@ class WeightTable:
 
     def assign(self, dest: int, value_us: int) -> int:
         """Overwrite the estimate outright (probe re-admission does this)."""
-        entry = self._entries.setdefault(dest, _Entry())
+        entry = self._entry(dest)
         if entry.congested:
             raise ObservationWhileCongested(f"destination {dest} is marked congested")
         entry.value = max(int(value_us), 1)
@@ -94,7 +101,7 @@ class WeightTable:
 
         Idempotent: marking an already congested destination changes nothing.
         """
-        entry = self._entries.setdefault(dest, _Entry())
+        entry = self._entry(dest)
         if entry.congested:
             return
         entry.shadow = entry.value

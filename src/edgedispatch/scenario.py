@@ -2,19 +2,28 @@
 
 Scenarios are YAML documents checked against a JSON schema first (shape) and
 then against semantic rules the schema cannot express (cross-references,
-non-empty destination sets). Two ready-made scenarios ship with the package
-and can be addressed by name wherever a path is accepted.
+non-empty destination sets). ``schemas/scenario.schema.json`` is the one
+statement of the shape. It is checked by a small interpreter of the JSON
+Schema draft 7 keywords that file uses, with draft 7's semantics and
+jsonschema's messages; a keyword outside that subset is refused when the
+schema is compiled, so none is silently ignored. Two ready-made scenarios
+ship with the package and can be addressed by name wherever a path is
+accepted.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import numbers
+import operator
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
-import jsonschema
 import yaml
 
 from .core import from_ms, string_keys, to_ms
@@ -109,9 +118,205 @@ class Scenario:
         return out
 
 
-def _schema() -> dict:
+# A shape check: called with a value, the path to it as a tuple of keys and
+# indices, and a list to which it appends each (path, message) it finds.
+_Check = Callable[[object, tuple, list], None]
+
+_IS_TYPE: dict[str, Callable[[object], bool]] = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    # draft 7: an integral float such as 1.0 is an integer; a bool is not
+    "integer": lambda v: (
+        not isinstance(v, bool) and isinstance(v, int)
+        or isinstance(v, float) and v.is_integer()
+    ),
+    "null": lambda v: v is None,
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+_is_number = _IS_TYPE["number"]
+
+
+def _type(name: str, schema: dict) -> _Check:
+    if not isinstance(name, str) or name not in _IS_TYPE:
+        raise ValueError(f"schema type {name!r} is not implemented")
+    is_type = _IS_TYPE[name]
+
+    def check(value, path, found):
+        if not is_type(value):
+            found.append((path, f"{value!r} is not of type {name!r}"))
+
+    return check
+
+
+def _properties(subschemas: dict, schema: dict) -> _Check:
+    checks = {key: _compile(sub) for key, sub in subschemas.items()}
+
+    def check(value, path, found):
+        if isinstance(value, dict):
+            for key, sub in checks.items():
+                if key in value:
+                    sub(value[key], path + (key,), found)
+
+    return check
+
+
+def _pattern_properties(subschemas: dict, schema: dict) -> _Check:
+    checks = [(re.compile(p).search, _compile(sub)) for p, sub in subschemas.items()]
+
+    def check(value, path, found):
+        if isinstance(value, dict):
+            for search, sub in checks:
+                for key, item in value.items():
+                    if search(key):
+                        sub(item, path + (key,), found)
+
+    return check
+
+
+def _additional_properties(allowed, schema: dict) -> _Check:
+    if allowed is not False:
+        raise ValueError("additionalProperties: only false is implemented")
+    named = schema.get("properties", {})
+    patterns = schema.get("patternProperties", {})
+    search = re.compile("|".join(patterns)).search if patterns else lambda key: None
+
+    def check(value, path, found):
+        if not isinstance(value, dict):
+            return
+        extras = sorted((k for k in value if k not in named and not search(k)), key=str)
+        if not extras:
+            return
+        keys = ", ".join(repr(k) for k in extras)
+        if patterns:
+            verb = "does" if len(extras) == 1 else "do"
+            regexes = ", ".join(repr(p) for p in sorted(patterns))
+            found.append((path, f"{keys} {verb} not match any of the regexes: {regexes}"))
+        else:
+            verb = "was" if len(extras) == 1 else "were"
+            found.append((path, f"Additional properties are not allowed ({keys} {verb} unexpected)"))
+
+    return check
+
+
+def _required(names: list, schema: dict) -> _Check:
+    def check(value, path, found):
+        if isinstance(value, dict):
+            for name in names:
+                if name not in value:
+                    found.append((path, f"{name!r} is a required property"))
+
+    return check
+
+
+def _items(subschema, schema: dict) -> _Check:
+    if not isinstance(subschema, dict):
+        raise ValueError("items: only a single schema is implemented")
+    sub = _compile(subschema)
+
+    def check(value, path, found):
+        if isinstance(value, list):
+            for index, item in enumerate(value):
+                sub(item, path + (index,), found)
+
+    return check
+
+
+def _enum(members: list, schema: dict) -> _Check:
+    # Draft 7's enum tells True from 1; ``in`` agrees with it for strings.
+    if not all(isinstance(m, str) for m in members):
+        raise ValueError("enum: only string members are implemented")
+
+    def check(value, path, found):
+        if value not in members:
+            found.append((path, f"{value!r} is not one of {members!r}"))
+
+    return check
+
+
+def _bound(fails: Callable[[object, object], bool], words: str):
+    def keyword(limit, schema: dict) -> _Check:
+        def check(value, path, found):
+            if _is_number(value) and fails(value, limit):
+                found.append((path, f"{value!r} is {words} {limit!r}"))
+
+        return check
+
+    return keyword
+
+
+def _min_size(is_type: Callable[[object], bool], too_small: str):
+    def keyword(least: int, schema: dict) -> _Check:
+        words = "should be non-empty" if least == 1 else too_small
+
+        def check(value, path, found):
+            if is_type(value) and len(value) < least:
+                found.append((path, f"{value!r} {words}"))
+
+        return check
+
+    return keyword
+
+
+# Each implemented keyword, building its check from its value and the
+# schema it sits in. Each check passes over a value of another type, so one
+# value can fail several keywords at one path, as in draft 7.
+_KEYWORDS: dict[str, Callable[[object, dict], _Check]] = {
+    "type": _type,
+    "properties": _properties,
+    "patternProperties": _pattern_properties,
+    "additionalProperties": _additional_properties,
+    "required": _required,
+    "items": _items,
+    "enum": _enum,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "minItems": _min_size(_IS_TYPE["array"], "is too short"),
+    "minProperties": _min_size(_IS_TYPE["object"], "does not have enough properties"),
+    "minLength": _min_size(_IS_TYPE["string"], "is too short"),
+}
+_ANNOTATIONS = frozenset({"$schema", "title"})
+
+
+def _compile(schema: dict) -> _Check:
+    checks = []
+    for keyword, value in schema.items():
+        if keyword in _ANNOTATIONS:
+            continue
+        if keyword not in _KEYWORDS:
+            raise ValueError(f"schema keyword {keyword!r} is not implemented")
+        checks.append(_KEYWORDS[keyword](value, schema))
+
+    def check(value, path, found):
+        for each in checks:
+            each(value, path, found)
+
+    return check
+
+
+def compile_schema(schema: dict) -> Callable[[object], list[tuple[tuple, str]]]:
+    """A function that lists every (path, message) a document fails against
+    ``schema``, in the schema's order; a path is a tuple of keys and indices.
+
+    Raises ValueError on a keyword, or a form of one, outside the subset.
+    """
+    check = _compile(schema)
+
+    def errors(doc) -> list[tuple[tuple, str]]:
+        found: list[tuple[tuple, str]] = []
+        check(doc, (), found)
+        return found
+
+    return errors
+
+
+@functools.cache
+def _scenario_errors() -> Callable[[object], list[tuple[tuple, str]]]:
+    """The scenario schema, read and compiled once per process."""
     text = resources.files("edgedispatch").joinpath("schemas/scenario.schema.json")
-    return json.loads(text.read_text(encoding="utf-8"))
+    return compile_schema(json.loads(text.read_text(encoding="utf-8")))
 
 
 def scenario_from_mapping(doc) -> Scenario:
@@ -121,13 +326,12 @@ def scenario_from_mapping(doc) -> Scenario:
     # YAML happily parses {0: 5} with an integer key; JSON schema only talks
     # about string properties, so keys are normalized before validation.
     doc = string_keys(doc)
-    validator = jsonschema.Draft7Validator(_schema())
-    schema_errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    schema_errors = sorted(_scenario_errors()(doc), key=lambda e: e[0])
     if schema_errors:
         problems = []
-        for err in schema_errors[:10]:
-            where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-            problems.append(f"{where}: {err.message}")
+        for path, message in schema_errors[:10]:
+            where = "/".join(str(p) for p in path) or "(top level)"
+            problems.append(f"{where}: {message}")
         raise InvalidScenario(problems)
 
     policy_doc = doc.get("policy", {})

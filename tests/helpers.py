@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from edgedispatch.core import INFINITE
 from edgedispatch.ledger import (
     AlreadyAdmitted,
@@ -262,5 +264,91 @@ def fanout_doc(seed, computers=48, duration_ms=200):
                 "client_link_ms": 1,
             }
         ],
+        "congestion": congestion,
+    }
+
+
+@st.composite
+def scenario_docs(draw):
+    """A Hypothesis strategy for valid scenario documents.
+
+    1-3 routers each link to a subset of 1-5 computers and serve a subset of
+    1-3 lambdas over a subset of their links. Computers have 1-4 workers,
+    ``beta >= 0`` and a service time for every lambda. Each served (router,
+    lambda) pair may get a workload with a client link; at least one does.
+    Each linked (router, computer) pair may get blackout windows, touching
+    or separate, under which a 1-10 ms retry fires. Rates stay low, so a run
+    takes milliseconds.
+    """
+    duration_ms = draw(st.integers(20, 200))
+    computer_ids = list(range(draw(st.integers(1, 5))))
+    lambda_ids = list(range(draw(st.integers(1, 3))))
+
+    def subset(items):
+        return draw(st.lists(st.sampled_from(items), min_size=1, max_size=len(items), unique=True))
+
+    computers = [
+        {
+            "id": cid,
+            "workers": draw(st.integers(1, 4)),
+            "beta": draw(st.sampled_from((0.0, 0.25, 0.5, 2.0))),
+            "service_ms": {lam: draw(st.integers(1, 10)) for lam in lambda_ids},
+        }
+        for cid in computer_ids
+    ]
+    routers, workload, congestion = [], [], []
+    for rid in range(draw(st.integers(1, 3))):
+        linked = sorted(subset(computer_ids))
+        lambdas = sorted(subset(lambda_ids))
+        routers.append(
+            {
+                "id": rid,
+                "links_ms": {cid: draw(st.integers(0, 3)) for cid in linked},
+                "lambdas": [{"id": lam, "destinations": subset(linked)} for lam in lambdas],
+            }
+        )
+        for lam in lambdas:
+            if draw(st.booleans()):
+                workload.append(
+                    {
+                        "router": rid,
+                        "lambda": lam,
+                        "process": draw(st.sampled_from(("poisson", "deterministic"))),
+                        "rate_per_s": draw(st.integers(5, 200)),
+                        "client_link_ms": draw(st.integers(0, 2)),
+                    }
+                )
+        for cid in linked:
+            # consecutive chosen segments touch; a skipped one leaves a gap
+            cuts = sorted(set(draw(st.lists(st.integers(0, duration_ms), max_size=5))))
+            for start, end in zip(cuts, cuts[1:]):
+                if draw(st.booleans()):
+                    congestion.append(
+                        {"router": rid, "computer": cid, "start_ms": start, "end_ms": end}
+                    )
+    if not workload:
+        first = routers[0]
+        workload.append(
+            {
+                "router": first["id"],
+                "lambda": first["lambdas"][0]["id"],
+                "process": "deterministic",
+                "rate_per_s": 50,
+                "client_link_ms": 1,
+            }
+        )
+    return {
+        "name": "drawn",
+        "duration_ms": duration_ms,
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "policy": {
+            "kind": draw(st.sampled_from(("rr", "li", "rp"))),
+            "alpha": draw(st.sampled_from((0.0, 0.5, 0.9, 1.0))),
+            "b_min_ms": draw(st.integers(1, 20)),
+            "retry_ms": draw(st.integers(1, 10)),
+        },
+        "computers": computers,
+        "routers": routers,
+        "workload": workload,
         "congestion": congestion,
     }

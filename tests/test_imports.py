@@ -1,15 +1,25 @@
-"""No module of the package imports a name it does not use.
+"""What the package imports.
 
-Each ``src/edgedispatch/*.py`` is parsed with ``ast``. A name an import
-binds must be read somewhere in the module, be listed in its ``__all__``, or
-sit on a line marked ``# noqa: F401`` (a deliberate re-export).
+No module of the package imports a name it does not use: each
+``src/edgedispatch/*.py`` is parsed with ``ast``. A name an import binds
+must be read somewhere in the module, be listed in its ``__all__``, or sit
+on a line marked ``# noqa: F401`` (a deliberate re-export).
 ``from __future__`` imports bind nothing and are skipped.
+
+jsonschema is a test dependency only: the package checks a scenario's shape
+with its own interpreter of the schema's keywords.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from edgedispatch.scenario import compile_schema
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "edgedispatch"
 
@@ -63,3 +73,31 @@ def test_the_check_finds_an_unused_import():
         ]
     )
     assert unused_imports(source) == ["line 3: j", "line 4: ceil", "line 8: escape"]
+
+
+def test_the_package_does_not_import_jsonschema():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, edgedispatch, edgedispatch.cli; print('jsonschema' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "keyword, value, refusal",
+    [
+        ("maxItems", 300, "keyword 'maxItems' is not implemented"),
+        ("type", ["array", "null"], r"type \['array', 'null'\] is not implemented"),
+        ("items", [{"type": "object"}], "items: only a single schema"),
+        ("additionalProperties", {"type": "object"}, "additionalProperties: only false"),
+        ("enum", [[], 1], "enum: only string members"),
+    ],
+)
+def test_the_shape_check_refuses_what_it_does_not_implement(keyword, value, refusal):
+    schema = json.loads((SRC / "schemas" / "scenario.schema.json").read_text(encoding="utf-8"))
+    assert {"$schema", "title"} <= set(schema)
+    assert compile_schema(schema)({}) != []
+    schema["properties"]["computers"][keyword] = value
+    with pytest.raises(ValueError, match=refusal):
+        compile_schema(schema)

@@ -1,20 +1,31 @@
+import copy
 import dataclasses
+import json
+from importlib import resources
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft7Validator
 
+from edgedispatch.core import string_keys
 from edgedispatch.policy import PolicyKind
 from edgedispatch.scenario import (
     InvalidScenario,
     Scenario,
     builtin_names,
+    compile_schema,
     load_scenario,
     scenario_from_mapping,
     semantic_problems,
 )
 from edgedispatch.simnet import run
 
-from helpers import tiny_doc, tiny_scenario
+from helpers import fanout_doc, scenario_docs, tiny_doc, tiny_scenario
+
+PACKAGE = resources.files("edgedispatch")
+SCHEMA = json.loads(PACKAGE.joinpath("schemas/scenario.schema.json").read_text(encoding="utf-8"))
 
 
 def test_builtin_names():
@@ -304,3 +315,144 @@ def test_semantic_problems_collects_everything():
     assert semantic_problems(broken) == ["duration_ms: must be positive"]
     assert isinstance(s, Scenario)
     assert semantic_problems(s) == []
+
+
+def test_report_keeps_the_first_ten_problems_by_path():
+    # 16 shape errors over 15 paths; the report keeps the first ten by path
+    doc = tiny_doc(
+        name="",
+        duration_ms=0,
+        seed=-0.5,
+        runtime="forever",
+        policy={"kind": "fifo", "alpha": 1.5, "retry_ms": True},
+        workload=[],
+    )
+    doc["computers"].append({"id": -1, "workers": 0, "beta": -1, "service_ms": {}})
+    doc["routers"][0]["links_ms"] = {"x": 1, 0: -2}
+    doc["routers"][0]["lambdas"][0]["destinations"] = [0, "1"]
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    assert info.value.problems == [
+        "(top level): Additional properties are not allowed ('runtime' was unexpected)",
+        "computers/1/beta: -1 is less than the minimum of 0",
+        "computers/1/id: -1 is less than the minimum of 0",
+        "computers/1/service_ms: {} should be non-empty",
+        "computers/1/workers: 0 is less than the minimum of 1",
+        "duration_ms: 0 is less than or equal to the minimum of 0",
+        "name: '' should be non-empty",
+        "policy/alpha: 1.5 is greater than the maximum of 1",
+        "policy/kind: 'fifo' is not one of ['li', 'rp', 'rr']",
+        "policy/retry_ms: True is not of type 'number'",
+    ]
+    assert len(compile_schema(SCHEMA)(string_keys(doc))) == 16
+
+
+def test_shape_check_follows_draft_7():
+    errors = compile_schema(SCHEMA)
+    doc = string_keys(tiny_doc())
+    assert errors(doc) == []
+    # an integral float is an integer
+    doc["computers"][0]["workers"] = 2.0
+    assert errors(doc) == []
+    # a bool is neither an integer nor a number
+    doc["computers"][0]["workers"] = True
+    doc["computers"][0]["beta"] = False
+    assert errors(doc) == [
+        (("computers", 0, "workers"), "True is not of type 'integer'"),
+        (("computers", 0, "beta"), "False is not of type 'number'"),
+    ]
+    # a failed type does not stop the bound
+    doc = string_keys(tiny_doc(seed=-0.5))
+    assert errors(doc) == [
+        (("seed",), "-0.5 is not of type 'integer'"),
+        (("seed",), "-0.5 is less than the minimum of 0"),
+    ]
+    # required and additionalProperties sit at the object's path; a
+    # links_ms key must match the anchored pattern '^[0-9]+$'
+    doc = string_keys(tiny_doc())
+    del doc["routers"][0]["lambdas"][0]["id"]
+    doc["routers"][0]["links_ms"].update({"1": 2, "a1": 2, "2b": 2})
+    assert errors(doc) == [
+        (("routers", 0, "links_ms"), "'2b', 'a1' do not match any of the regexes: '^[0-9]+$'"),
+        (("routers", 0, "lambdas", 0), "'id' is a required property"),
+    ]
+
+
+VALID_SEEDS = st.one_of(
+    scenario_docs(),
+    st.sampled_from(
+        [
+            yaml.safe_load(PACKAGE.joinpath(f"scenarios/{name}").read_text(encoding="utf-8"))
+            for name in ("line.yaml", "ring_tree.yaml")
+        ]
+        + [fanout_doc(3, computers=6), tiny_doc()]
+    ),
+)
+# Bools, and values at and past every bound of the schema (0 and 1).
+BOUND_VALUES = [True, False, -0.5, 0, 0.0, 0.5, 1, 1.0, 1.5]
+# Wrong types and empties.
+ODD_VALUES = ["x", "", [], [1], {}, {"7": 1}, None, True, 1.5, -1]
+# "7\n" matches '^[0-9]+$' under re.search, as in draft 7.
+EXTRA_KEYS = ["extra", "7", "x1", "7\n"]
+
+
+def nodes(value, path=()):
+    """Every (path, value) in a document tree, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from nodes(item, path + (index,))
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid document with 1-5 mutations: a key dropped, a value replaced
+    by a wrong type or an empty, a number replaced by a bool or a value at
+    or past a bound, or an extra property added."""
+    doc = copy.deepcopy(string_keys(draw(VALID_SEEDS)))
+    for _ in range(draw(st.integers(1, 5))):
+        tree = list(nodes(doc))
+        op = draw(st.sampled_from(("drop", "retype", "bound", "add")))
+        if op == "add":
+            _, node = draw(st.sampled_from([(p, n) for p, n in tree if isinstance(n, dict)]))
+            node[draw(st.sampled_from(EXTRA_KEYS))] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+            continue
+        if op == "bound":
+            targets = [p for p, n in tree if type(n) in (int, float)]
+        else:
+            targets = [p for p, _ in tree[1:]]
+        path = draw(st.sampled_from(targets))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            values = BOUND_VALUES if op == "bound" else ODD_VALUES
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(values)))
+    return doc
+
+
+@settings(max_examples=300)
+@given(doc=mutated_docs())
+def test_shape_check_agrees_with_draft7_validator(doc):
+    expected = [(tuple(e.absolute_path), e.message) for e in Draft7Validator(SCHEMA).iter_errors(doc)]
+    assert compile_schema(SCHEMA)(doc) == expected
+    if expected:
+        with pytest.raises(InvalidScenario) as info:
+            scenario_from_mapping(doc)
+        assert info.value.problems == [
+            f"{'/'.join(map(str, path)) or '(top level)'}: {message}"
+            for path, message in sorted(expected, key=lambda e: e[0])[:10]
+        ]
+
+
+@settings(max_examples=60)
+@given(doc=scenario_docs())
+def test_drawn_documents_load_and_their_delays_sum_to_the_latency(doc):
+    result = run(scenario_from_mapping(doc))
+    for row in result.completed:
+        assert row.transfer_us + row.queue_us + row.processing_us == row.latency_us
