@@ -341,10 +341,12 @@ def scenario_from_mapping(doc) -> Scenario:
         b_min_us=from_ms(policy_doc.get("b_min_ms", DEFAULT_B_MIN_US / 1000)),
         retry_us=from_ms(policy_doc.get("retry_ms", DEFAULT_RETRY_US / 1000)),
     )
+    # Draft 7 takes an integral float such as 0.0 as an integer; int() keeps
+    # it from reaching the trace as "0.0", which read_trace would refuse.
     computers = tuple(
         ComputerSpec(
-            id=c["id"],
-            workers=c.get("workers", 1),
+            id=int(c["id"]),
+            workers=int(c.get("workers", 1)),
             beta=float(c.get("beta", 0.0)),
             service_us={int(k): from_ms(v) for k, v in c["service_ms"].items()},
         )
@@ -352,10 +354,10 @@ def scenario_from_mapping(doc) -> Scenario:
     )
     routers = tuple(
         RouterSpec(
-            id=r["id"],
+            id=int(r["id"]),
             links_us={int(k): from_ms(v) for k, v in r["links_ms"].items()},
             lambdas=tuple(
-                LambdaSpec(id=l["id"], destinations=tuple(l["destinations"]))
+                LambdaSpec(id=int(l["id"]), destinations=tuple(map(int, l["destinations"])))
                 for l in r["lambdas"]
             ),
         )
@@ -363,8 +365,8 @@ def scenario_from_mapping(doc) -> Scenario:
     )
     workload = tuple(
         WorkloadSpec(
-            router=w["router"],
-            lam=w["lambda"],
+            router=int(w["router"]),
+            lam=int(w["lambda"]),
             process=w["process"],
             rate_per_s=float(w["rate_per_s"]),
             client_link_us=from_ms(w.get("client_link_ms", 0)),
@@ -373,8 +375,8 @@ def scenario_from_mapping(doc) -> Scenario:
     )
     congestion = tuple(
         CongestionWindow(
-            router=c["router"],
-            computer=c["computer"],
+            router=int(c["router"]),
+            computer=int(c["computer"]),
             start_us=from_ms(c["start_ms"]),
             end_us=from_ms(c["end_ms"]),
         )
@@ -383,7 +385,7 @@ def scenario_from_mapping(doc) -> Scenario:
     scenario = Scenario(
         name=doc["name"],
         duration_us=from_ms(doc["duration_ms"]),
-        seed=doc.get("seed", 0),
+        seed=int(doc.get("seed", 0)),
         policy=policy,
         computers=computers,
         routers=routers,

@@ -7,13 +7,26 @@ router measures dispatch-to-response time and feeds it to the policy.
 Congestion signals arrive on a script and toggle per-(router, computer)
 blackouts. Identical scenario and seed always reproduce the identical trace.
 
-Events at the same microsecond run in this order:
+Each heap entry is ``(time, class, n, handler, payload)``. The key
+``(time, class, n)`` is unique and alone gives the order of events at one
+microsecond:
 
-1. congestion toggles, ordered by their window's (start, router, computer);
-   windows on one pair never overlap, so a touching window's clear precedes
-   its mark;
-2. arrivals, in ``seq`` order;
-3. events pushed while the simulation runs, in push order.
+0. congestion toggles, with ``n`` the toggle's place in window order
+   (windows by start, router, computer; each one's mark, then its
+   clear). Windows on one pair never overlap, so a touching window's
+   clear precedes its mark;
+1. arrivals, with ``n`` the request's ``seq``;
+2. events pushed while the simulation runs (deliveries, service ends,
+   responses, retries), with ``n`` their push order.
+
+The loop calls the entry's bound handler; nothing looks the kind up.
+
+Requests are issued in ``(time, workload)`` order, merged lazily from the
+per-workload arrival streams, and ``seq`` is the place in that order. No
+arrival lands sooner after its issue than the smallest client link, so the
+loop files the next issue as an arrival once every event before that
+earliest landing has run. The heap holds the toggles and the requests in
+flight, never the issues still to come.
 
 A service start is not an event: a request takes a worker the moment it is
 delivered to an idle one, or the moment a worker it queued for frees up.
@@ -42,15 +55,6 @@ from .scenario import Scenario, ensure_valid
 
 class UnknownLambda(KeyError):
     """A computer was asked to run a lambda it has no service time for."""
-
-
-# Event kinds, in the order a request experiences them.
-ARRIVAL = "arrival"  # request reaches its router
-DELIVER = "deliver"  # request reaches the computer
-SERVICE_END = "service-end"
-RESPONSE = "response"  # response reaches the router
-TOGGLE = "congestion-toggle"
-RETRY = "retry"  # router re-attempts a dispatch that found no destination
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,34 +198,51 @@ class _Router:
 
 
 class _Request:
+    """One request in flight. It carries its (router, lambda) policy and its
+    router's links, and its computer once dispatched, so no handler looks
+    them up. The fields after ``links_us`` are set as the request reaches
+    each stage."""
+
     __slots__ = (
         "seq",
         "lam",
         "router",
         "issued_us",
         "client_link_us",
+        "policy",
+        "links_us",
         "dispatch_us",
         "destination",
+        "computer",
         "is_probe",
         "delivered_us",
         "service_start_us",
         "processing_us",
-        "retries",
     )
 
-    def __init__(self, seq, lam, router, issued_us, client_link_us) -> None:
+    def __init__(self, seq, lam, router, issued_us, client_link_us, policy, links_us) -> None:
         self.seq = seq
         self.lam = lam
         self.router = router
         self.issued_us = issued_us
         self.client_link_us = client_link_us
-        self.dispatch_us = None
-        self.destination = None
-        self.is_probe = False
-        self.delivered_us = None
-        self.service_start_us = None
-        self.processing_us = None
-        self.retries = 0
+        self.policy = policy
+        self.links_us = links_us
+
+
+# The second item of a heap key: at one microsecond, toggles run first, then
+# arrivals, then run-time events.
+_TOGGLE = 0
+_ARRIVAL = 1
+_RUNTIME = 2
+
+
+def _issues(stream: Iterator[int], idx: int, duration_us: int) -> Iterator[tuple[int, int]]:
+    """A workload's issue times before ``duration_us``, tagged with its index."""
+    for t in stream:
+        if t >= duration_us:
+            return
+        yield t, idx
 
 
 class _Sim:
@@ -229,6 +250,7 @@ class _Sim:
         ensure_valid(scenario)
         self.s = scenario
         self.duration = scenario.duration_us
+        self.retry_us = scenario.policy.retry_us
         self.policy_label = scenario.policy.kind.value
         self.heap: list = []
         self.counter = itertools.count()
@@ -255,38 +277,42 @@ class _Sim:
             for r in sorted(scenario.routers, key=lambda r: r.id)
         }
 
-        # Toggles go on the heap first, then arrivals: the push counter is
-        # the tie-break that gives the order in the module docstring.
-        for win in sorted(
+        # Toggle n is its place in window order, so a touching window's
+        # clear (numbered with the earlier window) precedes its mark.
+        windows = sorted(
             scenario.congestion, key=lambda w: (w.start_us, w.router, w.computer)
-        ):
-            self._push(win.start_us, TOGGLE, (win.router, win.computer, True))
-            self._push(win.end_us, TOGGLE, (win.router, win.computer, False))
+        )
+        on_toggle = self._on_toggle
+        for i, win in enumerate(windows):
+            pair = (win.router, self.routers[win.router].policies, win.computer)
+            self.heap.append((win.start_us, _TOGGLE, 2 * i, on_toggle, (*pair, True)))
+            self.heap.append((win.end_us, _TOGGLE, 2 * i + 1, on_toggle, (*pair, False)))
+        heapq.heapify(self.heap)
 
-        issues: list[tuple[int, int, object]] = []
-        for idx, w in enumerate(ordered_workload):
-            stream = arrival_process(w.process, w.rate_per_s, arrival_seeds[idx])
-            for t in stream:
-                if t >= self.duration:
-                    break
-                issues.append((t, idx, w))
-        issues.sort(key=lambda item: (item[0], item[1]))
-        for seq, (t, _idx, w) in enumerate(issues):
-            req = _Request(seq, w.lam, w.router, t, w.client_link_us)
-            self._push(t + w.client_link_us, ARRIVAL, req)
-        self.arrivals = len(issues)
-
-    def _push(self, at: int, kind: str, payload) -> None:
-        heapq.heappush(self.heap, (at, next(self.counter), kind, payload))
+        # Issues in (time, workload index) order; seq is the place in it.
+        self.workloads = []
+        for w in ordered_workload:
+            router = self.routers[w.router]
+            self.workloads.append(
+                (w.lam, w.router, w.client_link_us, router.policies[w.lam], router.links_us)
+            )
+        self.issues = heapq.merge(
+            *(
+                _issues(arrival_process(w.process, w.rate_per_s, seed), idx, self.duration)
+                for idx, (w, seed) in enumerate(zip(ordered_workload, arrival_seeds))
+            )
+        )
+        # No issue arrives sooner after it is issued than this.
+        self.lead_us = min((w.client_link_us for w in ordered_workload), default=0)
 
     # -- handlers ----------------------------------------------------------
 
-    def _try_dispatch(self, now: int, req: _Request) -> None:
-        router = self.routers[req.router]
+    def _on_arrival(self, now: int, req: _Request) -> None:
+        """The request reaches its router (or retries): dispatch it."""
         try:
-            outcome = router.policies[req.lam].select(now)
+            outcome = req.policy.select(now)
         except NoEligibleDestination:
-            retry_at = now + self.s.policy.retry_us
+            retry_at = now + self.retry_us
             if retry_at >= self.duration:
                 self.unserved.append(
                     TraceRow(
@@ -296,21 +322,30 @@ class _Sim:
                     )
                 )
             else:
-                self._push(retry_at, RETRY, req)
+                heapq.heappush(
+                    self.heap, (retry_at, _RUNTIME, next(self.counter), self._on_arrival, req)
+                )
             return
-        req.destination = outcome.destination
+        dest = outcome.destination
+        req.destination = dest
+        req.computer = self.computers[dest]
         req.is_probe = outcome.is_probe
         req.dispatch_us = now
-        self._push(now + router.links_us[outcome.destination], DELIVER, req)
+        heapq.heappush(
+            self.heap,
+            (now + req.links_us[dest], _RUNTIME, next(self.counter), self._on_deliver, req),
+        )
 
     def _start(self, now: int, comp: _Computer, req: _Request) -> None:
         comp.busy += 1
         req.service_start_us = now
-        req.processing_us = service_time(comp, req.lam)
-        self._push(now + req.processing_us, SERVICE_END, req)
+        req.processing_us = processing = service_time(comp, req.lam)
+        heapq.heappush(
+            self.heap, (now + processing, _RUNTIME, next(self.counter), self._on_service_end, req)
+        )
 
     def _on_deliver(self, now: int, req: _Request) -> None:
-        comp = self.computers[req.destination]
+        comp = req.computer
         req.delivered_us = now
         if comp.busy < comp.workers:
             self._start(now, comp, req)
@@ -318,18 +353,19 @@ class _Sim:
             comp.queue.append(req)
 
     def _on_service_end(self, now: int, req: _Request) -> None:
-        comp = self.computers[req.destination]
+        comp = req.computer
         comp.busy -= 1
-        router = self.routers[req.router]
-        self._push(now + router.links_us[req.destination], RESPONSE, req)
+        back_at = now + req.links_us[req.destination]
+        heapq.heappush(
+            self.heap, (back_at, _RUNTIME, next(self.counter), self._on_response, req)
+        )
         if comp.queue:
             self._start(now, comp, comp.queue.popleft())
 
     def _on_response(self, now: int, req: _Request) -> None:
-        router = self.routers[req.router]
         dest = req.destination
         dispatched = req.dispatch_us
-        router.policies[req.lam].on_response(dest, now - dispatched, now)
+        req.policy.on_response(dest, now - dispatched, now)
         client = req.client_link_us
         issued = req.issued_us
         # Positional, in field order: ..., issued, completed, transfer, queue,
@@ -337,15 +373,14 @@ class _Sim:
         self.completed.append(
             TraceRow(
                 req.seq, req.lam, req.router, dest, issued, now + client,
-                2 * (client + router.links_us[dest]),
+                2 * (client + req.links_us[dest]),
                 (dispatched - issued - client) + (req.service_start_us - req.delivered_us),
                 req.processing_us, req.is_probe, self.policy_label, dispatched,
             )
         )
 
     def _on_toggle(self, now: int, payload) -> None:
-        rid, dest, on = payload
-        policies = self.routers[rid].policies
+        rid, policies, dest, on = payload
         weights = tuple(
             (lam, policies[lam].sync_congestion(dest, on, now)) for lam in sorted(policies)
         )
@@ -358,18 +393,26 @@ class _Sim:
     # -- loop --------------------------------------------------------------
 
     def run(self) -> SimResult:
-        handlers = {
-            ARRIVAL: self._try_dispatch,
-            RETRY: self._try_dispatch,
-            DELIVER: self._on_deliver,
-            SERVICE_END: self._on_service_end,
-            RESPONSE: self._on_response,
-            TOGGLE: self._on_toggle,
-        }
         heap = self.heap
+        pop = heapq.heappop
+        push = heapq.heappush
+        lead = self.lead_us
+        workloads = self.workloads
+        on_arrival = self._on_arrival
+        seq = -1
+        for seq, (t, idx) in enumerate(self.issues):
+            # Every event before this issue's earliest arrival runs first;
+            # the issues after it arrive no sooner, so none is missed.
+            first = t + lead
+            while heap and heap[0][0] < first:
+                at, _, _, handler, payload = pop(heap)
+                handler(at, payload)
+            lam, rid, link, policy, links = workloads[idx]
+            req = _Request(seq, lam, rid, t, link, policy, links)
+            push(heap, (t + link, _ARRIVAL, seq, on_arrival, req))
         while heap:
-            at, _, kind, payload = heapq.heappop(heap)
-            handlers[kind](at, payload)
+            at, _, _, handler, payload = pop(heap)
+            handler(at, payload)
         snapshot = {"routers": {}}
         for rid, router in self.routers.items():
             lambdas = {}
@@ -387,7 +430,7 @@ class _Sim:
             policy=self.policy_label,
             seed=self.s.seed,
             duration_us=self.duration,
-            arrivals=self.arrivals,
+            arrivals=seq + 1,
             completed=tuple(self.completed),
             unserved=tuple(self.unserved),
             snapshot=snapshot,

@@ -15,8 +15,13 @@ of ``deficits_us`` are that set) and, for ``li`` and ``rp``, ``backoff_us``
 and ``eligible_at_us`` emptied (only ``rr`` has backoffs). Every trace
 digest stayed the same. The re-pin before that deleted the k x k fairness
 ratio matrix from the summary file.
+
+A third set runs ``ring-tree`` with its three workloads' client links at 0,
+3 and 7 ms. The shipped scenarios all use a client link of 0, so only these
+digests see arrivals from workloads with different links land in one run.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -75,6 +80,25 @@ FANOUT_GOLDEN = {
 }
 
 
+# ``ring-tree`` with client links of 0, 3000 and 7000 us on its workloads,
+# in (router, lambda) order.
+MIXED_LINK_US = (0, 3000, 7000)
+MIXED_LINK_GOLDEN = {
+    "rr": (
+        "29e7d76eb26a6f74909703852ae8f8cc2a5587de714054c5c0d563c576368a37",
+        "24bd57323669b5bb6a0ab5df4dbe270d8b5203b608a0b28f82a7fa42091d3f77",
+    ),
+    "li": (
+        "dc9359708f914a8aa90db27f7adf0d2b1522f7b39927f7a1bbc4ee535a8568b3",
+        "5e91f21bc4eecd85fbc278d6063f7e8fe0ebcb0f0342abf10abf1bfe74929d99",
+    ),
+    "rp": (
+        "cf614e0d960d1b06cddd11e472a1c091bfde70865db33822fc8c5411dc2cbac7",
+        "8c21e8bcd832ec38956246058568651ebe19ccb11906ec4fe1eff4e14a721a05",
+    ),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -98,3 +122,22 @@ def test_fanout_run_digests(policy):
         sha256(trace_bytes(result.rows)),
         sha256(summary.encode("utf-8")),
     ) == FANOUT_GOLDEN[policy]
+
+
+@pytest.mark.parametrize("policy", sorted(MIXED_LINK_GOLDEN))
+def test_mixed_client_link_digests(policy):
+    base = load_scenario("ring-tree")
+    workload = sorted(base.workload, key=lambda w: (w.router, w.lam))
+    scenario = dataclasses.replace(
+        base,
+        workload=tuple(
+            dataclasses.replace(w, client_link_us=link)
+            for w, link in zip(workload, MIXED_LINK_US, strict=True)
+        ),
+    )
+    result = run(scenario.with_overrides(policy_kind=PolicyKind(policy)))
+    summary = summarize(result.rows, result.snapshot).to_json()
+    assert (
+        sha256(trace_bytes(result.rows)),
+        sha256(summary.encode("utf-8")),
+    ) == MIXED_LINK_GOLDEN[policy]

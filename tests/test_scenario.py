@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 from edgedispatch.core import string_keys
+from edgedispatch.metrics import read_trace, summarize, write_trace
 from edgedispatch.policy import PolicyKind
 from edgedispatch.scenario import (
     InvalidScenario,
@@ -275,6 +276,43 @@ def test_integer_yaml_keys_accepted(tmp_path):
     s = load_scenario(path)
     assert s.computers[0].service_us == {0: 5000}
     assert s.routers[0].links_us == {0: 1000}
+
+
+def as_floats(doc):
+    """A copy of a document with every integer field but the times written
+    as an integral float, which draft 7 accepts as an integer."""
+    doc = copy.deepcopy(doc)
+    doc["seed"] = float(doc["seed"])
+    for c in doc["computers"]:
+        c["id"], c["workers"] = float(c["id"]), float(c["workers"])
+    for r in doc["routers"]:
+        r["id"] = float(r["id"])
+        for l in r["lambdas"]:
+            l["id"] = float(l["id"])
+            l["destinations"] = [float(d) for d in l["destinations"]]
+    for w in doc["workload"]:
+        w["router"], w["lambda"] = float(w["router"]), float(w["lambda"])
+    for c in doc["congestion"]:
+        c["router"], c["computer"] = float(c["router"]), float(c["computer"])
+    return doc
+
+
+def test_integral_floats_load_as_integers(tmp_path):
+    doc = tiny_doc(
+        duration_ms=300,
+        seed=7,
+        congestion=[{"router": 0, "computer": 0, "start_ms": 150, "end_ms": 250}],
+    )
+    outputs = []
+    for name, variant in (("ints", doc), ("floats", as_floats(doc))):
+        result = run(scenario_from_mapping(variant))
+        path = tmp_path / f"{name}.csv"
+        write_trace(path, result.rows)
+        rows = read_trace(path)
+        assert rows == [dataclasses.replace(r, dispatch_us=None, reason=None) for r in result.rows]
+        outputs.append((path.read_bytes(), summarize(rows, result.snapshot).to_json()))
+    assert outputs[0] == outputs[1]
+    assert b"0.0" not in outputs[1][0]
 
 
 def test_units_converted_to_microseconds():

@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgedispatch import simnet
 from edgedispatch.core import RequestRecord
 from edgedispatch.metrics import summarize, trace_bytes
+from edgedispatch.policy import PolicyState
 from edgedispatch.scenario import ComputerSpec, load_scenario, scenario_from_mapping
 from edgedispatch.simnet import (
     TraceRow,
@@ -17,7 +20,7 @@ from edgedispatch.simnet import (
     service_time,
 )
 
-from helpers import tiny_doc, tiny_scenario
+from helpers import scenario_docs, tiny_doc, tiny_scenario
 
 
 def take(it, n):
@@ -276,6 +279,95 @@ def test_blackout_delays_dispatch_until_cleared():
     assert row.dispatch_us == 80_000  # clear and retry share the microsecond
     assert row.queue_us == 30_000
     assert row.latency_us == 2000 + 30_000 + 5000
+
+
+def test_an_arrival_sees_a_toggle_at_its_microsecond():
+    # toggles run before arrivals: a window opening as the request arrives
+    # blocks it, and one closing then lets it through
+    blocked = tiny_scenario(
+        policy={"kind": "li", "retry_ms": 10},
+        congestion=[{"router": 0, "computer": 0, "start_ms": 100, "end_ms": 120}],
+    )
+    (row,) = run(blocked).completed
+    assert (row.issued_us, row.dispatch_us) == (100_000, 120_000)
+    cleared = tiny_scenario(
+        policy={"kind": "li", "retry_ms": 10},
+        congestion=[{"router": 0, "computer": 0, "start_ms": 50, "end_ms": 100}],
+    )
+    (row,) = run(cleared).completed
+    assert row.dispatch_us == 100_000
+
+
+def test_arrivals_landing_together_go_in_seq_order():
+    # lambda 1 (the later workload) is issued at 95 ms over a 5 ms client
+    # link, lambda 0 at 100 ms over none: both reach the router at 100 ms,
+    # and the earlier issue (seq 0) takes the only worker
+    doc = tiny_doc(duration_ms=101)
+    doc["computers"][0]["service_ms"] = {0: 5, 1: 5}
+    doc["routers"][0]["lambdas"] = [
+        {"id": 0, "destinations": [0]},
+        {"id": 1, "destinations": [0]},
+    ]
+    doc["workload"] = [
+        dict(doc["workload"][0], rate_per_s=10),
+        dict(doc["workload"][0], **{"lambda": 1, "rate_per_s": 1000 / 95, "client_link_ms": 5}),
+    ]
+    first, second = run(tiny_scenario(**doc)).rows
+    assert (first.seq, first.lam, first.issued_us) == (0, 1, 95_000)
+    assert (second.seq, second.lam, second.issued_us) == (1, 0, 100_000)
+    assert first.dispatch_us == second.dispatch_us == 100_000
+    assert (first.queue_us, second.queue_us) == (0, 5000)
+
+
+def test_an_arrival_runs_before_a_retry_at_its_microsecond():
+    # seq 0 meets a blackout at 100 ms and retries at 200 ms, when seq 1
+    # arrives: the arrival is dispatched first and takes the only worker
+    s = tiny_scenario(
+        duration_ms=250,
+        policy={"kind": "li", "retry_ms": 100},
+        congestion=[{"router": 0, "computer": 0, "start_ms": 100, "end_ms": 150}],
+    )
+    retried, arrived = run(s).rows
+    assert retried.dispatch_us == arrived.dispatch_us == 200_000
+    assert arrived.queue_us == 0
+    assert retried.queue_us == 100_000 + 5000
+
+
+class MonotonePolicy(PolicyState):
+    """``PolicyState`` that fails when simulated time runs backwards: every
+    ``now`` passed to any instance must be at least the one before it."""
+
+    last_now = 0
+
+    def _see(self, now):
+        assert now >= MonotonePolicy.last_now, (now, MonotonePolicy.last_now)
+        MonotonePolicy.last_now = now
+
+    def select(self, now):
+        self._see(now)
+        return super().select(now)
+
+    def on_response(self, dest, measured_us, now):
+        self._see(now)
+        return super().on_response(dest, measured_us, now)
+
+    def sync_congestion(self, dest, congested, now):
+        self._see(now)
+        return super().sync_congestion(dest, congested, now)
+
+
+@settings(max_examples=200)
+@given(doc=scenario_docs())
+def test_simulated_time_never_runs_backwards(doc):
+    MonotonePolicy.last_now = 0
+    with mock.patch.object(simnet, "PolicyState", MonotonePolicy):
+        sim = simnet._Sim(scenario_from_mapping(doc))
+    # the patch took: every policy in the run checks its clock
+    assert all(
+        type(p) is MonotonePolicy for r in sim.routers.values() for p in r.policies.values()
+    )
+    result = sim.run()
+    assert len(result.completed) + len(result.unserved) == result.arrivals
 
 
 def test_request_unserved_when_no_destination_before_the_end():
