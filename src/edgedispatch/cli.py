@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .core import from_ms, string_keys, to_ms
-from .fairness import DEFAULT_SEED, all_suites, schedule_table
+from .fairness import DEFAULT_SEED, SCHEDULE_WEIGHTS_US, all_suites, schedule_table
 from .metrics import fairness_ratios, group_weights, summarize, write_trace
 from .policy import PolicyKind
 from .scenario import InvalidScenario, builtin_names, load_scenario
@@ -147,7 +147,6 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_replay_table(args) -> int:
     rows, counts = schedule_table()
-    weights = {1: 2, 2: 3, 3: 4}
     print("step  destination  deficits (ms)")
     for row in rows:
         deficits = ", ".join(
@@ -156,7 +155,8 @@ def _cmd_replay_table(args) -> int:
         print(f"{row.step:>4}  {row.destination:>11}  {deficits}")
     picks = ", ".join(f"{d} x{counts[d]}" for d in sorted(counts))
     print(f"selections after {len(rows)} steps: {picks}")
-    print(f"weights (ms): " + ", ".join(f"{d}: {w}" for d, w in weights.items()))
+    weights = ", ".join(f"{d}: {to_ms(w):g}" for d, w in SCHEDULE_WEIGHTS_US.items())
+    print(f"weights (ms): {weights}")
     return 0
 
 

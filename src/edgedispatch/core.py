@@ -1,4 +1,4 @@
-"""Shared vocabulary: fixed-point time, weights, request records.
+"""Shared vocabulary: fixed-point time, weights, JSON-shaped keys.
 
 Every duration in this package is an integer number of microseconds.
 Configuration surfaces speak milliseconds for readability and convert once
@@ -8,8 +8,6 @@ meaningful.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 US_PER_MS = 1000
 
@@ -80,54 +78,3 @@ INFINITE = _InfiniteWeight()
 # A weight is either a finite latency estimate in microseconds or INFINITE.
 Weight = int | _InfiniteWeight
 
-
-def check_delays(
-    issued: int, completed: int, transfer: int, queue: int, processing: int
-) -> None:
-    """Raise ValueError unless every time and delay is non-negative and the
-    three delay components add up to the span from issue to completion.
-
-    The one rule behind ``RequestRecord`` and ``simnet.TraceRow``.
-    """
-    if issued < 0 or completed < 0 or transfer < 0 or queue < 0 or processing < 0:
-        raise ValueError(
-            "times and delays must be non-negative: "
-            f"issued {issued}, completed {completed}, transfer {transfer}, "
-            f"queue {queue}, processing {processing}"
-        )
-    span = completed - issued
-    parts = transfer + queue + processing
-    if span != parts:
-        raise ValueError(f"delay components sum to {parts}us but the record spans {span}us")
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """Outcome of one completed lambda invocation; all times in microseconds.
-
-    The three delay components always add up to the end-to-end span, which
-    is checked at construction so a record with a bookkeeping hole cannot
-    exist anywhere in the system.
-    """
-
-    lam: int
-    destination: int
-    issued_at: int
-    completed_at: int
-    transfer_delay: int
-    queue_delay: int
-    processing_delay: int
-
-    def __post_init__(self) -> None:
-        check_delays(
-            self.issued_at,
-            self.completed_at,
-            self.transfer_delay,
-            self.queue_delay,
-            self.processing_delay,
-        )
-
-    @property
-    def latency(self) -> int:
-        """End-to-end latency as seen by the client, in microseconds."""
-        return self.completed_at - self.issued_at

@@ -32,6 +32,9 @@ from .policy import PolicyKind, PolicyState
 
 DEFAULT_SEED = 20260822
 
+# The reference schedule's weights (``schedule_table``, ``replay-table``).
+SCHEDULE_WEIGHTS_US = {1: 2 * US_PER_MS, 2: 3 * US_PER_MS, 3: 4 * US_PER_MS}
+
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -197,11 +200,11 @@ class ScheduleStep:
     deficits_us: dict[int, int]
 
 
-def schedule_table(weights_us: dict[int, int] | None = None, steps: int | None = None):
+def schedule_table(
+    weights_us: dict[int, int] = SCHEDULE_WEIGHTS_US, steps: int | None = None
+):
     """The reference schedule: weights 2/3/4 ms, 13 steps, lowest id wins
     ties. Returns the per-step table plus final selection counts."""
-    if weights_us is None:
-        weights_us = {1: 2 * US_PER_MS, 2: 3 * US_PER_MS, 3: 4 * US_PER_MS}
     if steps is None:
         period = math.lcm(*weights_us.values())
         steps = sum(period // w for w in weights_us.values())

@@ -63,8 +63,7 @@ flags and never on ``PolicyKind``, whose members are slow to read on
 CPython 3.11: ``EnumType`` defines ``__getattr__`` there, so every
 ``PolicyKind.X`` goes through the generic attribute hook instead of the
 interpreter's cached class lookup, at about 145 ns against 15 ns for an
-instance flag (``timeit``, x86-64). A random-proportional draw used to make
-two such reads and a response one or two more. ``kind`` itself stays for
+instance flag (``timeit``, x86-64). ``kind`` itself stays for
 ``snapshot()``.
 """
 

@@ -26,11 +26,11 @@ from typing import Callable
 
 import yaml
 
-from .core import from_ms, string_keys, to_ms
+from .core import US_PER_MS, from_ms, string_keys, to_ms
 from .estimator import DEFAULT_ALPHA
 from .policy import DEFAULT_B_MIN_US, PolicyKind
 
-DEFAULT_RETRY_US = 50 * 1000
+DEFAULT_RETRY_US = 50 * US_PER_MS
 
 _BUILTINS = {"line": "line.yaml", "ring-tree": "ring_tree.yaml"}
 
@@ -338,8 +338,8 @@ def scenario_from_mapping(doc) -> Scenario:
     policy = PolicyConfig(
         kind=PolicyKind(policy_doc.get("kind", "rr")),
         alpha=float(policy_doc.get("alpha", DEFAULT_ALPHA)),
-        b_min_us=from_ms(policy_doc.get("b_min_ms", DEFAULT_B_MIN_US / 1000)),
-        retry_us=from_ms(policy_doc.get("retry_ms", DEFAULT_RETRY_US / 1000)),
+        b_min_us=from_ms(policy_doc.get("b_min_ms", to_ms(DEFAULT_B_MIN_US))),
+        retry_us=from_ms(policy_doc.get("retry_ms", to_ms(DEFAULT_RETRY_US))),
     )
     # Draft 7 takes an integral float such as 0.0 as an integer; int() keeps
     # it from reaching the trace as "0.0", which read_trace would refuse.

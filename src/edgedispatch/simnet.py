@@ -33,9 +33,9 @@ delivered to an idle one, or the moment a worker it queued for frees up.
 
 Each request ends as one ``TraceRow``, built once, positionally, when the
 request completes or is given up. A row is slotted and frozen, and checks
-its own delays with ``core.check_delays``: a row whose delays are negative
-or do not add up to its span cannot be built, here or when a trace is read
-back.
+its own delays: a completed row whose times or delays are negative, or
+whose delays do not add up to its span, cannot be built, here or when a
+trace is read back.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import check_delays
-from .core import RequestRecord  # noqa: F401 (unused; perfbench/run.py wraps simnet.RequestRecord)
 from .policy import NoEligibleDestination, PolicyState
 from .scenario import Scenario, ensure_valid
 
@@ -63,7 +61,8 @@ class TraceRow:
     unserved rows have destination -1 and no completion fields.
 
     A completed row must have non-negative times and delays whose sum is its
-    span (``core.check_delays``); construction raises ValueError otherwise.
+    span; construction raises ValueError otherwise. ``dispatch_us`` is the
+    one field outside the on-disk trace format.
     """
 
     seq: int
@@ -77,25 +76,34 @@ class TraceRow:
     processing_us: int | None
     is_probe: bool
     policy: str
-    # Not part of the on-disk trace format:
     dispatch_us: int | None = None
-    reason: str | None = None
 
     def __post_init__(self) -> None:
-        if self.completed_us is not None:
-            check_delays(
-                self.issued_us,
-                self.completed_us,
-                self.transfer_us,
-                self.queue_us,
-                self.processing_us,
+        completed = self.completed_us
+        if completed is None:
+            return
+        issued = self.issued_us
+        transfer, queue, processing = self.transfer_us, self.queue_us, self.processing_us
+        if issued < 0 or completed < 0 or transfer < 0 or queue < 0 or processing < 0:
+            raise ValueError(
+                "times and delays must be non-negative: "
+                f"issued {issued}, completed {completed}, transfer {transfer}, "
+                f"queue {queue}, processing {processing}"
             )
+        span = completed - issued
+        parts = transfer + queue + processing
+        if span != parts:
+            raise ValueError(f"delay components sum to {parts}us but the record spans {span}us")
 
     @property
     def latency_us(self) -> int | None:
         if self.completed_us is None:
             return None
         return self.completed_us - self.issued_us
+
+
+# The name perfbench/run.py wraps for its ``core.request_record`` layer.
+RequestRecord = TraceRow
 
 
 @dataclass(frozen=True)
@@ -318,7 +326,6 @@ class _Sim:
                     TraceRow(
                         req.seq, req.lam, req.router, -1, req.issued_us,
                         None, None, None, None, False, self.policy_label,
-                        None, "no-eligible-destination",
                     )
                 )
             else:

@@ -68,17 +68,21 @@ def check_same_state(ledger: DeficitLedger, oracle: NaiveLedger):
     """Every observable of the real ledger must match the oracle.
 
     Order counts: ``decode()`` runs by ``(deficit, id)``, and ``deltas()``
-    is each deficit less its predecessor's, the first less zero.
+    is each deficit less its predecessor's, the first less zero. The
+    oracle's order is sorted once, and all three expectations, ``pop_min()``
+    included, are read from it.
     """
-    ordered = sorted(oracle.decode().items(), key=lambda item: (item[1], item[0]))
-    assert list(ledger.decode().items()) == ordered
-    previous = [0] + [deficit for _, deficit in ordered]
-    assert ledger.deltas() == [
-        (dest, deficit - before) for (dest, deficit), before in zip(ordered, previous)
-    ]
-    assert len(ledger) == len(oracle)
-    if len(oracle):
-        assert ledger.pop_min() == oracle.pop_min()
+    ordered = sorted((deficit, dest) for dest, deficit in oracle.deficits.items())
+    assert list(ledger.decode().items()) == [(dest, deficit) for deficit, dest in ordered]
+    before = 0
+    deltas = []
+    for deficit, dest in ordered:
+        deltas.append((dest, deficit - before))
+        before = deficit
+    assert ledger.deltas() == deltas
+    assert len(ledger) == len(ordered)
+    if ordered:
+        assert ledger.pop_min() == ordered[0][1]
 
 
 class NaivePolicy(PolicyState):

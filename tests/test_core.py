@@ -5,7 +5,6 @@ import pytest
 from edgedispatch.core import (
     INFINITE,
     US_PER_MS,
-    RequestRecord,
     _InfiniteWeight,
     from_ms,
     to_ms,
@@ -58,39 +57,3 @@ def test_infinite_rejects_foreign_types():
     with pytest.raises(TypeError):
         INFINITE < "tall"
 
-
-def test_record_components_must_sum():
-    rec = RequestRecord(
-        lam=0,
-        destination=2,
-        issued_at=1000,
-        completed_at=8000,
-        transfer_delay=2000,
-        queue_delay=0,
-        processing_delay=5000,
-    )
-    assert rec.latency == 7000
-
-    with pytest.raises(ValueError):
-        RequestRecord(
-            lam=0,
-            destination=2,
-            issued_at=1000,
-            completed_at=8000,
-            transfer_delay=2000,
-            queue_delay=1,  # breaks the identity
-            processing_delay=5000,
-        )
-
-
-def test_record_rejects_negative_fields():
-    with pytest.raises(ValueError):
-        RequestRecord(
-            lam=0,
-            destination=0,
-            issued_at=0,
-            completed_at=-7,
-            transfer_delay=0,
-            queue_delay=0,
-            processing_delay=-7,
-        )

@@ -309,7 +309,7 @@ def test_integral_floats_load_as_integers(tmp_path):
         path = tmp_path / f"{name}.csv"
         write_trace(path, result.rows)
         rows = read_trace(path)
-        assert rows == [dataclasses.replace(r, dispatch_us=None, reason=None) for r in result.rows]
+        assert rows == [dataclasses.replace(r, dispatch_us=None) for r in result.rows]
         outputs.append((path.read_bytes(), summarize(rows, result.snapshot).to_json()))
     assert outputs[0] == outputs[1]
     assert b"0.0" not in outputs[1][0]
