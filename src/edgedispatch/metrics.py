@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .core import string_keys
-from .simnet import TraceRow
+from .simnet import TraceRow, _by_seq
 
 TRACE_COLUMNS = (
     "seq",
@@ -50,28 +50,16 @@ def trace_bytes(rows) -> bytes:
 
 
 def _write_trace_file(f, rows) -> None:
+    # csv writes None as an empty cell; is_probe goes out as 0 or 1.
     writer = csv.writer(f, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
-    for row in sorted(rows, key=lambda r: r.seq):
-        writer.writerow(
-            [
-                row.seq,
-                row.lam,
-                row.router,
-                row.destination,
-                row.issued_us,
-                _blank(row.completed_us),
-                _blank(row.transfer_us),
-                _blank(row.queue_us),
-                _blank(row.processing_us),
-                int(row.is_probe),
-                row.policy,
-            ]
+    writer.writerows(
+        (
+            r.seq, r.lam, r.router, r.destination, r.issued_us, r.completed_us,
+            r.transfer_us, r.queue_us, r.processing_us, int(r.is_probe), r.policy,
         )
-
-
-def _blank(value) -> object:
-    return "" if value is None else value
+        for r in sorted(rows, key=_by_seq)
+    )
 
 
 def read_trace(path) -> list[TraceRow]:

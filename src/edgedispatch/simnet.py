@@ -35,13 +35,17 @@ Each request ends as one ``TraceRow``, built once, positionally, when the
 request completes or is given up. A row is slotted and frozen, and checks
 its own delays: a completed row whose times or delays are negative, or
 whose delays do not add up to its span, cannot be built, here or when a
-trace is read back.
+trace is read back. Its ``__init__`` is written out (``init=False``): it
+checks the delays, then fills each slot through that slot's own setter,
+at about half the cost of the generated frozen ``__init__`` and its one
+``object.__setattr__`` per field (``TraceRow`` has the numbers).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -55,7 +59,7 @@ class UnknownLambda(KeyError):
     """A computer was asked to run a lambda it has no service time for."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceRow:
     """One request's outcome. Completed rows carry the full delay breakdown;
     unserved rows have destination -1 and no completion fields.
@@ -63,6 +67,17 @@ class TraceRow:
     A completed row must have non-negative times and delays whose sum is its
     span; construction raises ValueError otherwise. ``dispatch_us`` is the
     one field outside the on-disk trace format.
+
+    The ``__init__`` is written out (``init=False``), since a row is built
+    once per request and once per trace line read back. It checks the delays
+    on its arguments, then stores each field through its slot's member
+    descriptor (the ``_set_*`` names below the class), which the frozen
+    ``__setattr__`` does not intercept. ``timeit`` on a 2-vCPU x86-64
+    host, best of 7: 1.35-1.9 µs a row, against 2.3-4.4 µs for the
+    generated ``__init__`` (one ``object.__setattr__`` per field, then
+    ``__post_init__``) and 0.36 µs for a plain mutable slotted class.
+    ``dataclasses.replace``, ``pickle`` and ``copy`` keep working:
+    ``replace`` calls this ``__init__``, so it checks the delays too.
     """
 
     seq: int
@@ -78,22 +93,38 @@ class TraceRow:
     policy: str
     dispatch_us: int | None = None
 
-    def __post_init__(self) -> None:
-        completed = self.completed_us
-        if completed is None:
-            return
-        issued = self.issued_us
-        transfer, queue, processing = self.transfer_us, self.queue_us, self.processing_us
-        if issued < 0 or completed < 0 or transfer < 0 or queue < 0 or processing < 0:
-            raise ValueError(
-                "times and delays must be non-negative: "
-                f"issued {issued}, completed {completed}, transfer {transfer}, "
-                f"queue {queue}, processing {processing}"
-            )
-        span = completed - issued
-        parts = transfer + queue + processing
-        if span != parts:
-            raise ValueError(f"delay components sum to {parts}us but the record spans {span}us")
+    def __init__(
+        self, seq, lam, router, destination, issued_us, completed_us,
+        transfer_us, queue_us, processing_us, is_probe, policy, dispatch_us=None,
+    ) -> None:
+        if completed_us is not None:
+            if (
+                issued_us < 0 or completed_us < 0 or transfer_us < 0
+                or queue_us < 0 or processing_us < 0
+            ):
+                raise ValueError(
+                    "times and delays must be non-negative: "
+                    f"issued {issued_us}, completed {completed_us}, transfer {transfer_us}, "
+                    f"queue {queue_us}, processing {processing_us}"
+                )
+            span = completed_us - issued_us
+            parts = transfer_us + queue_us + processing_us
+            if span != parts:
+                raise ValueError(
+                    f"delay components sum to {parts}us but the record spans {span}us"
+                )
+        _set_seq(self, seq)
+        _set_lam(self, lam)
+        _set_router(self, router)
+        _set_destination(self, destination)
+        _set_issued_us(self, issued_us)
+        _set_completed_us(self, completed_us)
+        _set_transfer_us(self, transfer_us)
+        _set_queue_us(self, queue_us)
+        _set_processing_us(self, processing_us)
+        _set_is_probe(self, is_probe)
+        _set_policy(self, policy)
+        _set_dispatch_us(self, dispatch_us)
 
     @property
     def latency_us(self) -> int | None:
@@ -101,6 +132,16 @@ class TraceRow:
             return None
         return self.completed_us - self.issued_us
 
+
+# Each field's slot setter, in field order; TraceRow.__init__ calls them.
+(
+    _set_seq, _set_lam, _set_router, _set_destination, _set_issued_us, _set_completed_us,
+    _set_transfer_us, _set_queue_us, _set_processing_us, _set_is_probe, _set_policy,
+    _set_dispatch_us,
+) = (getattr(TraceRow, name).__set__ for name in TraceRow.__match_args__)
+
+# The sort key of rows in issue order.
+_by_seq = operator.attrgetter("seq")
 
 # The name perfbench/run.py wraps for its ``core.request_record`` layer.
 RequestRecord = TraceRow
@@ -134,7 +175,7 @@ class SimResult:
     @property
     def rows(self) -> list[TraceRow]:
         """All rows, in issue order."""
-        return sorted(self.completed + self.unserved, key=lambda r: r.seq)
+        return sorted(self.completed + self.unserved, key=_by_seq)
 
 
 def arrival_process(kind: str, rate_per_s: float, seed: int = 0) -> Iterator[int]:
@@ -430,8 +471,8 @@ class _Sim:
                     "responses_unmeasured": policy.responses_unmeasured,
                 }
             snapshot["routers"][rid] = {"lambdas": lambdas}
-        self.completed.sort(key=lambda r: r.seq)
-        self.unserved.sort(key=lambda r: r.seq)
+        self.completed.sort(key=_by_seq)
+        self.unserved.sort(key=_by_seq)
         return SimResult(
             scenario=self.s.name,
             policy=self.policy_label,

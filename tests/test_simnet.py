@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import inspect
 import itertools
+import pickle
 from unittest import mock
 
 import pytest
@@ -167,6 +170,76 @@ def test_trace_row_raises_exactly_when_the_delay_rule_fails(fields, balanced):
     times = (issued, completed, transfer, queue, processing)
     row_raises = _raises_value_error(trace_row, *times, lam, destination)
     assert row_raises == (min(times) < 0 or completed - issued != transfer + queue + processing)
+
+
+# TraceRow's __init__ is written out and fills each slot through its own
+# setter, so these tests hold it to the declared fields.
+
+_natural = st.integers(0, 10**9)
+
+
+@st.composite
+def row_args(draw):
+    """A TraceRow argument tuple that satisfies the delay rule: completed
+    with non-negative delays summing to the span, or unserved."""
+    seq, lam, router, destination = draw(st.tuples(*[st.integers(-1, 10**6)] * 4))
+    issued = draw(_natural)
+    if draw(st.booleans()):
+        transfer, queue, processing = draw(st.tuples(_natural, _natural, _natural))
+        completion = (issued + transfer + queue + processing, transfer, queue, processing)
+    else:
+        completion = (None, None, None, None)
+    tail = draw(st.tuples(st.booleans(), st.text(max_size=3), st.none() | _natural))
+    return (seq, lam, router, destination, issued, *completion, *tail)
+
+
+@settings(max_examples=200)
+@given(args=row_args())
+@example(args=(1, 2, 3, 4, 5, 66, 7, 8, 46, True, "rr", 9))
+@example(args=(1, 2, 3, -1, 5, None, None, None, None, False, "li", None))
+def test_trace_row_stores_every_argument_in_its_own_field(args):
+    row = TraceRow(*args)
+    assert dataclasses.astuple(row) == args
+    names = [f.name for f in dataclasses.fields(TraceRow)]
+    by_keyword = TraceRow(**dict(zip(names, args)))
+    assert by_keyword == row and hash(by_keyword) == hash(row)
+    for twin in (pickle.loads(pickle.dumps(row)), copy.copy(row)):
+        assert dataclasses.astuple(twin) == args
+        assert twin == row and hash(twin) == hash(row)
+
+
+def test_trace_row_signature_lists_the_fields_in_order():
+    params = inspect.signature(TraceRow).parameters
+    fields = dataclasses.fields(TraceRow)
+    assert list(params) == [f.name for f in fields]
+    assert [p.default for p in params.values()] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        for f in fields
+    ]
+    assert params["dispatch_us"].default is None
+
+
+def test_replace_checks_the_delay_rule():
+    row = trace_row(1000, 8000, 2000, 0, 5000)
+    with pytest.raises(ValueError, match="sum to"):
+        dataclasses.replace(row, queue_us=row.queue_us + 1)
+
+
+def test_trace_row_init_is_the_written_one():
+    # A generated __init__ (init=True) is compiled from source text, so its
+    # file is "<string>"; it would set every field with object.__setattr__.
+    assert TraceRow.__init__.__code__.co_filename == simnet.__file__
+    assert not TraceRow.__dataclass_params__.init
+
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Generated:
+        seq: int
+
+    assert Generated.__init__.__code__.co_filename == "<string>"
+
+
+def test_request_record_names_trace_row():
+    assert simnet.RequestRecord is TraceRow
 
 
 def test_single_request_delay_breakdown():
