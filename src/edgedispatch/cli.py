@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -82,6 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.duration_ms is not None and not math.isfinite(args.duration_ms):
+        raise InvalidScenario([f"--duration-ms: {args.duration_ms!r} is not a finite number"])
     scenario = load_scenario(args.scenario)
     scenario = scenario.with_overrides(
         policy_kind=PolicyKind(args.policy) if args.policy else None,

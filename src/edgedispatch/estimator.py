@@ -76,8 +76,10 @@ class WeightTable:
         """Fold one measured latency into the estimate, return the new value."""
         if sample_us < 0:
             raise ValueError("latency sample must be non-negative")
-        entry = self._entry(dest)
-        if entry.congested:
+        entry = self._entries.get(dest)
+        if entry is None:
+            entry = self._entries[dest] = _Entry()
+        elif entry.congested:
             raise ObservationWhileCongested(f"destination {dest} is marked congested")
         sample = max(int(sample_us), 1)
         if entry.value is None:

@@ -32,6 +32,10 @@ TRACE_COLUMNS = (
 )
 
 
+# The probe cell as write_trace writes it; any other text is refused.
+_PROBE_FLAG = {"0": False, "1": True}
+
+
 class EmptyTrace(Exception):
     """Summary requested for a trace with no rows at all."""
 
@@ -66,8 +70,10 @@ def read_trace(path) -> list[TraceRow]:
     """Parse a trace file back into rows.
 
     Each line is parsed once: a fully filled line in one ``map(int, ...)``,
-    whose row then checks its own delays (``TraceRow``); an unserved line
-    must have destination -1 and all four completion cells blank.
+    whose row then checks its own delays (``TraceRow``) and must name a
+    computer; an unserved line must have destination -1 and all four
+    completion cells blank. The probe cell must be ``0`` or ``1``, so a
+    trace read back writes out the same bytes.
     """
     rows: list[TraceRow] = []
     append = rows.append
@@ -80,9 +86,15 @@ def read_trace(path) -> list[TraceRow]:
         for cells in reader:
             if len(cells) != width:
                 raise ValueError(f"trace row has {len(cells)} cells: {cells}")
+            is_probe = _PROBE_FLAG.get(cells[9])
+            if is_probe is None:
+                raise ValueError(f"trace row has probe flag {cells[9]!r}, not 0 or 1: {cells}")
             blanks = cells[5:9].count("")
             if not blanks:
-                append(TraceRow(*map(int, cells[:9]), bool(int(cells[9])), cells[10]))
+                row = TraceRow(*map(int, cells[:9]), is_probe, cells[10])
+                if row.destination < 0:
+                    raise ValueError(f"completed trace row has no destination: {cells}")
+                append(row)
                 continue
             seq, lam, router, destination, issued = map(int, cells[:5])
             if blanks < 4 or destination != -1:
@@ -90,7 +102,7 @@ def read_trace(path) -> list[TraceRow]:
             append(
                 TraceRow(
                     seq, lam, router, -1, issued,
-                    None, None, None, None, bool(int(cells[9])), cells[10],
+                    None, None, None, None, is_probe, cells[10],
                 )
             )
     return rows

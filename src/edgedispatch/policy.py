@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import INFINITE, US_PER_MS
-from .estimator import DEFAULT_ALPHA, WeightTable
+from .estimator import DEFAULT_ALPHA, ObservationWhileCongested, WeightTable
 from .ledger import DeficitLedger, SortedKeys, UnknownDestination
 
 DEFAULT_B_MIN_US = 100 * US_PER_MS
@@ -240,16 +240,20 @@ class PolicyState:
 
         A response from a destination marked congested while the request was
         in flight still reaches the client, but its measurement is discarded
-        and only counted in ``responses_unmeasured``.
+        and only counted in ``responses_unmeasured``. The table says so as it
+        refuses the sample, so a response looks its entry up once. Round-robin
+        asks only when the destination is neither probing nor active: a mark
+        evicts it and drops its probe, and nothing re-files a congested one.
         """
         if dest not in self._outcome_of:
             raise UnknownDestination(f"destination {dest} is not managed here")
         table = self.table
-        if table.is_congested(dest):
-            self.responses_unmeasured += 1
-            return
         if not self._rr:
-            weight = table.observe(dest, measured_us)
+            try:
+                weight = table.observe(dest, measured_us)
+            except ObservationWhileCongested:
+                self.responses_unmeasured += 1
+                return
             if self._unmeasured:
                 _discard(self._unmeasured, dest)
             if self._li:
@@ -279,9 +283,12 @@ class PolicyState:
                 self._weights.discard(dest)
                 self.eligible_at[dest] = now + self.backoff[dest]
                 self._refresh(dest, now)
+        elif table.is_congested(dest):
+            self.responses_unmeasured += 1
         else:
             # Response for a destination evicted (or de-probed by a congestion
-            # signal) while the request was in flight: stale, keep the count.
+            # signal that has since cleared) while the request was in flight:
+            # stale, keep the count.
             self.stale_responses += 1
 
     def _min_active_weight(self) -> int | float:

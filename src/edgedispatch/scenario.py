@@ -6,7 +6,9 @@ non-empty destination sets). ``schemas/scenario.schema.json`` is the one
 statement of the shape. It is checked by a small interpreter of the JSON
 Schema draft 7 keywords that file uses, with draft 7's semantics and
 jsonschema's messages; a keyword outside that subset is refused when the
-schema is compiled, so none is silently ignored. Two ready-made scenarios
+schema is compiled, so none is silently ignored. Infinite and NaN numbers,
+which draft 7 lets through, are refused by path alongside the schema's
+findings, before any unit conversion. Two ready-made scenarios
 ship with the package and can be addressed by name wherever a path is
 accepted.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import numbers
 import operator
 import re
@@ -312,6 +315,20 @@ def compile_schema(schema: dict) -> Callable[[object], list[tuple[tuple, str]]]:
     return errors
 
 
+def _non_finite(value, path: tuple = ()) -> list[tuple[tuple, str]]:
+    """(path, message) for each infinite or NaN float in a document. Draft 7
+    has no word for them, and no bound refuses NaN, so this pass does."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [(path, f"{value!r} is not a finite number")]
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [found for key, item in items for found in _non_finite(item, path + (key,))]
+
+
 @functools.cache
 def _scenario_errors() -> Callable[[object], list[tuple[tuple, str]]]:
     """The scenario schema, read and compiled once per process."""
@@ -326,7 +343,7 @@ def scenario_from_mapping(doc) -> Scenario:
     # YAML happily parses {0: 5} with an integer key; JSON schema only talks
     # about string properties, so keys are normalized before validation.
     doc = string_keys(doc)
-    schema_errors = sorted(_scenario_errors()(doc), key=lambda e: e[0])
+    schema_errors = sorted(_scenario_errors()(doc) + _non_finite(doc), key=lambda e: e[0])
     if schema_errors:
         problems = []
         for path, message in schema_errors[:10]:
@@ -401,6 +418,12 @@ def semantic_problems(s: Scenario) -> list[str]:
     problems: list[str] = []
     if s.duration_us <= 0:
         problems.append("duration_ms: must be positive")
+    # Written so that NaN fails too: every comparison with it is false.
+    if not 0 <= s.policy.alpha <= 1:
+        problems.append(f"policy.alpha: must be in [0, 1], got {s.policy.alpha!r}")
+    for c in s.computers:
+        if not 0 <= c.beta < math.inf:
+            problems.append(f"computer {c.id}: beta must be finite and non-negative, got {c.beta!r}")
     # The schema checks milliseconds; a positive value can still round to
     # 0 us, and a zero retry, backoff or service time never advances time.
     durations = [
@@ -458,9 +481,10 @@ def semantic_problems(s: Scenario) -> list[str]:
             problems.append(
                 f"workload: router {w.router} does not serve lambda {w.lam}"
             )
-        if w.rate_per_s <= 0:
+        if not 0 < w.rate_per_s < math.inf:
             problems.append(
-                f"workload router {w.router} lambda {w.lam}: rate must be positive"
+                f"workload router {w.router} lambda {w.lam}: rate must be positive "
+                f"and finite, got {w.rate_per_s!r}"
             )
     for c in s.congestion:
         if c.router not in set(router_ids):

@@ -1,6 +1,9 @@
-"""Shared test helpers: naive ledger and policy oracles, scenario builders."""
+"""Shared test helpers: naive ledger, policy and simulator oracles, scenario
+builders."""
 
 import random
+from collections import deque
+from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from edgedispatch.policy import (
     SelectionOutcome,
 )
 from edgedispatch.scenario import scenario_from_mapping
+from edgedispatch.simnet import TraceRow
 
 
 class NaiveLedger:
@@ -156,6 +160,190 @@ class NaivePolicy(PolicyState):
         return min(self.table.get(d) for d in active)
 
 
+@dataclass
+class ReferenceResult:
+    """What ``reference_run`` reports: the rows in issue order, the final
+    snapshot as ``summarize`` takes it, the issue count, one
+    ``(at_us, router, computer, congested, weights_us)`` per toggle, the
+    retries scheduled, and the selections ``NaivePolicy`` made."""
+
+    rows: list
+    snapshot: dict
+    arrivals: int
+    congestion_log: list
+    retries: int
+    naive_selections: int
+
+
+def reference_run(scenario):
+    """Simulate ``scenario`` the plain way, as the ``simnet`` module
+    docstring and the README state the rules; an oracle for ``simnet.run``.
+
+    Every pending event is a ``(time, class, n)`` key with its action:
+    class 0 toggles, ``n`` their place in window order (windows by start,
+    router, computer; mark ``2i``, clear ``2i + 1``); class 1 arrivals,
+    ``n`` the request's ``seq``; class 2 everything pushed while the run
+    goes (deliveries, service ends, responses, retries), ``n`` their push
+    order. The next event is the ``min`` key. Every arrival is filed before
+    the run starts and waits for its turn like any other event; the
+    arrivals sit in their own list, sorted by the same key, only so that
+    ``min`` need not scan all of them. Issue times come straight from
+    ``Random.expovariate`` or ``k / rate``, dispatch from ``NaivePolicy``,
+    and a service takes ``base * (1 + beta * busy / workers)`` with
+    ``busy`` counting the request it starts. Only the scenario, the state
+    changes of ``PolicyState`` (through ``NaivePolicy``) and the row type
+    are shared with ``simnet``.
+
+    ``naive_selections`` in the result lets a caller check that the
+    ``NaivePolicy`` overrides made the selections.
+    """
+    s = scenario
+    label = s.policy.kind.value
+    master = random.Random(s.seed)
+    workloads = sorted(s.workload, key=lambda w: (w.router, w.lam))
+    arrival_seeds = [master.getrandbits(48) for _ in workloads]
+    policies = {}
+    for r in sorted(s.routers, key=lambda r: r.id):
+        for l in sorted(r.lambdas, key=lambda l: l.id):
+            policies[r.id, l.id] = NaivePolicy(
+                s.policy.kind,
+                list(l.destinations),
+                seed=master.getrandbits(48),
+                b_min_us=s.policy.b_min_us,
+                alpha=s.policy.alpha,
+            )
+    links = {r.id: dict(r.links_us) for r in s.routers}
+    computers = {
+        c.id: {"spec": c, "busy": 0, "queue": deque()} for c in s.computers
+    }
+
+    issues = []
+    for idx, (w, seed) in enumerate(zip(workloads, arrival_seeds)):
+        rng = random.Random(seed)
+        t = 0.0
+        k = 0
+        while True:
+            if w.process == "poisson":
+                t += rng.expovariate(w.rate_per_s / 1_000_000)
+                issued = round(t)
+            else:
+                k += 1
+                issued = round(k * (1_000_000 / w.rate_per_s))
+            if issued >= s.duration_us:
+                break
+            issues.append((issued, idx))
+    issues.sort()
+    arrivals = []
+    for seq, (issued, idx) in enumerate(issues):
+        w = workloads[idx]
+        req = {
+            "seq": seq, "lam": w.lam, "router": w.router, "issued": issued,
+            "client": w.client_link_us,
+        }
+        arrivals.append(((issued + w.client_link_us, 1, seq), "arrive", req))
+    arrivals.sort(reverse=True)
+
+    pending = []
+    windows = sorted(s.congestion, key=lambda w: (w.start_us, w.router, w.computer))
+    for i, win in enumerate(windows):
+        pending.append(((win.start_us, 0, 2 * i), "toggle", (win.router, win.computer, True)))
+        pending.append(((win.end_us, 0, 2 * i + 1), "toggle", (win.router, win.computer, False)))
+    pushes = 0
+    rows = []
+    log = []
+    retries = 0
+
+    def push(at, action, payload):
+        nonlocal pushes
+        pending.append(((at, 2, pushes), action, payload))
+        pushes += 1
+
+    def start(now, comp, req):
+        comp["busy"] += 1
+        spec = comp["spec"]
+        base = spec.service_us[req["lam"]]
+        req["started"] = now
+        req["processing"] = round(base * (1 + spec.beta * comp["busy"] / spec.workers))
+        push(now + req["processing"], "finish", req)
+
+    while pending or arrivals:
+        event = min(pending + arrivals[-1:], key=lambda e: e[0])
+        if arrivals and event is arrivals[-1]:
+            arrivals.pop()
+        else:
+            pending.remove(event)
+        (now, _, _), action, req = event
+        if action == "toggle":
+            rid, dest, on = req
+            lams = sorted(lam for r, lam in policies if r == rid)
+            weights = tuple((lam, policies[rid, lam].sync_congestion(dest, on, now)) for lam in lams)
+            log.append((now, rid, dest, on, weights))
+        elif action == "arrive":
+            policy = policies[req["router"], req["lam"]]
+            try:
+                outcome = policy.select(now)
+            except NoEligibleDestination:
+                if now + s.policy.retry_us >= s.duration_us:
+                    rows.append(
+                        TraceRow(
+                            req["seq"], req["lam"], req["router"], -1, req["issued"],
+                            None, None, None, None, False, label,
+                        )
+                    )
+                else:
+                    retries += 1
+                    push(now + s.policy.retry_us, "arrive", req)
+                continue
+            req["dest"] = outcome.destination
+            req["probe"] = outcome.is_probe
+            req["dispatched"] = now
+            push(now + links[req["router"]][req["dest"]], "deliver", req)
+        elif action == "deliver":
+            comp = computers[req["dest"]]
+            req["delivered"] = now
+            if comp["busy"] < comp["spec"].workers:
+                start(now, comp, req)
+            else:
+                comp["queue"].append(req)
+        elif action == "finish":
+            comp = computers[req["dest"]]
+            comp["busy"] -= 1
+            push(now + links[req["router"]][req["dest"]], "respond", req)
+            if comp["queue"]:
+                start(now, comp, comp["queue"].popleft())
+        else:
+            dest = req["dest"]
+            policies[req["router"], req["lam"]].on_response(dest, now - req["dispatched"], now)
+            client = req["client"]
+            link = links[req["router"]][dest]
+            rows.append(
+                TraceRow(
+                    req["seq"], req["lam"], req["router"], dest, req["issued"],
+                    now + client, 2 * (client + link),
+                    (req["dispatched"] - req["issued"] - client) + (req["started"] - req["delivered"]),
+                    req["processing"], req["probe"], label,
+                )
+            )
+
+    snapshot = {"routers": {}}
+    for (rid, lam), policy in sorted(policies.items()):
+        lambdas = snapshot["routers"].setdefault(rid, {"lambdas": {}})["lambdas"]
+        lambdas[lam] = {
+            "weights": policy.table.snapshot(),
+            "policy": policy.snapshot(),
+            "responses_unmeasured": policy.responses_unmeasured,
+        }
+    rows.sort(key=lambda r: r.seq)
+    return ReferenceResult(
+        rows=rows,
+        snapshot=snapshot,
+        arrivals=len(issues),
+        congestion_log=log,
+        retries=retries,
+        naive_selections=sum(p.naive_selections for p in policies.values()),
+    )
+
+
 def naive_max_deviation(weights, counts):
     """Worst fairness deviation of one group from its full ratio matrix.
 
@@ -282,7 +470,9 @@ def scenario_docs(draw):
     lambda) pair may get a workload with a client link; at least one does.
     Each linked (router, computer) pair may get blackout windows, touching
     or separate, under which a 1-10 ms retry fires. Rates stay low, so a run
-    takes milliseconds.
+    takes milliseconds. About half the rates divide 1000, so deterministic
+    issues land on the whole milliseconds where links end and toggles fire,
+    and ties at one microsecond are common.
     """
     duration_ms = draw(st.integers(20, 200))
     computer_ids = list(range(draw(st.integers(1, 5))))
@@ -318,7 +508,9 @@ def scenario_docs(draw):
                         "router": rid,
                         "lambda": lam,
                         "process": draw(st.sampled_from(("poisson", "deterministic"))),
-                        "rate_per_s": draw(st.integers(5, 200)),
+                        "rate_per_s": draw(
+                            st.integers(5, 200) | st.sampled_from((8, 10, 20, 25, 40, 50, 100, 125, 200))
+                        ),
                         "client_link_ms": draw(st.integers(0, 2)),
                     }
                 )

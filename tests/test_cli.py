@@ -35,6 +35,40 @@ def test_validate_rejects_bad_scenario(tmp_path, capsys):
     assert "invalid scenario: router 0 lambda 0: empty destination set" in err
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("field", ["rate_per_s", "beta"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_numbers_exit_one(tmp_path, capsys, command, field, value):
+    # an infinite rate used to pass validate and never end a run; the
+    # others crashed mid-run converting to an integer, with exit code 2
+    doc = tiny_doc()
+    target = doc["workload"][0] if field == "rate_per_s" else doc["computers"][0]
+    target[field] = value
+    path = tmp_path / "nonfinite.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    args = [str(path)] if command == "validate" else [
+        "--scenario", str(path),
+        "--trace-out", str(tmp_path / "t.csv"),
+        "--summary-out", str(tmp_path / "s.json"),
+    ]
+    assert main([command, *args]) == 1
+    assert "is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan", "Infinity"])
+def test_run_rejects_a_non_finite_duration(tmp_path, capsys, duration):
+    code = main(
+        [
+            "run", "--scenario", "line", f"--duration-ms={duration}",
+            "--trace-out", str(tmp_path / "t.csv"),
+            "--summary-out", str(tmp_path / "s.json"),
+        ]
+    )
+    assert code == 1
+    assert "--duration-ms" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_validate_unknown_name(capsys):
     assert main(["validate", "does-not-exist"]) == 1
     err = capsys.readouterr().err

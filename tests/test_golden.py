@@ -19,6 +19,10 @@ ratio matrix from the summary file.
 A third set runs ``ring-tree`` with its three workloads' client links at 0,
 3 and 7 ms. The shipped scenarios all use a client link of 0, so only these
 digests see arrivals from workloads with different links land in one run.
+
+``helpers.reference_run``, a plain simulator written from the documented
+rules, must reproduce every pinned digest too, so a pinned digest is known
+to be the documented behaviour and not only the loop's own.
 """
 
 import dataclasses
@@ -31,7 +35,7 @@ from edgedispatch.policy import PolicyKind
 from edgedispatch.scenario import load_scenario, scenario_from_mapping
 from edgedispatch.simnet import run
 
-from helpers import fanout_doc
+from helpers import fanout_doc, reference_run
 
 GOLDEN = {
     ("line", "rr"): (
@@ -124,20 +128,51 @@ def test_fanout_run_digests(policy):
     ) == FANOUT_GOLDEN[policy]
 
 
-@pytest.mark.parametrize("policy", sorted(MIXED_LINK_GOLDEN))
-def test_mixed_client_link_digests(policy):
+def mixed_link_scenario():
     base = load_scenario("ring-tree")
     workload = sorted(base.workload, key=lambda w: (w.router, w.lam))
-    scenario = dataclasses.replace(
+    return dataclasses.replace(
         base,
         workload=tuple(
             dataclasses.replace(w, client_link_us=link)
             for w, link in zip(workload, MIXED_LINK_US, strict=True)
         ),
     )
-    result = run(scenario.with_overrides(policy_kind=PolicyKind(policy)))
+
+
+@pytest.mark.parametrize("policy", sorted(MIXED_LINK_GOLDEN))
+def test_mixed_client_link_digests(policy):
+    result = run(mixed_link_scenario().with_overrides(policy_kind=PolicyKind(policy)))
     summary = summarize(result.rows, result.snapshot).to_json()
     assert (
         sha256(trace_bytes(result.rows)),
         sha256(summary.encode("utf-8")),
     ) == MIXED_LINK_GOLDEN[policy]
+
+
+ALL_GOLDEN = (
+    [(load_scenario, name, policy, digests) for (name, policy), digests in sorted(GOLDEN.items())]
+    + [
+        (lambda _: scenario_from_mapping(fanout_doc(7)), "fanout", policy, digests)
+        for policy, digests in sorted(FANOUT_GOLDEN.items())
+    ]
+    + [
+        (lambda _: mixed_link_scenario(), "mixed-link", policy, digests)
+        for policy, digests in sorted(MIXED_LINK_GOLDEN.items())
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "build, name, policy, digests",
+    ALL_GOLDEN,
+    ids=[f"{name}-{policy}" for _, name, policy, _ in ALL_GOLDEN],
+)
+def test_reference_simulator_reproduces_the_golden_digests(build, name, policy, digests):
+    reference = reference_run(build(name).with_overrides(policy_kind=PolicyKind(policy)))
+    assert reference.naive_selections > 0
+    summary = summarize(reference.rows, reference.snapshot).to_json()
+    assert (
+        sha256(trace_bytes(reference.rows)),
+        sha256(summary.encode("utf-8")),
+    ) == digests

@@ -354,6 +354,28 @@ def test_read_trace_rejects_rows_that_break_the_delay_rule(tmp_path, row):
         read_trace(path)
 
 
+@pytest.mark.parametrize("flag", ["2", "-7", "True", "", " 1", "01"])
+@pytest.mark.parametrize("line", ["0,0,0,3,10,30,10,5,5,{},rr", "0,0,0,-1,10,,,,,{},rr"])
+def test_read_trace_rejects_a_probe_flag_other_than_0_or_1(tmp_path, line, flag):
+    # bool(int("2")) would read True and write back "1": no round trip
+    path = tmp_path / "bad.csv"
+    row = line.format(flag)
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="probe flag") as info:
+        read_trace(path)
+    assert row.split(",")[4] in str(info.value)
+
+
+@pytest.mark.parametrize("destination", ["-1", "-5"])
+def test_read_trace_rejects_a_completed_row_without_a_computer(tmp_path, destination):
+    path = tmp_path / "bad.csv"
+    row = f"0,0,0,{destination},10,30,10,5,5,0,rr"
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no destination") as info:
+        read_trace(path)
+    assert destination in str(info.value)
+
+
 def test_read_trace_keeps_probe_flags_and_blanks(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(

@@ -165,6 +165,60 @@ def test_nonpositive_rate():
     assert any("rate must be positive" in p for p in semantic_problems(broken))
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("workload", 0, "rate_per_s"),
+        ("computers", 0, "beta"),
+        ("policy", "alpha"),
+        ("duration_ms",),
+        ("computers", 0, "service_ms", 0),
+        ("routers", 0, "links_ms", 0),
+        ("workload", 0, "client_link_ms"),
+        ("policy", "retry_ms"),
+        ("policy", "b_min_ms"),
+    ],
+    ids=lambda path: "/".join(map(str, path)),
+)
+def test_non_finite_numbers_are_named_by_path(path, value):
+    # An infinite rate never lets an issue reach the duration, and a
+    # non-finite beta or millisecond value cannot become an integer.
+    doc = tiny_doc()
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    where = "/".join(map(str, path))
+    assert f"{where}: {value!r} is not a finite number" in info.value.problems
+
+
+@pytest.mark.parametrize(
+    "part, field, value, words",
+    [
+        ("workload", "rate_per_s", float("inf"), "rate must be positive and finite"),
+        ("workload", "rate_per_s", float("nan"), "rate must be positive and finite"),
+        ("computers", "beta", float("inf"), "beta must be finite and non-negative"),
+        ("computers", "beta", float("nan"), "beta must be finite and non-negative"),
+        ("computers", "beta", -0.5, "beta must be finite and non-negative"),
+        ("policy", "alpha", float("nan"), "policy.alpha: must be in [0, 1]"),
+    ],
+)
+def test_semantic_pass_rejects_non_finite_values_built_in_code(part, field, value, words):
+    s = tiny_scenario()
+    if part == "policy":
+        scenario = dataclasses.replace(s, policy=dataclasses.replace(s.policy, **{field: value}))
+    else:
+        (item,) = getattr(s, part)
+        scenario = dataclasses.replace(s, **{part: (dataclasses.replace(item, **{field: value}),)})
+    assert any(words in p for p in semantic_problems(scenario))
+    with pytest.raises(InvalidScenario):
+        run(scenario)
+
+
 def test_retry_rounding_to_zero_us_rejected():
     # with the only destination blacked out, a 0 us retry would re-queue
     # at the same microsecond forever

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import itertools
 import pickle
+import random
 from unittest import mock
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from edgedispatch import simnet
 from edgedispatch.metrics import summarize, trace_bytes
-from edgedispatch.policy import PolicyState
+from edgedispatch.policy import PolicyKind, PolicyState
 from edgedispatch.scenario import ComputerSpec, load_scenario, scenario_from_mapping
 from edgedispatch.simnet import (
     TraceRow,
@@ -22,7 +23,7 @@ from edgedispatch.simnet import (
     service_time,
 )
 
-from helpers import scenario_docs, tiny_doc, tiny_scenario
+from helpers import reference_run, scenario_docs, tiny_doc, tiny_scenario
 
 
 def take(it, n):
@@ -48,6 +49,21 @@ def test_poisson_seed_reproducible():
     c = take(arrival_process("poisson", 500, seed=4), 100)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("rate_per_s", [0.5, 120, 640, 12_345.678, 2e6])
+@pytest.mark.parametrize("seed", [0, 7, 2**48 - 1])
+def test_poisson_gaps_are_expovariate_draws(rate_per_s, seed):
+    # the stream inlines Random.expovariate's formula; it must not drift
+    # from the method's floats, or every Poisson trace would move
+    rng = random.Random(seed)
+    rate_per_us = rate_per_s / 1_000_000
+    t = 0.0
+    expected = []
+    for _ in range(10_000):
+        t += rng.expovariate(rate_per_us)
+        expected.append(round(t))
+    assert take(arrival_process("poisson", rate_per_s, seed), 10_000) == expected
 
 
 def test_arrival_process_validation():
@@ -450,6 +466,70 @@ def test_simulated_time_never_runs_backwards(doc):
     )
     result = sim.run()
     assert len(result.completed) + len(result.unserved) == result.arrivals
+
+
+def assert_matches_reference(scenario):
+    """The loop and ``helpers.reference_run`` agree on every byte of the
+    trace and the summary, on the arrivals and on the congestion log."""
+    result = run(scenario)
+    reference = reference_run(scenario)
+    assert result.arrivals == reference.arrivals
+    assert trace_bytes(result.rows) == trace_bytes(reference.rows)
+    assert [
+        (e.at_us, e.router, e.computer, e.congested, e.weights_us) for e in result.congestion_log
+    ] == reference.congestion_log
+    if reference.rows:
+        assert reference.naive_selections > 0
+        assert (
+            summarize(result.rows, result.snapshot).to_json()
+            == summarize(reference.rows, reference.snapshot).to_json()
+        )
+    else:
+        assert result.snapshot == reference.snapshot
+    return reference
+
+
+# Two workloads with client links of 0 and 2 ms land at the same
+# microseconds, some on the marks and clears of touching windows, some with
+# nothing else there, while a 1 ms retry fires under the blackouts.
+TIED_DOC = tiny_doc(
+    duration_ms=120,
+    policy={"kind": "rr", "retry_ms": 1, "b_min_ms": 2},
+    computers=[
+        {"id": 0, "workers": 1, "beta": 0.5, "service_ms": {0: 3}},
+        {"id": 1, "workers": 2, "beta": 0.0, "service_ms": {0: 4}},
+    ],
+    routers=[
+        {"id": 0, "links_ms": {0: 0, 1: 1}, "lambdas": [{"id": 0, "destinations": [0, 1]}]},
+        {"id": 1, "links_ms": {0: 1}, "lambdas": [{"id": 0, "destinations": [0]}]},
+    ],
+    workload=[
+        {"router": 0, "lambda": 0, "process": "deterministic", "rate_per_s": 200, "client_link_ms": 0},
+        {"router": 1, "lambda": 0, "process": "deterministic", "rate_per_s": 250, "client_link_ms": 2},
+    ],
+    congestion=[
+        {"router": 0, "computer": 0, "start_ms": 10, "end_ms": 30},
+        {"router": 0, "computer": 1, "start_ms": 20, "end_ms": 30},
+        {"router": 0, "computer": 1, "start_ms": 30, "end_ms": 50},
+        {"router": 1, "computer": 0, "start_ms": 30, "end_ms": 60},
+    ],
+)
+
+
+@pytest.mark.parametrize("policy", ["rr", "li", "rp"])
+def test_ties_and_retries_match_the_reference(policy):
+    scenario = scenario_from_mapping(TIED_DOC).with_overrides(policy_kind=PolicyKind(policy))
+    reference = assert_matches_reference(scenario)
+    assert reference.retries > 0
+    assert reference.congestion_log
+
+
+@settings(max_examples=150)
+@given(doc=scenario_docs())
+def test_the_loop_matches_the_reference_simulator(doc):
+    scenario = scenario_from_mapping(doc)
+    for kind in PolicyKind:
+        assert_matches_reference(scenario.with_overrides(policy_kind=kind))
 
 
 def test_request_unserved_when_no_destination_before_the_end():
