@@ -1,20 +1,26 @@
 """Trace files and run summaries.
 
-The trace is a CSV with one row per issued request; unserved requests keep
-their row with destination -1 and empty completion columns. A summary is a
-pure function of the trace rows plus the final weight/policy snapshot, so
-re-summarizing a written trace reproduces the summary file byte for byte.
+The trace is a comma-separated file with one line per issued request, in
+issue order; an unserved request keeps its line with destination -1 and
+empty completion cells. Its format is fixed: a header of the 11 column
+names, then lines of 11 cells ending in ``\\n``, nine integers, a probe flag
+``0`` or ``1`` and a policy name. No cell ever needs quoting, so the module
+writes the lines with one ``%`` template and reads them by splitting bytes,
+with no csv dialect: what ``write_trace`` writes, ``read_trace`` reads back
+to equal rows, and a quoted cell, a carriage return, a non-ASCII character
+or an unknown policy is refused. A summary is a pure function of the trace
+rows plus the final weight/policy snapshot, so re-summarizing a written
+trace reproduces the summary file byte for byte.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
 
 from .core import string_keys
+from .policy import PolicyKind
 from .simnet import TraceRow, _by_seq
 
 TRACE_COLUMNS = (
@@ -31,9 +37,14 @@ TRACE_COLUMNS = (
     "policy",
 )
 
-
-# The probe cell as write_trace writes it; any other text is refused.
-_PROBE_FLAG = {"0": False, "1": True}
+_HEADER = ",".join(TRACE_COLUMNS)
+_LINE = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d,%s\n"
+# The probe and policy cells as the writer writes them; any other bytes are
+# refused. A policy cell reads back as its kind's one (interned) string.
+_PROBE_FLAG = {b"0": False, b"1": True}
+_POLICY_NAMES = frozenset(kind.value for kind in PolicyKind)
+_POLICY_CELL = {name.encode(): name for name in _POLICY_NAMES}
+_NOT_A_POLICY = "not one of " + ", ".join(sorted(_POLICY_NAMES))
 
 
 class EmptyTrace(Exception):
@@ -42,70 +53,108 @@ class EmptyTrace(Exception):
 
 def write_trace(path, rows) -> None:
     """Write rows (completed and unserved alike) in issue order."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        _write_trace_file(f, rows)
+    data = trace_bytes(rows)
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def trace_bytes(rows) -> bytes:
-    """The exact bytes write_trace would produce, for hashing/comparison."""
-    buf = io.StringIO(newline="")
-    _write_trace_file(buf, rows)
-    return buf.getvalue().encode("utf-8")
+    """The exact bytes write_trace writes, for hashing/comparison.
 
-
-def _write_trace_file(f, rows) -> None:
-    # csv writes None as an empty cell; is_probe goes out as 0 or 1.
-    writer = csv.writer(f, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    writer.writerows(
-        (
+    A None becomes an empty cell and any other value its ``str()``;
+    ``is_probe`` is written with ``%d``, as 0 or 1. A row whose policy is
+    not a policy kind's name raises ValueError: ``read_trace`` refuses it.
+    """
+    lines = [_HEADER, "\n"]
+    append = lines.append
+    for r in sorted(rows, key=_by_seq):
+        cells = (
             r.seq, r.lam, r.router, r.destination, r.issued_us, r.completed_us,
-            r.transfer_us, r.queue_us, r.processing_us, int(r.is_probe), r.policy,
+            r.transfer_us, r.queue_us, r.processing_us, r.is_probe, r.policy,
         )
-        for r in sorted(rows, key=_by_seq)
-    )
+        if None in cells:
+            cells = tuple("" if c is None else c for c in cells)
+        if r.policy not in _POLICY_NAMES:
+            raise ValueError(f"trace row {r.seq} has policy {r.policy!r}, {_NOT_A_POLICY}")
+        append(_LINE % cells)
+    return "".join(lines).encode()
 
 
 def read_trace(path) -> list[TraceRow]:
     """Parse a trace file back into rows.
 
-    Each line is parsed once: a fully filled line in one ``map(int, ...)``,
-    whose row then checks its own delays (``TraceRow``) and must name a
-    computer; an unserved line must have destination -1 and all four
-    completion cells blank. The probe cell must be ``0`` or ``1``, so a
-    trace read back writes out the same bytes.
+    The file is read as bytes, split into lines on ``\\n`` and into cells
+    on ``,``; the last line's ``\\n`` may be missing. After the exact
+    header, each line has 11 cells:
+
+    - nine integer cells, each parsed by ``int()`` on bytes: ASCII digits
+      with an optional sign, leading zeros, single ``_`` between digits
+      and spaces, tabs, ``\\v`` or ``\\f`` around them, and nothing else;
+    - the probe cell, ``0`` or ``1``;
+    - the policy cell, ``rr``, ``li`` or ``rp``, read as its kind's one
+      interned string.
+
+    A fully filled line makes a row that checks its own delays
+    (``TraceRow``) and must name a computer; an unserved line has
+    destination -1 and all four completion cells blank. There is no csv
+    dialect, since the writer never quotes: a quoted cell, a carriage
+    return anywhere, a non-ASCII byte and any other policy are refused.
+    Every trace ``write_trace`` writes reads back to rows that write the
+    same bytes. Each refusal is a ValueError whose message ends with the
+    line.
     """
+    with open(path, "rb") as f:
+        data = f.read()
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        del lines[-1]
+    if b"\r" in data:
+        line = next(line for line in lines if b"\r" in line)
+        raise ValueError(f"trace has a carriage return, lines end in \\n alone: {_text(line)}")
+    if not lines or lines[0] != _HEADER.encode():
+        raise ValueError(f"unexpected trace header: {_text(lines[0] if lines else b'')}")
     rows: list[TraceRow] = []
     append = rows.append
-    width = len(TRACE_COLUMNS)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != list(TRACE_COLUMNS):
-            raise ValueError(f"unexpected trace header: {header}")
-        for cells in reader:
-            if len(cells) != width:
-                raise ValueError(f"trace row has {len(cells)} cells: {cells}")
-            is_probe = _PROBE_FLAG.get(cells[9])
+    probe_flag = _PROBE_FLAG.get
+    policy_name = _POLICY_CELL.get
+    try:
+        for line in lines[1:]:
+            (
+                seq, lam, router, destination, issued, completed,
+                transfer, queue, processing, probe, policy,
+            ) = line.split(b",")
+            is_probe = probe_flag(probe)
             if is_probe is None:
-                raise ValueError(f"trace row has probe flag {cells[9]!r}, not 0 or 1: {cells}")
-            blanks = cells[5:9].count("")
-            if not blanks:
-                row = TraceRow(*map(int, cells[:9]), is_probe, cells[10])
-                if row.destination < 0:
-                    raise ValueError(f"completed trace row has no destination: {cells}")
-                append(row)
-                continue
-            seq, lam, router, destination, issued = map(int, cells[:5])
-            if blanks < 4 or destination != -1:
-                raise ValueError(f"completion cells not all filled or all unserved: {cells}")
-            append(
-                TraceRow(
-                    seq, lam, router, -1, issued,
-                    None, None, None, None, is_probe, cells[10],
+                raise ValueError(f"trace row has probe flag {_text(probe)!r}, not 0 or 1")
+            name = policy_name(policy)
+            if name is None:
+                raise ValueError(f"trace row has policy {_text(policy)!r}, {_NOT_A_POLICY}")
+            if completed and transfer and queue and processing:
+                row = TraceRow(
+                    int(seq), int(lam), int(router), int(destination), int(issued),
+                    int(completed), int(transfer), int(queue), int(processing), is_probe, name,
                 )
-            )
+                if row.destination < 0:
+                    raise ValueError("completed trace row has no destination")
+            elif completed or transfer or queue or processing or int(destination) != -1:
+                raise ValueError("completion cells not all filled or all unserved")
+            else:
+                row = TraceRow(
+                    int(seq), int(lam), int(router), -1, int(issued),
+                    None, None, None, None, is_probe, name,
+                )
+            append(row)
+    except ValueError as err:
+        # Unpacking a line of the wrong width raises here too.
+        width = line.count(b",") + 1
+        why = err if width == len(TRACE_COLUMNS) else f"trace row has {width} cells"
+        raise ValueError(f"{why}: {_text(line)}") from None
     return rows
+
+
+def _text(cell: bytes) -> str:
+    """A line or cell for an error message."""
+    return cell.decode("utf-8", "backslashreplace")
 
 
 def nearest_rank(sorted_values, percentile: float):

@@ -11,6 +11,16 @@ which draft 7 lets through, are refused by path alongside the schema's
 findings, before any unit conversion. Two ready-made scenarios
 ship with the package and can be addressed by name wherever a path is
 accepted.
+
+Every scenario that passes validation terminates. A run issues requests
+until the duration, so validation bounds both ends of that loop: each
+workload's rate is at most ``MAX_RATE_PER_S`` (10**6 per second, a mean
+gap of at least 1 us between issues), and the duration is an ``int`` of
+microseconds in ``[1, MAX_DURATION_US)``, below 2**52 us, where the float
+accumulator of a Poisson stream still resolves a microsecond (its spacing
+is at most 0.5 us there) and so keeps advancing by its gaps. A finite rate
+far above the bound, such as 1e23 per second, gives gaps below half the
+accumulator's spacing, which then stops and issues forever at one time.
 """
 
 from __future__ import annotations
@@ -34,6 +44,9 @@ from .estimator import DEFAULT_ALPHA
 from .policy import DEFAULT_B_MIN_US, PolicyKind
 
 DEFAULT_RETRY_US = 50 * US_PER_MS
+# The bounds that make every valid run terminate (module docstring).
+MAX_RATE_PER_S = 1_000_000
+MAX_DURATION_US = 2**52
 
 _BUILTINS = {"line": "line.yaml", "ring-tree": "ring_tree.yaml"}
 
@@ -416,8 +429,14 @@ def scenario_from_mapping(doc) -> Scenario:
 def semantic_problems(s: Scenario) -> list[str]:
     """Cross-reference and range checks beyond the schema's reach."""
     problems: list[str] = []
-    if s.duration_us <= 0:
+    if type(s.duration_us) is not int:
+        problems.append(f"duration_us: must be an int of microseconds, got {s.duration_us!r}")
+    elif s.duration_us <= 0:
         problems.append("duration_ms: must be positive")
+    elif s.duration_us >= MAX_DURATION_US:
+        problems.append(
+            f"duration_ms: must be below {MAX_DURATION_US} us (2**52), got {s.duration_us} us"
+        )
     # Written so that NaN fails too: every comparison with it is false.
     if not 0 <= s.policy.alpha <= 1:
         problems.append(f"policy.alpha: must be in [0, 1], got {s.policy.alpha!r}")
@@ -485,6 +504,11 @@ def semantic_problems(s: Scenario) -> list[str]:
             problems.append(
                 f"workload router {w.router} lambda {w.lam}: rate must be positive "
                 f"and finite, got {w.rate_per_s!r}"
+            )
+        elif w.rate_per_s > MAX_RATE_PER_S:
+            problems.append(
+                f"workload router {w.router} lambda {w.lam}: rate must be at most "
+                f"{MAX_RATE_PER_S} per second (a mean gap of 1 us), got {w.rate_per_s!r}"
             )
     for c in s.congestion:
         if c.router not in set(router_ids):

@@ -1,6 +1,8 @@
-"""Shared test helpers: naive ledger, policy and simulator oracles, scenario
-builders."""
+"""Shared test helpers: naive ledger, policy, simulator and csv trace
+oracles, scenario builders."""
 
+import csv
+import io
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -14,6 +16,7 @@ from edgedispatch.ledger import (
     EmptyLedger,
     UnknownDestination,
 )
+from edgedispatch.metrics import TRACE_COLUMNS
 from edgedispatch.policy import (
     NoEligibleDestination,
     PolicyKind,
@@ -21,7 +24,7 @@ from edgedispatch.policy import (
     SelectionOutcome,
 )
 from edgedispatch.scenario import scenario_from_mapping
-from edgedispatch.simnet import TraceRow
+from edgedispatch.simnet import TraceRow, _by_seq
 
 
 class NaiveLedger:
@@ -363,6 +366,67 @@ def naive_max_deviation(weights, counts):
     if len(finite) == 1 and products[finite[0]] > 0:
         deviations.append(0.0)
     return max(deviations) if deviations else None
+
+
+def csv_trace_bytes(rows) -> bytes:
+    """The trace bytes as the ``csv`` module writes them: None as an empty
+    cell, every other value as its ``str()``, ``is_probe`` as 0 or 1.
+
+    Tests hold ``metrics.trace_bytes`` to it.
+    """
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows(
+        (
+            r.seq, r.lam, r.router, r.destination, r.issued_us, r.completed_us,
+            r.transfer_us, r.queue_us, r.processing_us, int(r.is_probe), r.policy,
+        )
+        for r in sorted(rows, key=_by_seq)
+    )
+    return buf.getvalue().encode("utf-8")
+
+
+# The probe cell as the oracle writes it; any other text is refused.
+_PROBE_FLAG = {"0": False, "1": True}
+
+
+def csv_read_trace(path) -> list[TraceRow]:
+    """The trace reader on the ``csv`` module's default dialect: the checks
+    of ``metrics.read_trace`` on cells that may be quoted, lines that may
+    end in a carriage return, and integers parsed by ``int()`` from text,
+    which takes non-ASCII digits. It takes any policy name.
+    """
+    rows: list[TraceRow] = []
+    width = len(TRACE_COLUMNS)
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != list(TRACE_COLUMNS):
+            raise ValueError(f"unexpected trace header: {header}")
+        for cells in reader:
+            if len(cells) != width:
+                raise ValueError(f"trace row has {len(cells)} cells: {cells}")
+            is_probe = _PROBE_FLAG.get(cells[9])
+            if is_probe is None:
+                raise ValueError(f"trace row has probe flag {cells[9]!r}, not 0 or 1: {cells}")
+            blanks = cells[5:9].count("")
+            if not blanks:
+                row = TraceRow(*map(int, cells[:9]), is_probe, cells[10])
+                if row.destination < 0:
+                    raise ValueError(f"completed trace row has no destination: {cells}")
+                rows.append(row)
+                continue
+            seq, lam, router, destination, issued = map(int, cells[:5])
+            if blanks < 4 or destination != -1:
+                raise ValueError(f"completion cells not all filled or all unserved: {cells}")
+            rows.append(
+                TraceRow(
+                    seq, lam, router, -1, issued,
+                    None, None, None, None, is_probe, cells[10],
+                )
+            )
+    return rows
 
 
 def tiny_doc(**overrides):

@@ -7,7 +7,8 @@ on a line marked ``# noqa: F401`` (a deliberate re-export).
 ``from __future__`` imports bind nothing and are skipped.
 
 jsonschema is a test dependency only: the package checks a scenario's shape
-with its own interpreter of the schema's keywords.
+with its own interpreter of the schema's keywords. Nor does the package
+import ``csv``: the trace has one fixed format with its own codec.
 """
 
 import ast
@@ -75,13 +76,23 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 3: j", "line 4: ceil", "line 8: escape"]
 
 
-def test_the_package_does_not_import_jsonschema():
+def imported_by_the_package(module: str) -> bool:
+    """Whether a fresh ``import edgedispatch, edgedispatch.cli`` loads ``module``."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = "import sys, edgedispatch, edgedispatch.cli; print('jsonschema' in sys.modules)"
+    code = f"import sys, edgedispatch, edgedispatch.cli; print({module!r} in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_the_package_does_not_import_jsonschema():
+    assert not imported_by_the_package("jsonschema")
+
+
+def test_the_package_does_not_import_csv():
+    assert not imported_by_the_package("csv")
+    assert imported_by_the_package("json")
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgedispatch.metrics import (
@@ -18,7 +18,15 @@ from edgedispatch.policy import PolicyKind
 from edgedispatch.scenario import load_scenario, scenario_from_mapping
 from edgedispatch.simnet import TraceRow, run
 
-from helpers import fanout_doc, naive_max_deviation, tiny_scenario
+from helpers import (
+    csv_read_trace,
+    csv_trace_bytes,
+    fanout_doc,
+    naive_max_deviation,
+    tiny_scenario,
+)
+
+POLICIES = ("rr", "li", "rp")
 
 
 def completed_row(seq, dest, latency_us, lam=0, router=0, policy="rr"):
@@ -387,6 +395,158 @@ def test_read_trace_keeps_probe_flags_and_blanks(tmp_path):
     assert unserved.is_probe is False
     assert unserved.destination == -1 and unserved.completed_us is None
     assert trace_bytes([served, unserved]) == path.read_bytes()
+
+
+def trace_file(tmp_path, *lines, end="\n"):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(end.join((",".join(TRACE_COLUMNS),) + lines).encode() + end.encode())
+    return path
+
+
+@pytest.mark.parametrize(
+    "line, refusal",
+    [
+        ('0,0,0,3,10,30,10,5,5,0,"rr"', """has policy '"rr"', not one of li, rp, rr"""),
+        ('"0",0,0,3,10,30,10,5,5,0,rr', "invalid literal for int"),
+        ("0,0,0,3,10,30,10,5,5,0,xx", "has policy 'xx', not one of li, rp, rr"),
+        ("0,0,0,\uff13,10,30,10,5,5,0,rr", "invalid literal for int"),
+    ],
+    ids=["quoted-policy", "quoted-number", "policy-xx", "fullwidth-digit"],
+)
+def test_read_trace_refuses_what_only_the_csv_dialect_took(tmp_path, line, refusal):
+    path = trace_file(tmp_path, line)
+    assert len(csv_read_trace(path)) == 1
+    with pytest.raises(ValueError, match=refusal) as info:
+        read_trace(path)
+    assert str(info.value).endswith(": " + line)
+
+
+def test_read_trace_refuses_a_crlf_trace(tmp_path):
+    path = trace_file(tmp_path, "0,0,0,3,10,30,10,5,5,0,rr", "1,0,0,-1,20,,,,,0,rr", end="\r\n")
+    assert len(csv_read_trace(path)) == 2
+    with pytest.raises(ValueError, match="carriage return"):
+        read_trace(path)
+
+
+def test_writer_refuses_a_policy_the_reader_would_refuse(tmp_path):
+    rows = [completed_row(0, 2, 7000), completed_row(1, 2, 7000, policy="a,b")]
+    path = tmp_path / "trace.csv"
+    for write in (trace_bytes, lambda rows: write_trace(path, rows)):
+        with pytest.raises(ValueError, match="trace row 1 has policy 'a,b', not one of li, rp, rr"):
+            write(rows)
+    assert not path.exists()
+
+
+@st.composite
+def trace_rows(draw):
+    """A row as simnet builds one, completed or unserved, under any kind."""
+    ids = st.integers(0, 2**40)
+    seq, lam, router, issued = draw(ids), draw(st.integers(0, 9)), draw(st.integers(0, 9)), draw(ids)
+    probe, policy = draw(st.booleans()), draw(st.sampled_from(POLICIES))
+    if draw(st.booleans()):
+        return TraceRow(seq, lam, router, -1, issued, None, None, None, None, probe, policy)
+    transfer, queue, processing = draw(ids), draw(ids), draw(ids)
+    completed = issued + transfer + queue + processing
+    return TraceRow(
+        seq, lam, router, draw(ids), issued, completed, transfer, queue, processing, probe, policy,
+        dispatch_us=draw(st.none() | ids),
+    )
+
+
+@settings(max_examples=300)
+@given(st.lists(trace_rows(), max_size=12))
+def test_trace_bytes_match_the_csv_writer(rows):
+    assert trace_bytes(rows) == csv_trace_bytes(rows)
+
+
+NON_ASCII_DIGITS = "\uff10\u0660\u0966\u09e6"  # fullwidth, Arabic-Indic, Devanagari, Bengali zero
+
+
+@st.composite
+def mutated_line(draw, line):
+    """``line`` with one or two edits of the kinds a hand-edited or foreign
+    trace might have."""
+    cells = line.split(",")
+    for _ in range(draw(st.integers(1, 2))):
+        j = draw(st.integers(0, len(cells) - 1))
+        kind = draw(
+            st.sampled_from(
+                ("drop", "add", "blank", "probe", "sign", "space", "plus", "underscore",
+                 "zeros", "cr", "crlf", "quote", "policy", "digit")
+            )
+        )
+        if kind == "drop" and len(cells) > 1:
+            del cells[j]
+        elif kind == "add":
+            cells.insert(j, draw(st.sampled_from(("", "0", "7", "rr"))))
+        elif kind == "blank":
+            cells[j] = ""
+        elif kind == "probe":
+            cells[-1 if len(cells) < 2 else -2] = draw(
+                st.sampled_from(("0", "1", "2", "", "-1", "True", " 1", "01"))
+            )
+        elif kind == "sign":
+            cells[j] = "-" + cells[j]
+        elif kind == "space":
+            cells[j] = draw(st.text(" \t\v\f", max_size=2)) + cells[j] + draw(st.text(" \t", max_size=2))
+        elif kind == "plus":
+            cells[j] = "+" + cells[j]
+        elif kind == "underscore":
+            at = draw(st.integers(0, len(cells[j])))
+            cells[j] = cells[j][:at] + "_" + cells[j][at:]
+        elif kind == "zeros":
+            cells[j] = "00" + cells[j]
+        elif kind == "cr":
+            cells[j] += "\r"
+        elif kind == "crlf":
+            cells[-1] += "\r"
+        elif kind == "quote":
+            cells[j] = '"' + cells[j] + '"'
+        elif kind == "policy":
+            cells[-1] = draw(st.sampled_from(("xx", "RR", "r", "rrr", "", " li", "rp ", *POLICIES)))
+        elif kind == "digit":
+            digits = [at for at, c in enumerate(cells[j]) if c.isdigit()]
+            zero = draw(st.sampled_from(NON_ASCII_DIGITS))
+            if digits:
+                at = draw(st.sampled_from(digits))
+                cells[j] = cells[j][:at] + chr(ord(zero) + int(cells[j][at])) + cells[j][at + 1 :]
+            else:
+                cells[j] += zero
+    return ",".join(cells)
+
+
+def only_the_csv_dialect_takes(line, rows):
+    """The kinds of input the csv oracle reads and ``read_trace`` refuses:
+    a quote, a carriage return, a non-ASCII character, a foreign policy."""
+    return (
+        '"' in line
+        or "\r" in line
+        or not line.isascii()
+        or any(r.policy not in POLICIES for r in rows)
+    )
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(trace_rows(), min_size=1, max_size=5), data=st.data())
+def test_read_trace_agrees_with_the_csv_reader(tmp_path, rows, data):
+    lines = csv_trace_bytes(rows).decode().split("\n")
+    at = data.draw(st.integers(1, len(rows)))
+    lines[at] = data.draw(mutated_line(lines[at]))
+    path = tmp_path / "trace.csv"
+    path.write_bytes("\n".join(lines).encode())
+    try:
+        expected = csv_read_trace(path)
+    except ValueError:
+        expected = None
+    try:
+        got = read_trace(path)
+    except ValueError:
+        got = None
+    if got is not None:
+        assert got == expected
+        assert all(r.policy is PolicyKind(r.policy).value for r in got)
+    elif expected is not None:
+        assert only_the_csv_dialect_takes(lines[at], expected)
 
 
 def test_summary_survives_the_disk_round_trip(tmp_path):

@@ -401,6 +401,36 @@ def test_with_overrides():
     assert s.with_overrides() == s
 
 
+def test_a_duration_that_is_not_a_bounded_int_is_refused():
+    # simnet.run on an infinite duration would never stop issuing
+    line = load_scenario("line")
+    assert semantic_problems(line.with_overrides(duration_us=float("inf"))) == [
+        "duration_us: must be an int of microseconds, got inf"
+    ]
+    assert semantic_problems(line.with_overrides(duration_us=1000.0)) == [
+        "duration_us: must be an int of microseconds, got 1000.0"
+    ]
+    assert semantic_problems(line.with_overrides(duration_us=2**52)) == [
+        f"duration_ms: must be below {2**52} us (2**52), got {2**52} us"
+    ]
+    assert semantic_problems(line.with_overrides(duration_us=2**52 - 1)) == []
+
+
+def test_a_rate_above_one_issue_per_microsecond_is_refused():
+    # At 1e23 per second each Poisson gap is far below half the float
+    # accumulator's spacing, so the stream stops at one time and never ends.
+    doc = tiny_doc()
+    doc["workload"][0]["rate_per_s"] = 1e23
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    assert info.value.problems == [
+        "workload router 0 lambda 0: rate must be at most 1000000 per second "
+        "(a mean gap of 1 us), got 1e+23"
+    ]
+    doc["workload"][0]["rate_per_s"] = 1e6
+    assert scenario_from_mapping(doc).workload[0].rate_per_s == 1e6
+
+
 def test_semantic_problems_collects_everything():
     s = tiny_scenario()
     broken = dataclasses.replace(s, duration_us=0)
