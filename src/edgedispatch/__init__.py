@@ -6,7 +6,7 @@ estimates smooth, honoring congestion signals, and spreading load with a
 deficit scheduler whose fairness properties are machine-checked.
 """
 
-from .core import INFINITE, US_PER_MS, Weight, from_ms, to_ms
+from .core import US_PER_MS, from_ms, to_ms
 from .estimator import NotCongested, ObservationWhileCongested, WeightTable
 from .ledger import (
     REPLAY_BACKEND,  # kept: perfbench/run.py records it in every run
@@ -59,9 +59,7 @@ from .fairness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITE",
     "US_PER_MS",
-    "Weight",
     "from_ms",
     "to_ms",
     "NotCongested",

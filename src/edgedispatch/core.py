@@ -1,4 +1,4 @@
-"""Shared vocabulary: fixed-point time, weights, JSON-shaped keys.
+"""Shared vocabulary: fixed-point time and JSON-shaped keys.
 
 Every duration in this package is an integer number of microseconds.
 Configuration surfaces speak milliseconds for readability and convert once
@@ -30,51 +30,4 @@ def string_keys(obj):
     if isinstance(obj, (list, tuple)):
         return [string_keys(v) for v in obj]
     return obj
-
-
-class _InfiniteWeight:
-    """Weight of a congested path.
-
-    A dedicated singleton rather than ``float("inf")``: it compares greater
-    than every finite weight but supports no arithmetic, so it can never
-    silently flow into a latency computation.
-    """
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls) -> "_InfiniteWeight":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-    def __lt__(self, other: object) -> bool:
-        self._check(other)
-        return False
-
-    def __le__(self, other: object) -> bool:
-        self._check(other)
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        self._check(other)
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        self._check(other)
-        return True
-
-    @staticmethod
-    def _check(other: object) -> None:
-        if not isinstance(other, (int, _InfiniteWeight)):
-            raise TypeError(f"cannot order weight against {type(other).__name__}")
-
-
-INFINITE = _InfiniteWeight()
-
-# A weight is either a finite latency estimate in microseconds or INFINITE.
-Weight = int | _InfiniteWeight
 

@@ -4,16 +4,14 @@ Each dispatch policy owns one table: one (router, lambda) pair's estimates,
 read and updated only through that policy. The estimate for a
 destination starts at the first measured latency and then moves as a
 weighted blend of previous estimate and new sample. While the network path
-to a destination is reported congested the estimate is pinned to
-INFINITE; the last finite value is kept aside and comes back untouched when
-the congestion signal clears.
+to a destination is reported congested it is flagged and has no weight;
+its estimate is frozen meanwhile and comes back untouched when the
+congestion signal clears.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .core import INFINITE, Weight
 
 # The smoothing factor of every table unless a scenario sets its own.
 DEFAULT_ALPHA = 0.9
@@ -28,11 +26,10 @@ class NotCongested(Exception):
 
 
 class _Entry:
-    __slots__ = ("value", "shadow", "congested")
+    __slots__ = ("value", "congested")
 
     def __init__(self) -> None:
         self.value: int | None = None
-        self.shadow: int | None = None
         self.congested = False
 
 
@@ -99,35 +96,25 @@ class WeightTable:
         return entry.value
 
     def mark_congested(self, dest: int) -> None:
-        """Pin the destination to INFINITE, remembering the current finite value.
-
-        Idempotent: marking an already congested destination changes nothing.
-        """
-        entry = self._entry(dest)
-        if entry.congested:
-            return
-        entry.shadow = entry.value
-        entry.value = None
-        entry.congested = True
+        """Flag the destination congested: ``get`` reports None until the
+        clear, and ``observe`` and ``assign`` refuse it, so its estimate is
+        frozen. Idempotent."""
+        self._entry(dest).congested = True
 
     def clear_congestion(self, dest: int) -> int | None:
-        """Restore the pre-congestion value; None if the destination was never measured."""
+        """Unflag the destination and return its estimate, None if never measured."""
         entry = self._entries.get(dest)
         if entry is None or not entry.congested:
             raise NotCongested(f"destination {dest} is not congested")
-        entry.value = entry.shadow
-        entry.shadow = None
         entry.congested = False
         return entry.value
 
-    def get(self, dest: int) -> Weight | None:
-        """Current weight: microseconds, INFINITE while congested, or None
-        when the destination has never been measured."""
+    def get(self, dest: int) -> int | None:
+        """Current weight in microseconds; None while congested (see
+        ``is_congested``) or when never measured."""
         entry = self._entries.get(dest)
-        if entry is None:
+        if entry is None or entry.congested:
             return None
-        if entry.congested:
-            return INFINITE
         return entry.value
 
     def is_congested(self, dest: int) -> bool:
@@ -135,8 +122,11 @@ class WeightTable:
         return entry is not None and entry.congested
 
     def snapshot(self) -> dict:
-        """Serializable state: {dest: {weight, congested, shadow}}."""
+        """Serializable state: {dest: {weight, congested, shadow}}; a
+        congested destination's frozen estimate shows as its ``shadow``."""
         return {
-            dest: {"weight": entry.value, "congested": entry.congested, "shadow": entry.shadow}
+            dest: {"weight": None, "congested": True, "shadow": entry.value}
+            if entry.congested
+            else {"weight": entry.value, "congested": False, "shadow": None}
             for dest, entry in sorted(self._entries.items())
         }

@@ -75,7 +75,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import INFINITE, US_PER_MS
+from .core import US_PER_MS
 from .estimator import DEFAULT_ALPHA, ObservationWhileCongested, WeightTable
 from .ledger import DeficitLedger, SortedKeys, UnknownDestination
 
@@ -334,8 +334,9 @@ class PolicyState:
     def sync_congestion(self, dest: int, congested: bool, now: int) -> int | None:
         """Apply a congestion signal from the controller. Idempotent.
 
-        Returns the finite weight just before a mark or just after a clear,
-        or None when the destination has none at that moment. The router
+        Returns ``table.get(dest)`` just before a mark or just after a
+        clear: the weight, or None when the destination is congested or
+        unmeasured at that moment. The router
         signals every lambda; a destination of another lambda is not managed
         here, gets None and changes nothing.
         """
@@ -370,7 +371,7 @@ class PolicyState:
                 else:
                     self._set_reciprocal(dest, 1.0 / weight)
             weight = table.get(dest)
-        return None if weight is INFINITE else weight
+        return weight
 
     # -- introspection -----------------------------------------------------
 

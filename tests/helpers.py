@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
-from edgedispatch.core import INFINITE
 from edgedispatch.ledger import (
     AlreadyAdmitted,
     DeficitLedger,
@@ -112,14 +111,14 @@ class NaivePolicy(PolicyState):
 
     def _select_greedy(self):
         self.naive_selections += 1
-        get = self.table.get
-        weights = [(get(d), d) for d in self.destinations]
-        unmeasured = [d for w, d in weights if w is None]
+        table = self.table
+        # congested first: ``get`` reports None for it as for an unmeasured one
+        measured = [(table.get(d), d) for d in self.destinations if not table.is_congested(d)]
+        unmeasured = [d for w, d in measured if w is None]
         if unmeasured:
             dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
             self._bootstrap_cursor += 1
             return SelectionOutcome(dest, is_probe=False)
-        measured = [(w, d) for w, d in weights if w is not INFINITE]
         if not measured:
             raise NoEligibleDestination("no destination with a finite weight")
         if self.kind is PolicyKind.LEAST_IMPEDANCE:
@@ -168,7 +167,8 @@ class ReferenceResult:
     """What ``reference_run`` reports: the rows in issue order, the final
     snapshot as ``summarize`` takes it, the issue count, one
     ``(at_us, router, computer, congested, weights_us)`` per toggle, the
-    retries scheduled, and the selections ``NaivePolicy`` made."""
+    retries scheduled, the selections ``NaivePolicy`` made, and the events
+    the run popped."""
 
     rows: list
     snapshot: dict
@@ -176,6 +176,7 @@ class ReferenceResult:
     congestion_log: list
     retries: int
     naive_selections: int
+    pops: int
 
 
 def reference_run(scenario):
@@ -252,6 +253,7 @@ def reference_run(scenario):
         pending.append(((win.start_us, 0, 2 * i), "toggle", (win.router, win.computer, True)))
         pending.append(((win.end_us, 0, 2 * i + 1), "toggle", (win.router, win.computer, False)))
     pushes = 0
+    pops = 0
     rows = []
     log = []
     retries = 0
@@ -275,6 +277,7 @@ def reference_run(scenario):
             arrivals.pop()
         else:
             pending.remove(event)
+        pops += 1
         (now, _, _), action, req = event
         if action == "toggle":
             rid, dest, on = req
@@ -344,6 +347,7 @@ def reference_run(scenario):
         congestion_log=log,
         retries=retries,
         naive_selections=sum(p.naive_selections for p in policies.values()),
+        pops=pops,
     )
 
 
@@ -536,7 +540,10 @@ def scenario_docs(draw):
     or separate, under which a 1-10 ms retry fires. Rates stay low, so a run
     takes milliseconds. About half the rates divide 1000, so deterministic
     issues land on the whole milliseconds where links end and toggles fire,
-    and ties at one microsecond are common.
+    and ties at one microsecond are common. Where a deterministic workload
+    has no client link, one blackout may start and end on two of its issue
+    microseconds, at a computer it can pick: its arrivals then land in
+    place, on a toggle's microsecond, and must still run after the toggle.
     """
     duration_ms = draw(st.integers(20, 200))
     computer_ids = list(range(draw(st.integers(1, 5))))
@@ -597,6 +604,31 @@ def scenario_docs(draw):
                 "client_link_ms": 1,
             }
         )
+    tied = [w for w in workload if w["process"] == "deterministic" and w["client_link_ms"] == 0]
+    if tied and draw(st.booleans()):
+        w = draw(st.sampled_from(tied))
+        period_us = 1_000_000 / w["rate_per_s"]
+        issues = []
+        while (t := round((len(issues) + 1) * period_us)) < 1000 * duration_ms:
+            issues.append(t)
+        if issues:
+            rid = w["router"]
+            (lam,) = [l for l in routers[rid]["lambdas"] if l["id"] == w["lambda"]]
+            cid = draw(st.sampled_from(lam["destinations"]))
+            i = draw(st.integers(0, len(issues) - 1))
+            end_us = (issues + [1000 * duration_ms])[draw(st.integers(i + 1, len(issues)))]
+            start_us = issues[i]
+            # the pair's drawn windows that overlap this one give way to it
+            congestion = [
+                c
+                for c in congestion
+                if (c["router"], c["computer"]) != (rid, cid)
+                or 1000 * c["end_ms"] <= start_us
+                or end_us <= 1000 * c["start_ms"]
+            ]
+            congestion.append(
+                {"router": rid, "computer": cid, "start_ms": start_us / 1000, "end_ms": end_us / 1000}
+            )
     return {
         "name": "drawn",
         "duration_ms": duration_ms,

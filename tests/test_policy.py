@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from edgedispatch.core import INFINITE, from_ms
+from edgedispatch.core import from_ms
 from edgedispatch.ledger import UnknownDestination
 from edgedispatch.policy import (
     DEFAULT_B_MIN_US,
@@ -201,7 +201,7 @@ def test_rr_congestion_evicts_and_restores():
     assert state.sync_congestion(1, True, 1000) == 6 * MS  # the weight before the mark
     assert set(state.ledger.decode()) == {0}
     assert 1 not in state.ledger
-    assert state.sync_congestion(1, True, 1000) is None  # idempotent, already INFINITE
+    assert state.sync_congestion(1, True, 1000) is None  # idempotent, already congested
     assert state.sync_congestion(1, False, 9000) == 6 * MS  # the weight restored
     assert state.table.get(1) == 6 * MS
     assert state.eligible_at[1] == 9000  # probe-eligible immediately
@@ -213,9 +213,9 @@ def test_rr_congestion_evicts_and_restores():
 def test_sync_congestion_reports_none_without_a_finite_weight():
     state = PolicyState(PolicyKind.LEAST_IMPEDANCE, [0], seed=1)
     assert state.sync_congestion(0, True, 0) is None  # never measured
-    assert state.table.get(0) is INFINITE
+    assert state.table.get(0) is None and state.table.is_congested(0)
     assert state.sync_congestion(0, False, 10) is None  # comes back unmeasured
-    assert state.table.get(0) is None
+    assert state.table.get(0) is None and not state.table.is_congested(0)
 
 
 def test_rr_congestion_cancels_outstanding_probe():
@@ -402,7 +402,7 @@ def scan_sums(state):
     total, sums = 0.0, [0.0]
     for d in state.destinations:
         weight = state.table.get(d)
-        if weight is not None and weight is not INFINITE:
+        if weight is not None and not state.table.is_congested(d):
             total += 1.0 / weight
         sums.append(total)
     return sums
@@ -415,7 +415,9 @@ def check_indexes(state):
     if state.kind is PolicyKind.ROUND_ROBIN:
         held = list(state.ledger.decode())
     elif state.kind is PolicyKind.LEAST_IMPEDANCE:
-        held = [d for d in state.destinations if get(d) not in (None, INFINITE)]
+        held = [
+            d for d in state.destinations if get(d) is not None and not state.table.is_congested(d)
+        ]
     else:
         held = []
     assert state._weights.pairs == sorted((get(d), d) for d in held)
@@ -472,7 +474,7 @@ def drive_against_naive(kind, k, seed, steps=1500):
             seen["jump"] += 1
             continue
         before = (real.probes_admitted, real.probes_rejected, real.stale_responses, len(real.ledger))
-        first_weight = real.table.get(dests[0])
+        first_weight = real.table.get(dests[0]), real.table.is_congested(dests[0])
         got = apply(real, op, args)
         assert got == apply(naive, op, args), (op, args)
         assert real.rng.getstate() == naive.rng.getstate()
@@ -484,7 +486,9 @@ def drive_against_naive(kind, k, seed, steps=1500):
             clean = real._stale + 1
             assert as_hex(real._sums[:clean]) == as_hex(scan_sums(real)[:clean]), (op, args)
         check_indexes(real)
-        seen["first_weight"] += real.table.get(dests[0]) != first_weight
+        seen["first_weight"] += (
+            real.table.get(dests[0]), real.table.is_congested(dests[0])
+        ) != first_weight
         if op == "select":
             seen["first_congested"] += real.table.is_congested(dests[0])
             seen["last_congested"] += real.table.is_congested(dests[-1])

@@ -468,12 +468,24 @@ def test_simulated_time_never_runs_backwards(doc):
     assert len(result.completed) + len(result.unserved) == result.arrivals
 
 
+def termination_bound(scenario, arrivals):
+    """The most events a run of ``scenario`` with ``arrivals`` issues can
+    pop. Every delay is at least 1 us and a retry at or past the duration
+    gives the request up, so a request arrives at most
+    ``1 + ceil(duration / retry)`` times, then is delivered, served and
+    answered once; each window toggles twice."""
+    retries = -(-scenario.duration_us // scenario.policy.retry_us)
+    return arrivals * (4 + retries) + 2 * len(scenario.congestion)
+
+
 def assert_matches_reference(scenario):
     """The loop and ``helpers.reference_run`` agree on every byte of the
-    trace and the summary, on the arrivals and on the congestion log."""
+    trace and the summary, on the arrivals and on the congestion log; the
+    reference pops no more events than the termination bound."""
     result = run(scenario)
     reference = reference_run(scenario)
     assert result.arrivals == reference.arrivals
+    assert reference.pops <= termination_bound(scenario, reference.arrivals)
     assert trace_bytes(result.rows) == trace_bytes(reference.rows)
     assert [
         (e.at_us, e.router, e.computer, e.congested, e.weights_us) for e in result.congestion_log
@@ -530,6 +542,49 @@ def test_the_loop_matches_the_reference_simulator(doc):
     scenario = scenario_from_mapping(doc)
     for kind in PolicyKind:
         assert_matches_reference(scenario.with_overrides(policy_kind=kind))
+
+
+# Documents at validation's edges: the highest rate, with no link to spread
+# the arrivals; the shortest retry, under a blackout that lasts the run; the
+# shortest run, whose one arrival lands at 0 us.
+EXTREME_DOCS = {
+    "rate": tiny_doc(
+        duration_ms=3,
+        routers=[{"id": 0, "links_ms": {0: 0}, "lambdas": [{"id": 0, "destinations": [0]}]}],
+        workload=[
+            {"router": 0, "lambda": 0, "process": "deterministic", "rate_per_s": 1_000_000, "client_link_ms": 0}
+        ],
+    ),
+    "retry": tiny_doc(
+        duration_ms=5,
+        policy={"kind": "li", "retry_ms": 0.001},
+        workload=[
+            {"router": 0, "lambda": 0, "process": "deterministic", "rate_per_s": 1000, "client_link_ms": 0}
+        ],
+        congestion=[{"router": 0, "computer": 0, "start_ms": 0, "end_ms": 5}],
+    ),
+    "duration": tiny_doc(
+        duration_ms=0.001,
+        seed=4,
+        workload=[
+            {"router": 0, "lambda": 0, "process": "poisson", "rate_per_s": 1_000_000, "client_link_ms": 0}
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", ["rr", "li", "rp"])
+@pytest.mark.parametrize("name", sorted(EXTREME_DOCS))
+def test_extreme_documents_pop_within_the_termination_bound(name, policy):
+    scenario = scenario_from_mapping(EXTREME_DOCS[name]).with_overrides(
+        policy_kind=PolicyKind(policy)
+    )
+    reference = assert_matches_reference(scenario)
+    assert reference.arrivals
+    if name == "retry":
+        # each request, issued at 1-4 ms, retries every microsecond until the
+        # next retry would reach the duration
+        assert reference.retries == sum(scenario.duration_us - 1 - t for t in (1000, 2000, 3000, 4000))
 
 
 def test_request_unserved_when_no_destination_before_the_end():
