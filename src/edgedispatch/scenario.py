@@ -437,6 +437,10 @@ def semantic_problems(s: Scenario) -> list[str]:
         problems.append(
             f"duration_ms: must be below {MAX_DURATION_US} us (2**52), got {s.duration_us} us"
         )
+    # A seed set in code skips the schema: random.Random seeds a negative
+    # one as its absolute value, and would take a bool or a float as it is.
+    if type(s.seed) is not int or s.seed < 0:
+        problems.append(f"seed: must be a non-negative int, got {s.seed!r}")
     # Written so that NaN fails too: every comparison with it is false.
     if not 0 <= s.policy.alpha <= 1:
         problems.append(f"policy.alpha: must be in [0, 1], got {s.policy.alpha!r}")

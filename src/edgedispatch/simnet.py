@@ -248,23 +248,6 @@ def service_time(computer: _Computer, lam: int) -> int:
     return round(base * (1 + computer.beta * computer.busy / computer.workers))
 
 
-class _Router:
-    __slots__ = ("id", "links_us", "policies")
-
-    def __init__(self, spec, policy_seeds, policy_cfg) -> None:
-        self.id = spec.id
-        self.links_us = dict(spec.links_us)
-        self.policies: dict[int, PolicyState] = {}
-        for l in sorted(spec.lambdas, key=lambda l: l.id):
-            self.policies[l.id] = PolicyState(
-                policy_cfg.kind,
-                list(l.destinations),
-                seed=policy_seeds[(spec.id, l.id)],
-                b_min_us=policy_cfg.b_min_us,
-                alpha=policy_cfg.alpha,
-            )
-
-
 class _Request:
     """One request in flight. It carries its (router, lambda) policy and its
     router's links, and its computer once dispatched, so no handler looks
@@ -327,15 +310,20 @@ class _Sim:
             scenario.workload, key=lambda w: (w.router, w.lam)
         )
         arrival_seeds = [master.getrandbits(48) for _ in ordered_workload]
-        policy_seeds = {}
+        cfg = scenario.policy
+        # Policies by router, then lambda; one links dict per router, shared
+        # by its requests.
+        self.policies: dict[int, dict[int, PolicyState]] = {}
+        links: dict[int, dict[int, int]] = {}
         for r in sorted(scenario.routers, key=lambda r: r.id):
-            for l in sorted(r.lambdas, key=lambda l: l.id):
-                policy_seeds[(r.id, l.id)] = master.getrandbits(48)
-
-        self.routers = {
-            r.id: _Router(r, policy_seeds, scenario.policy)
-            for r in sorted(scenario.routers, key=lambda r: r.id)
-        }
+            links[r.id] = dict(r.links_us)
+            self.policies[r.id] = {
+                l.id: PolicyState(
+                    cfg.kind, list(l.destinations), seed=master.getrandbits(48),
+                    b_min_us=cfg.b_min_us, alpha=cfg.alpha,
+                )
+                for l in sorted(r.lambdas, key=lambda l: l.id)
+            }
 
         # Toggle n is its place in window order, so a touching window's
         # clear (numbered with the earlier window) precedes its mark.
@@ -344,18 +332,16 @@ class _Sim:
         )
         on_toggle = self._on_toggle
         for i, win in enumerate(windows):
-            pair = (win.router, self.routers[win.router].policies, win.computer)
+            pair = (win.router, self.policies[win.router], win.computer)
             self.heap.append((win.start_us, _TOGGLE, 2 * i, on_toggle, (*pair, True)))
             self.heap.append((win.end_us, _TOGGLE, 2 * i + 1, on_toggle, (*pair, False)))
         heapq.heapify(self.heap)
 
         # Issues in (time, workload index) order; seq is the place in it.
-        self.workloads = []
-        for w in ordered_workload:
-            router = self.routers[w.router]
-            self.workloads.append(
-                (w.lam, w.router, w.client_link_us, router.policies[w.lam], router.links_us)
-            )
+        self.workloads = [
+            (w.lam, w.router, w.client_link_us, self.policies[w.router][w.lam], links[w.router])
+            for w in ordered_workload
+        ]
         # Each stream is endless; the loop stops at the first issue past the
         # duration, and every later one is past it too.
         self.issues = heapq.merge(
@@ -486,9 +472,9 @@ class _Sim:
             at, _, _, handler, payload = pop(heap)
             handler(at, payload)
         snapshot = {"routers": {}}
-        for rid, router in self.routers.items():
+        for rid, policies in self.policies.items():
             lambdas = {}
-            for lam, policy in router.policies.items():
+            for lam, policy in policies.items():
                 lambdas[lam] = {
                     "weights": policy.table.snapshot(),
                     "policy": policy.snapshot(),

@@ -69,6 +69,20 @@ def test_run_rejects_a_non_finite_duration(tmp_path, capsys, duration):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_run_rejects_a_negative_seed(tmp_path, capsys):
+    # it used to run, and write the same trace as --seed 5
+    code = main(
+        [
+            "run", "--scenario", "line", "--seed", "-5",
+            "--trace-out", str(tmp_path / "t.csv"),
+            "--summary-out", str(tmp_path / "s.json"),
+        ]
+    )
+    assert code == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_validate_unknown_name(capsys):
     assert main(["validate", "does-not-exist"]) == 1
     err = capsys.readouterr().err

@@ -416,6 +416,16 @@ def test_a_duration_that_is_not_a_bounded_int_is_refused():
     assert semantic_problems(line.with_overrides(duration_us=2**52 - 1)) == []
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_a_seed_that_is_not_a_non_negative_int_is_refused(seed):
+    # random.Random(-1) seeds as Random(1), so -1 would rerun seed 1 unnoticed
+    line = load_scenario("line")
+    assert semantic_problems(line.with_overrides(seed=seed)) == [
+        f"seed: must be a non-negative int, got {seed!r}"
+    ]
+    assert semantic_problems(line.with_overrides(seed=0)) == []
+
+
 def test_a_rate_above_one_issue_per_microsecond_is_refused():
     # At 1e23 per second each Poisson gap is far below half the float
     # accumulator's spacing, so the stream stops at one time and never ends.

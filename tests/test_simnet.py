@@ -462,10 +462,43 @@ def test_simulated_time_never_runs_backwards(doc):
         sim = simnet._Sim(scenario_from_mapping(doc))
     # the patch took: every policy in the run checks its clock
     assert all(
-        type(p) is MonotonePolicy for r in sim.routers.values() for p in r.policies.values()
+        type(p) is MonotonePolicy for ps in sim.policies.values() for p in ps.values()
     )
     result = sim.run()
     assert len(result.completed) + len(result.unserved) == result.arrivals
+
+
+@settings(max_examples=100)
+@given(doc=scenario_docs(), data=st.data())
+def test_the_order_of_a_documents_lists_never_changes_the_run(doc, data):
+    # scenario_docs emits every list in id order, so only a shuffled copy
+    # shows a seed, a policy or an arrival stream handed out in list order
+    shuffled = copy.deepcopy(doc)
+
+    def permute(items):
+        # Drawn permutations lean toward the order they are given, so they
+        # start from the reverse of id order: most draws then move something.
+        return data.draw(st.permutations(items[::-1]))
+
+    for key in ("routers", "workload", "computers", "congestion"):
+        shuffled[key] = permute(shuffled[key])
+    for r in shuffled["routers"]:
+        r["lambdas"] = permute(r["lambdas"])
+        for l in r["lambdas"]:
+            l["destinations"] = permute(l["destinations"])
+    original = scenario_from_mapping(doc)
+    reordered = scenario_from_mapping(shuffled)
+    for kind in PolicyKind:
+        want = run(original.with_overrides(policy_kind=kind))
+        got = run(reordered.with_overrides(policy_kind=kind))
+        assert trace_bytes(got.rows) == trace_bytes(want.rows)
+        if want.rows:
+            assert (
+                summarize(got.rows, got.snapshot).to_json()
+                == summarize(want.rows, want.snapshot).to_json()
+            )
+        else:
+            assert got.snapshot == want.snapshot
 
 
 def termination_bound(scenario, arrivals):
