@@ -17,12 +17,7 @@ from .ledger import (
     UnknownDestination,
     replay_frozen,
 )
-from .policy import (
-    NoEligibleDestination,
-    PolicyKind,
-    PolicyState,
-    SelectionOutcome,
-)
+from .policy import NoEligibleDestination, PolicyKind, PolicyState
 from .scenario import (
     InvalidScenario,
     PolicyConfig,
@@ -40,7 +35,6 @@ from .simnet import (
     service_time,
 )
 from .metrics import (
-    EmptyTrace,
     Summary,
     read_trace,
     summarize,
@@ -75,7 +69,6 @@ __all__ = [
     "NoEligibleDestination",
     "PolicyKind",
     "PolicyState",
-    "SelectionOutcome",
     "InvalidScenario",
     "PolicyConfig",
     "Scenario",
@@ -88,7 +81,6 @@ __all__ = [
     "arrival_process",
     "run",
     "service_time",
-    "EmptyTrace",
     "Summary",
     "read_trace",
     "summarize",

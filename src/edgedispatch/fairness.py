@@ -16,8 +16,7 @@ deficit is exactly ``count * weight``, so the weighted-count spread is the
 deficit spread: the weighted-count bound holds on a run whose deficit bound
 holds and whose final deficits are its ``count * weight`` products, which
 the short-term suite checks at the end of each run. The draw check reads
-the bound ``PolicyState.select`` once and calls it once per draw; it returns
-interned outcomes and allocates nothing per draw.
+the bound ``PolicyState.select`` once and counts the id it returns per draw.
 """
 
 from __future__ import annotations
@@ -154,7 +153,7 @@ def proportional_selection_check(
     counts = {d: 0 for d in weights}
     select = policy.select
     for _ in range(draws):
-        counts[select(0).destination] += 1
+        counts[select(0)] += 1
     failures: list[str] = []
     worst = 0.0
     for i in sorted(weights):

@@ -47,10 +47,6 @@ _POLICY_CELL = {name.encode(): name for name in _POLICY_NAMES}
 _NOT_A_POLICY = "not one of " + ", ".join(sorted(_POLICY_NAMES))
 
 
-class EmptyTrace(Exception):
-    """Summary requested for a trace with no rows at all."""
-
-
 def write_trace(path, rows) -> None:
     """Write rows (completed and unserved alike) in issue order."""
     data = trace_bytes(rows)
@@ -229,11 +225,10 @@ def summarize(rows, snapshot: dict) -> Summary:
     (router, lambda) and skipping destinations with no finite estimate. A
     group keeps only its worst ratio deviation, in O(k); its weights live in
     the snapshot and its counts in ``selections``, from which
-    ``fairness_ratios`` builds the k x k ratio matrix on demand.
+    ``fairness_ratios`` builds the k x k ratio matrix on demand. A trace
+    with no rows gets a summary too, with zero arrivals and no latencies.
     """
     rows = list(rows)
-    if not rows:
-        raise EmptyTrace("no rows to summarize")
     snapshot = _int_keys(snapshot)
     completed = [r for r in rows if r.completed_us is not None]
     unserved_count = len(rows) - len(completed)
@@ -269,6 +264,7 @@ def summarize(rows, snapshot: dict) -> Summary:
                     deviations.append(deviation)
 
     probes = {"launched": 0, "admitted": 0, "rejected": 0, "stale_responses": 0}
+    kinds = set()
     for router_id in sorted(routers_snap):
         for lam in sorted(routers_snap[router_id].get("lambdas", {})):
             policy_snap = routers_snap[router_id]["lambdas"][lam].get("policy", {})
@@ -276,9 +272,12 @@ def summarize(rows, snapshot: dict) -> Summary:
             probes["admitted"] += policy_snap.get("probes_admitted", 0)
             probes["rejected"] += policy_snap.get("probes_rejected", 0)
             probes["stale_responses"] += policy_snap.get("stale_responses", 0)
+            if "kind" in policy_snap:
+                kinds.add(policy_snap["kind"])
 
-    policies = {r.policy for r in rows}
-    policy = rows[0].policy if len(policies) == 1 else ",".join(sorted(policies))
+    # A run that issued nothing has no rows; its snapshot still names the
+    # policy of each (router, lambda) pair.
+    policy = ",".join(sorted({r.policy for r in rows} or kinds))
 
     return Summary(
         policy=policy,

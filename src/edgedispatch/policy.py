@@ -50,11 +50,11 @@ No exact index can do better than the changed tail: one changed reciprocal
 can change the rounding of every later partial sum, so a selection costs
 O(k - first changed position) additions, done in C by ``accumulate``.
 
-``SelectionOutcome`` is frozen, so a policy builds one non-probe outcome per
-destination up front, and every non-probe selection returns one of these
-interned objects instead of allocating: found by position for the
-random-proportional bisect, by id otherwise. Only a round-robin probe builds
-a fresh ``SelectionOutcome(dest, is_probe=True)``.
+A selection is the chosen destination id, a plain ``int``. It is a probe
+exactly when ``probing`` holds it afterwards: only round-robin probes.
+``_position`` maps each managed id to its place in ``destinations``; it
+tells a managed destination from another lambda's and gives a reciprocal
+its slot.
 
 The kind is resolved once, at construction, into two plain flags: ``_rr``
 for round-robin and ``_li`` for least-impedance, with random-proportional
@@ -72,7 +72,6 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import US_PER_MS
@@ -90,12 +89,6 @@ class PolicyKind(enum.Enum):
     LEAST_IMPEDANCE = "li"
     RANDOM_PROPORTIONAL = "rp"
     ROUND_ROBIN = "rr"
-
-
-@dataclass(frozen=True)
-class SelectionOutcome:
-    destination: int
-    is_probe: bool
 
 
 def _add(items: list[int], value: int) -> None:
@@ -154,8 +147,7 @@ class PolicyState:
         self._reciprocals = [0.0] * k
         self._sums = [0.0] * (k + 1)
         self._stale = k
-        self._outcomes = [SelectionOutcome(d, is_probe=False) for d in self.destinations]
-        self._outcome_of = dict(zip(self.destinations, self._outcomes))
+        self._position = {d: i for i, d in enumerate(self.destinations)}
         self.probes_launched = 0
         self.probes_admitted = 0
         self.probes_rejected = 0
@@ -181,12 +173,12 @@ class PolicyState:
 
     # -- selection ---------------------------------------------------------
 
-    def select(self, now: int) -> SelectionOutcome:
+    def select(self, now: int) -> int:
         if self._rr:
             return self._select_rr(now)
         return self._select_greedy()
 
-    def _select_greedy(self) -> SelectionOutcome:
+    def _select_greedy(self) -> int:
         unmeasured = self._unmeasured
         if unmeasured:
             # Bootstrap: hand requests to the not-yet-measured destinations in
@@ -195,12 +187,12 @@ class PolicyState:
             # probability mass to whichever destination answered last.
             dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
             self._bootstrap_cursor += 1
-            return self._outcome_of[dest]
+            return dest
         if self._li:
             pairs = self._weights.pairs
             if not pairs:
                 raise NoEligibleDestination("no destination with a finite weight")
-            return self._outcome_of[pairs[0][1]]
+            return pairs[0][1]
         # Random-proportional: reciprocal weights, normalized.
         if self._stale < len(self._reciprocals):
             self._cumulative_sums()
@@ -213,9 +205,9 @@ class PolicyState:
         # microseconds is far above it) rounds below the total, so some bound
         # exceeds the draw and the pick is always in range.
         draw = self.rng.random() * total
-        return self._outcomes[bisect_right(sums, draw) - 1]
+        return self.destinations[bisect_right(sums, draw) - 1]
 
-    def _select_rr(self, now: int) -> SelectionOutcome:
+    def _select_rr(self, now: int) -> int:
         pending = self._pending.pairs
         while pending and pending[0][0] <= now:
             self._refresh(pending[0][1], now)
@@ -224,14 +216,14 @@ class PolicyState:
             dest = ready.pop(self.rng.randrange(len(ready)))
             self.probing.add(dest)
             self.probes_launched += 1
-            return SelectionOutcome(dest, is_probe=True)
+            return dest
         if len(self.ledger) == 0:
             raise NoEligibleDestination(
                 "active set empty and no destination is probe-eligible"
             )
         dest = self.ledger.pop_min()
         self.ledger.charge(dest, self.table.get(dest))
-        return self._outcome_of[dest]
+        return dest
 
     # -- feedback ----------------------------------------------------------
 
@@ -245,7 +237,7 @@ class PolicyState:
         asks only when the destination is neither probing nor active: a mark
         evicts it and drops its probe, and nothing re-files a congested one.
         """
-        if dest not in self._outcome_of:
+        if dest not in self._position:
             raise UnknownDestination(f"destination {dest} is not managed here")
         table = self.table
         if not self._rr:
@@ -314,7 +306,7 @@ class PolicyState:
 
     def _set_reciprocal(self, dest: int, reciprocal: float) -> None:
         """Store ``dest``'s reciprocal weight; the sums after it go stale."""
-        i = bisect_left(self.destinations, dest)
+        i = self._position[dest]
         if self._reciprocals[i] != reciprocal:
             self._reciprocals[i] = reciprocal
             if i < self._stale:
@@ -340,7 +332,7 @@ class PolicyState:
         signals every lambda; a destination of another lambda is not managed
         here, gets None and changes nothing.
         """
-        if dest not in self._outcome_of:
+        if dest not in self._position:
             return None
         table = self.table
         if congested:

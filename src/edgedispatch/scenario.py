@@ -2,7 +2,9 @@
 
 Scenarios are YAML documents checked against a JSON schema first (shape) and
 then against semantic rules the schema cannot express (cross-references,
-non-empty destination sets). ``schemas/scenario.schema.json`` is the one
+non-empty destination sets). A ``Scenario`` built in code skips the schema,
+so the semantic pass also holds it to the schema's value rules, in
+microseconds. ``schemas/scenario.schema.json`` is the one
 statement of the shape. It is checked by a small interpreter of the JSON
 Schema draft 7 keywords that file uses, with draft 7's semantics and
 jsonschema's messages; a keyword outside that subset is refused when the
@@ -427,8 +429,22 @@ def scenario_from_mapping(doc) -> Scenario:
 
 
 def semantic_problems(s: Scenario) -> list[str]:
-    """Cross-reference and range checks beyond the schema's reach."""
+    """Cross-reference and range checks beyond the schema's reach, and the
+    schema's value rules again, in microseconds, for a scenario built in code.
+
+    A document passes the schema first, in milliseconds before rounding; a
+    ``Scenario`` built or replaced in code reaches only this pass, so it
+    repeats every rule a run relies on: ids, worker counts, link and window
+    bounds, the process and policy kinds, and the non-empty name and lists.
+    """
     problems: list[str] = []
+    if type(s.name) is not str or not s.name:
+        problems.append(f"name: must be a non-empty string, got {s.name!r}")
+    for part in ("computers", "routers", "workload"):
+        if not getattr(s, part):
+            problems.append(f"{part}: must not be empty")
+    if not isinstance(s.policy.kind, PolicyKind):
+        problems.append(f"policy.kind: must be a PolicyKind, got {s.policy.kind!r}")
     if type(s.duration_us) is not int:
         problems.append(f"duration_us: must be an int of microseconds, got {s.duration_us!r}")
     elif s.duration_us <= 0:
@@ -445,8 +461,14 @@ def semantic_problems(s: Scenario) -> list[str]:
     if not 0 <= s.policy.alpha <= 1:
         problems.append(f"policy.alpha: must be in [0, 1], got {s.policy.alpha!r}")
     for c in s.computers:
+        if c.id < 0:
+            problems.append(f"computer {c.id}: id must be non-negative")
+        if type(c.workers) is not int or c.workers < 1:
+            problems.append(f"computer {c.id}: workers must be an int of at least 1, got {c.workers!r}")
         if not 0 <= c.beta < math.inf:
             problems.append(f"computer {c.id}: beta must be finite and non-negative, got {c.beta!r}")
+        if not c.service_us:
+            problems.append(f"computer {c.id}: no service times")
     # The schema checks milliseconds; a positive value can still round to
     # 0 us, and a zero retry, backoff or service time never advances time.
     durations = [
@@ -469,6 +491,10 @@ def semantic_problems(s: Scenario) -> list[str]:
     known_computers = set(computer_ids)
     by_computer = {c.id: c for c in s.computers}
     for r in s.routers:
+        if r.id < 0:
+            problems.append(f"router {r.id}: id must be non-negative")
+        if not r.lambdas:
+            problems.append(f"router {r.id}: no lambdas")
         lam_ids = [l.id for l in r.lambdas]
         if len(lam_ids) != len(set(lam_ids)):
             problems.append(f"router {r.id}: duplicate lambda id")
@@ -478,6 +504,8 @@ def semantic_problems(s: Scenario) -> list[str]:
             if latency < 0:
                 problems.append(f"router {r.id}: negative link latency to {link_dest}")
         for l in r.lambdas:
+            if l.id < 0:
+                problems.append(f"router {r.id} lambda {l.id}: id must be non-negative")
             if not l.destinations:
                 problems.append(
                     f"router {r.id} lambda {l.id}: empty destination set"
@@ -514,11 +542,26 @@ def semantic_problems(s: Scenario) -> list[str]:
                 f"workload router {w.router} lambda {w.lam}: rate must be at most "
                 f"{MAX_RATE_PER_S} per second (a mean gap of 1 us), got {w.rate_per_s!r}"
             )
+        if w.process not in ("poisson", "deterministic"):
+            problems.append(
+                f"workload router {w.router} lambda {w.lam}: process must be "
+                f"'poisson' or 'deterministic', got {w.process!r}"
+            )
+        if w.client_link_us < 0:
+            problems.append(
+                f"workload router {w.router} lambda {w.lam}: negative client link "
+                f"{w.client_link_us} us"
+            )
     for c in s.congestion:
         if c.router not in set(router_ids):
             problems.append(f"congestion: unknown router {c.router}")
         if c.computer not in known_computers:
             problems.append(f"congestion: unknown computer {c.computer}")
+        if c.start_us < 0:
+            problems.append(
+                f"congestion router {c.router} computer {c.computer}: "
+                f"window starts before 0 us, at {c.start_us} us"
+            )
         if not c.start_us < c.end_us:
             problems.append(
                 f"congestion router {c.router} computer {c.computer}: "

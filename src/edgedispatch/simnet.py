@@ -358,7 +358,7 @@ class _Sim:
     def _on_arrival(self, now: int, req: _Request) -> None:
         """The request reaches its router (or retries): dispatch it."""
         try:
-            outcome = req.policy.select(now)
+            dest = req.policy.select(now)
         except NoEligibleDestination:
             retry_at = now + self.retry_us
             if retry_at >= self.duration:
@@ -373,10 +373,9 @@ class _Sim:
                     self.heap, (retry_at, _RUNTIME, next(self.counter), self._on_arrival, req)
                 )
             return
-        dest = outcome.destination
         req.destination = dest
         req.computer = self.computers[dest]
-        req.is_probe = outcome.is_probe
+        req.is_probe = dest in req.policy.probing
         req.dispatch_us = now
         heapq.heappush(
             self.heap,

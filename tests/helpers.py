@@ -16,12 +16,7 @@ from edgedispatch.ledger import (
     UnknownDestination,
 )
 from edgedispatch.metrics import TRACE_COLUMNS
-from edgedispatch.policy import (
-    NoEligibleDestination,
-    PolicyKind,
-    PolicyState,
-    SelectionOutcome,
-)
+from edgedispatch.policy import NoEligibleDestination, PolicyKind, PolicyState
 from edgedispatch.scenario import scenario_from_mapping
 from edgedispatch.simnet import TraceRow, _by_seq
 
@@ -118,11 +113,11 @@ class NaivePolicy(PolicyState):
         if unmeasured:
             dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
             self._bootstrap_cursor += 1
-            return SelectionOutcome(dest, is_probe=False)
+            return dest
         if not measured:
             raise NoEligibleDestination("no destination with a finite weight")
         if self.kind is PolicyKind.LEAST_IMPEDANCE:
-            return SelectionOutcome(min(measured)[1], is_probe=False)
+            return min(measured)[1]
         total = 0.0
         cumulative = []
         for weight, d in measured:
@@ -131,8 +126,8 @@ class NaivePolicy(PolicyState):
         draw = self.rng.random() * total
         for bound, d in cumulative:
             if draw < bound:
-                return SelectionOutcome(d, is_probe=False)
-        return SelectionOutcome(cumulative[-1][1], is_probe=False)
+                return d
+        return cumulative[-1][1]
 
     def _select_rr(self, now):
         self.naive_selections += 1
@@ -148,12 +143,12 @@ class NaivePolicy(PolicyState):
             dest = self.rng.choice(eligible)
             self.probing.add(dest)
             self.probes_launched += 1
-            return SelectionOutcome(dest, is_probe=True)
+            return dest
         if len(self.ledger) == 0:
             raise NoEligibleDestination("nothing active or probe-eligible")
         dest = self.ledger.pop_min()
         self.ledger.charge(dest, self.table.get(dest))
-        return SelectionOutcome(dest, is_probe=False)
+        return dest
 
     def _min_active_weight(self):
         active = [d for d in self.destinations if d in self.ledger]
@@ -287,7 +282,7 @@ def reference_run(scenario):
         elif action == "arrive":
             policy = policies[req["router"], req["lam"]]
             try:
-                outcome = policy.select(now)
+                dest = policy.select(now)
             except NoEligibleDestination:
                 if now + s.policy.retry_us >= s.duration_us:
                     rows.append(
@@ -300,8 +295,8 @@ def reference_run(scenario):
                     retries += 1
                     push(now + s.policy.retry_us, "arrive", req)
                 continue
-            req["dest"] = outcome.destination
-            req["probe"] = outcome.is_probe
+            req["dest"] = dest
+            req["probe"] = dest in policy.probing
             req["dispatched"] = now
             push(now + links[req["router"]][req["dest"]], "deliver", req)
         elif action == "deliver":

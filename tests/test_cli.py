@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from edgedispatch.cli import main
-from edgedispatch.metrics import TRACE_COLUMNS, read_trace
+from edgedispatch.metrics import TRACE_COLUMNS, read_trace, summarize
 
 from helpers import tiny_doc
 
@@ -113,6 +113,27 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     assert doc["policy"] == "rr"
     assert doc["arrivals"] == len(rows)
     assert doc["completed"] + doc["unserved"] == doc["arrivals"]
+
+
+def test_run_that_issues_nothing_writes_both_files(tmp_path, capsys):
+    # One deterministic issue every 20 ms over 20 ms: the first issue falls
+    # on the duration, so the trace has no rows, and the summary says so.
+    doc = tiny_doc(duration_ms=20)
+    doc["workload"][0]["rate_per_s"] = 50
+    path = tmp_path / "empty.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = main(
+        ["run", "--scenario", str(path), "--trace-out", str(trace), "--summary-out", str(summary)]
+    )
+    assert code == 0
+    assert "0 completed, 0 unserved, no completions" in capsys.readouterr().out
+    assert trace.read_text(encoding="utf-8") == ",".join(TRACE_COLUMNS) + "\n"
+    text = summary.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert (doc["arrivals"], doc["completed"], doc["unserved"]) == (0, 0, 0)
+    assert doc["policy"] == "li"
+    assert summarize(read_trace(trace), doc["snapshot"]).to_json() == text
 
 
 def test_run_defaults_land_in_cwd(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from edgedispatch.metrics import (
     TRACE_COLUMNS,
-    EmptyTrace,
     fairness_ratios,
     nearest_rank,
     read_trace,
@@ -114,9 +113,19 @@ def test_no_completed_requests_has_no_latency_stats():
     assert s.fairness_max_deviation is None
 
 
-def test_summarize_rejects_empty_trace():
-    with pytest.raises(EmptyTrace):
-        summarize([], {})
+def test_summarize_an_empty_trace():
+    # A valid run can issue nothing before its duration; its policy comes
+    # from the snapshot, since there is no row to name it.
+    s = summarize([], snapshot_for({}, {"kind": "rr", "probes_launched": 0}))
+    assert s.policy == "rr"
+    assert (s.arrivals, s.completed, s.unserved) == (0, 0, 0)
+    assert (s.mean_latency_us, s.median_latency_us, s.p95_latency_us, s.p99_latency_us) == (
+        None, None, None, None,
+    )
+    assert s.selections == {} and s.fairness_groups == {}
+    assert s.fairness_max_deviation is None
+    assert s.probes == {"launched": 0, "admitted": 0, "rejected": 0, "stale_responses": 0}
+    assert summarize([], {}).policy == ""
 
 
 def test_perfectly_weighted_counts_have_zero_deviation():

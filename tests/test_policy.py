@@ -1,5 +1,4 @@
 import random
-from dataclasses import FrozenInstanceError
 from itertools import accumulate
 
 import pytest
@@ -11,7 +10,6 @@ from edgedispatch.policy import (
     NoEligibleDestination,
     PolicyKind,
     PolicyState,
-    SelectionOutcome,
 )
 
 from helpers import NaivePolicy
@@ -21,21 +19,21 @@ MS = 1000
 
 def test_li_picks_smallest_weight():
     state = PolicyState.preloaded(PolicyKind.LEAST_IMPEDANCE, {0: 10 * MS, 1: 5 * MS, 2: 30 * MS})
-    assert state.select(0) == SelectionOutcome(1, is_probe=False)
+    assert state.select(0) == 1
 
 
 def test_li_skips_congested():
     # weights {a:10, b:5, c:inf} -> b
     state = PolicyState.preloaded(PolicyKind.LEAST_IMPEDANCE, {0: 10 * MS, 1: 5 * MS, 2: 30 * MS})
     state.sync_congestion(2, True, 0)
-    assert state.select(0).destination == 1
+    assert state.select(0) == 1
     state.sync_congestion(1, True, 0)
-    assert state.select(0).destination == 0
+    assert state.select(0) == 0
 
 
 def test_li_tie_breaks_to_smallest_id():
     state = PolicyState.preloaded(PolicyKind.LEAST_IMPEDANCE, {3: 5 * MS, 1: 5 * MS, 2: 5 * MS})
-    assert state.select(0).destination == 1
+    assert state.select(0) == 1
 
 
 def test_all_policies_agree_on_single_finite_destination():
@@ -43,16 +41,16 @@ def test_all_policies_agree_on_single_finite_destination():
         state = PolicyState.preloaded(kind, {0: 9 * MS, 1: 4 * MS, 2: 6 * MS})
         state.sync_congestion(0, True, 0)
         state.sync_congestion(2, True, 0)
-        assert state.select(0).destination == 1
+        assert state.select(0) == 1
 
 
 def test_bootstrap_cycles_unmeasured_destinations():
     state = PolicyState(PolicyKind.LEAST_IMPEDANCE, [2, 0, 1], seed=4)
-    picks = [state.select(0).destination for _ in range(6)]
+    picks = [state.select(0) for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
     # once one destination is measured, the cycle covers the remaining two
     state.on_response(1, 5 * MS, 0)
-    assert {state.select(0).destination for _ in range(2)} == {0, 2}
+    assert {state.select(0) for _ in range(2)} == {0, 2}
 
 
 def test_bootstrap_then_greedy():
@@ -62,14 +60,14 @@ def test_bootstrap_then_greedy():
     state.select(0)
     state.on_response(1, 3 * MS, 0)
     for _ in range(5):
-        assert state.select(0).destination == 1
+        assert state.select(0) == 1
 
 
 def test_rp_frequencies_follow_reciprocal_weights():
     # weights 1 ms and 3 ms -> probabilities 0.75 / 0.25
     state = PolicyState.preloaded(PolicyKind.RANDOM_PROPORTIONAL, {0: 1 * MS, 1: 3 * MS}, seed=8)
     n = 1_000_000
-    hits = sum(state.select(0).destination == 0 for _ in range(n))
+    hits = sum(state.select(0) == 0 for _ in range(n))
     assert abs(hits / n - 0.75) < 0.005
 
 
@@ -78,21 +76,21 @@ def test_rp_never_picks_congested():
         PolicyKind.RANDOM_PROPORTIONAL, {0: 1 * MS, 1: 1 * MS, 2: 1 * MS}, seed=9
     )
     state.sync_congestion(0, True, 0)
-    assert all(state.select(0).destination != 0 for _ in range(500))
+    assert all(state.select(0) != 0 for _ in range(500))
 
 
 def test_rp_is_seed_reproducible():
     a = PolicyState.preloaded(PolicyKind.RANDOM_PROPORTIONAL, {0: MS, 1: 2 * MS}, seed=3)
     b = PolicyState.preloaded(PolicyKind.RANDOM_PROPORTIONAL, {0: MS, 1: 2 * MS}, seed=3)
-    picks_a = [a.select(0).destination for _ in range(200)]
-    picks_b = [b.select(0).destination for _ in range(200)]
+    picks_a = [a.select(0) for _ in range(200)]
+    picks_b = [b.select(0) for _ in range(200)]
     assert picks_a == picks_b
 
 
 def test_rr_reference_schedule():
     # frozen weights 2/3/4 ms, 13 selections, lowest id wins ties
     state = PolicyState.preloaded(PolicyKind.ROUND_ROBIN, {1: 2 * MS, 2: 3 * MS, 3: 4 * MS})
-    picks = [state.select(0).destination for _ in range(13)]
+    picks = [state.select(0) for _ in range(13)]
     assert picks == [1, 2, 3, 1, 2, 1, 3, 1, 2, 1, 3, 2, 1]
     assert [picks.count(d) for d in (1, 2, 3)] == [6, 4, 3]
     assert state.ledger.decode() == {1: 12 * MS, 2: 12 * MS, 3: 12 * MS}
@@ -100,37 +98,37 @@ def test_rr_reference_schedule():
 
 def test_rr_charges_by_current_weight():
     state = PolicyState.preloaded(PolicyKind.ROUND_ROBIN, {0: 2 * MS, 1: 100 * MS}, alpha=0)
-    assert state.select(0).destination == 0
+    assert state.select(0) == 0
     assert state.ledger.decode()[0] == 2 * MS
     # the weight moves (alpha 0 adopts the sample), later charges follow it
     state.on_response(0, 10 * MS, 0)
     assert state.table.get(0) == 10 * MS
-    assert state.select(0).destination == 1
-    assert state.select(0).destination == 0
+    assert state.select(0) == 1
+    assert state.select(0) == 0
     assert state.ledger.decode()[0] == 12 * MS
 
 
 def test_rr_fresh_state_probes_first():
     state = PolicyState(PolicyKind.ROUND_ROBIN, [0, 1], seed=5)
     out = state.select(0)
-    assert out.is_probe
-    assert out.destination in state.probing
+    assert state.probing == {out}
     assert state.probes_launched == 1
     # the probed destination is not re-probed while outstanding
     second = state.select(0)
-    assert second.is_probe and second.destination != out.destination
+    assert second != out and state.probing == {out, second}
 
 
 def test_rr_probe_admission_on_empty_active_set():
     state = PolicyState(PolicyKind.ROUND_ROBIN, [0], seed=5)
-    dest = state.select(0).destination
+    dest = state.select(0)
     state.on_response(dest, 7 * MS, 1000)
     assert set(state.ledger.decode()) == {0}
     assert state.ledger.decode() == {0: 7 * MS}
     assert state.table.get(0) == 7 * MS
     assert state.probes_admitted == 1
     # follow-up selections come from the ledger, not probing
-    assert state.select(2000) == SelectionOutcome(0, is_probe=False)
+    assert state.select(2000) == 0
+    assert not state.probing
 
 
 def active_0_probing_1(now, weight_0):
@@ -138,8 +136,8 @@ def active_0_probing_1(now, weight_0):
     ``weight_0`` into the empty active set, 1's probe still outstanding."""
     state = PolicyState(PolicyKind.ROUND_ROBIN, [0, 1], seed=5)
     probes = [state.select(now), state.select(now)]
-    assert sorted(p.destination for p in probes) == [0, 1]
-    assert all(p.is_probe for p in probes)
+    assert sorted(probes) == [0, 1]
+    assert state.probing == {0, 1}
     state.on_response(0, weight_0, now)
     assert set(state.ledger.decode()) == {0} and state.probing == {1}
     return state
@@ -165,8 +163,8 @@ def test_rr_probe_rejection_doubles_backoff():
     assert state.probes_rejected == 1
     assert state.table.get(1) is None  # rejected probes leave no estimate
     # not eligible again until the backoff expires
-    assert not state.select(now + 199 * MS).is_probe
-    assert state.select(now + 200 * MS).is_probe
+    assert state.select(now + 199 * MS) not in state.probing
+    assert state.select(now + 200 * MS) in state.probing
 
 
 def test_rr_eviction_when_weight_exceeds_twice_min():
@@ -220,7 +218,7 @@ def test_sync_congestion_reports_none_without_a_finite_weight():
 
 def test_rr_congestion_cancels_outstanding_probe():
     state = PolicyState(PolicyKind.ROUND_ROBIN, [0, 1], seed=2)
-    probed = state.select(0).destination
+    probed = state.select(0)
     state.sync_congestion(probed, True, 10)
     assert probed not in state.probing
     state.sync_congestion(probed, False, 20)
@@ -281,7 +279,7 @@ def test_active_and_probing_stay_disjoint():
                 out = state.select(now)
             except NoEligibleDestination:
                 continue
-            outstanding.append(out.destination)
+            outstanding.append(out)
         elif roll < 0.8 and outstanding:
             dest = outstanding.pop(rng.randrange(len(outstanding)))
             state.on_response(dest, rng.randint(500, 40_000), now)
@@ -300,60 +298,35 @@ def test_policy_needs_destinations():
         PolicyState(PolicyKind.ROUND_ROBIN, [])
 
 
-def check_outcome(out, dest, is_probe):
-    """``out`` equals a fresh ``SelectionOutcome`` and cannot be changed."""
-    assert out == SelectionOutcome(dest, is_probe)
-    with pytest.raises(FrozenInstanceError):
-        out.destination = dest + 1
-    with pytest.raises(FrozenInstanceError):
-        out.is_probe = not is_probe
-    assert out == SelectionOutcome(dest, is_probe)
+def pick(state, now, probe=False):
+    """One selection: a plain ``int``, in ``probing`` exactly for a probe."""
+    dest = state.select(now)
+    assert type(dest) is int
+    assert (dest in state.probing) is probe
+    return dest
 
 
-def test_bootstrap_and_li_return_interned_outcomes():
+def test_select_returns_an_id_and_only_a_probe_is_probing():
     boot = PolicyState(PolicyKind.LEAST_IMPEDANCE, [2, 0, 1], seed=4)
-    outs = [boot.select(0) for _ in range(6)]
-    for out, dest in zip(outs, [0, 1, 2, 0, 1, 2]):
-        check_outcome(out, dest, False)
-    assert outs[0] is outs[3]
+    assert [pick(boot, 0) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
     li = PolicyState.preloaded(PolicyKind.LEAST_IMPEDANCE, {0: 10 * MS, 1: 5 * MS})
-    out = li.select(0)
-    check_outcome(out, 1, False)
-    assert li.select(0) is out
-
-
-def test_rp_returns_interned_outcomes():
-    state = PolicyState.preloaded(
+    assert [pick(li, 0) for _ in range(2)] == [1, 1]
+    rp = PolicyState.preloaded(
         PolicyKind.RANDOM_PROPORTIONAL, {4: MS, 7: 2 * MS, 9: 4 * MS}, seed=3
     )
-    first = {}
-    for _ in range(300):
-        out = state.select(0)
-        assert first.setdefault(out.destination, out) is out
-    assert sorted(first) == [4, 7, 9]
-    for dest, out in first.items():
-        check_outcome(out, dest, False)
-
-
-def test_rr_deficit_picks_are_interned_and_probes_are_not():
-    state = PolicyState(PolicyKind.ROUND_ROBIN, [0, 1], seed=5)
-    probes = [state.select(0), state.select(0)]
-    for probe in probes:
-        check_outcome(probe, probe.destination, True)
+    assert {pick(rp, 0) for _ in range(300)} == {4, 7, 9}
+    rr = PolicyState(PolicyKind.ROUND_ROBIN, [0, 1], seed=5)
+    assert sorted(pick(rr, 0, probe=True) for _ in range(2)) == [0, 1]
     for dest in (0, 1):
-        state.on_response(dest, 5 * MS, 0)
-    assert set(state.ledger.decode()) == {0, 1}
+        rr.on_response(dest, 5 * MS, 0)
+    assert set(rr.ledger.decode()) == {0, 1} and not rr.probing
     # 1 was admitted last, at 5 ms above the renormalized 0
-    picks = [state.select(0) for _ in range(4)]
-    for out, dest in zip(picks, [0, 0, 1, 0]):
-        check_outcome(out, dest, False)
-    assert picks[0] is picks[1] is picks[3]
+    assert [pick(rr, 0) for _ in range(4)] == [0, 0, 1, 0]
     # congestion evicts 0 and its clear makes it probe-eligible at once
-    state.sync_congestion(0, True, 0)
-    state.sync_congestion(0, False, 0)
-    probe = state.select(0)
-    check_outcome(probe, 0, True)
-    assert probe is not picks[0] and probe != picks[0]
+    rr.sync_congestion(0, True, 0)
+    rr.sync_congestion(0, False, 0)
+    assert pick(rr, 0, probe=True) == 0
+    assert rr.probing == {0}
 
 
 def test_snapshot_round_trip_fields():
@@ -375,7 +348,7 @@ def test_snapshot_round_trip_fields():
 def test_li_and_rp_hold_no_backoff_state(kind):
     state = PolicyState(kind, [0, 1, 2], seed=3)
     for now in range(3):
-        state.on_response(state.select(now).destination, 5 * MS, now)
+        state.on_response(state.select(now), 5 * MS, now)
     state.sync_congestion(1, True, 10)
     state.sync_congestion(1, False, 20)
     snap = state.snapshot()
@@ -475,8 +448,12 @@ def drive_against_naive(kind, k, seed, steps=1500):
             continue
         before = (real.probes_admitted, real.probes_rejected, real.stale_responses, len(real.ledger))
         first_weight = real.table.get(dests[0]), real.table.is_congested(dests[0])
+        launched = naive.probes_launched
         got = apply(real, op, args)
         assert got == apply(naive, op, args), (op, args)
+        if op == "select" and got is not None:
+            # the flag the event loop reads, against the naive policy's launch
+            assert (got in real.probing) == (naive.probes_launched > launched), (op, args)
         assert real.rng.getstate() == naive.rng.getstate()
         assert real.snapshot() == naive.snapshot()
         assert real.table.snapshot() == naive.table.snapshot()
@@ -493,7 +470,7 @@ def drive_against_naive(kind, k, seed, steps=1500):
             seen["first_congested"] += real.table.is_congested(dests[0])
             seen["last_congested"] += real.table.is_congested(dests[-1])
         if op == "select" and got is not None:
-            outstanding.append(got.destination)
+            outstanding.append(got)
         if op == "on_response":
             seen["admit"] += real.probes_admitted - before[0]
             seen["reject"] += real.probes_rejected - before[1]
@@ -596,7 +573,7 @@ def test_rp_draw_on_a_bound_picks_what_the_scan_picked(congested):
     assert len(draws) > 4  # the draws hit the bounds exactly
     for state in states:
         state.rng = FixedDraws(draws)
-    picks = [[state.select(0).destination for _ in draws] for state in states]
+    picks = [[state.select(0) for _ in draws] for state in states]
     assert picks[0] == picks[1]
     assert not set(picks[0]) & set(congested)
 

@@ -13,6 +13,7 @@ from edgedispatch.core import string_keys
 from edgedispatch.metrics import read_trace, summarize, write_trace
 from edgedispatch.policy import PolicyKind
 from edgedispatch.scenario import (
+    CongestionWindow,
     InvalidScenario,
     Scenario,
     builtin_names,
@@ -215,6 +216,126 @@ def test_semantic_pass_rejects_non_finite_values_built_in_code(part, field, valu
         (item,) = getattr(s, part)
         scenario = dataclasses.replace(s, **{part: (dataclasses.replace(item, **{field: value}),)})
     assert any(words in p for p in semantic_problems(scenario))
+    with pytest.raises(InvalidScenario):
+        run(scenario)
+
+
+def set_in(doc, path, value):
+    """Set the item at ``path`` (keys and indices) of a document."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+def replaced(obj, path, value):
+    """``obj`` with the item at ``path`` (field names and tuple indices)
+    replaced by ``value``; nothing is changed in place."""
+    if not path:
+        return value
+    key, *rest = path
+    if isinstance(obj, tuple):
+        return (*obj[:key], replaced(obj[key], rest, value), *obj[key + 1:])
+    return dataclasses.replace(obj, **{key: replaced(getattr(obj, key), rest, value)})
+
+
+# One case per value rule: the edits that break it in a document (refused
+# by the schema) and in a code-built scenario (refused by the semantic pass,
+# with these words). The first five are values that used to run: a lost
+# request, a crash in a TraceRow, an unknown process, rows with destination
+# -1 that read_trace refuses, and an AttributeError in the simulator.
+VALUE_RULES = {
+    "workers-0": (
+        [(("computers", 0, "workers"), 0)],
+        [(("computers", 0, "workers"), 0)],
+        "computer 0: workers must be an int of at least 1, got 0",
+    ),
+    "negative-client-link": (
+        [(("workload", 0, "client_link_ms"), -5)],
+        [(("workload", 0, "client_link_us"), -5000)],
+        "workload router 0 lambda 0: negative client link -5000 us",
+    ),
+    "unknown-process": (
+        [(("workload", 0, "process"), "bursty")],
+        [(("workload", 0, "process"), "bursty")],
+        "workload router 0 lambda 0: process must be 'poisson' or 'deterministic', got 'bursty'",
+    ),
+    "negative-computer-id": (
+        [
+            (("computers", 0, "id"), -1),
+            (("routers", 0, "links_ms"), {-1: 1}),
+            (("routers", 0, "lambdas", 0, "destinations"), [-1]),
+        ],
+        [
+            (("computers", 0, "id"), -1),
+            (("routers", 0, "links_us"), {-1: 1000}),
+            (("routers", 0, "lambdas", 0, "destinations"), (-1,)),
+        ],
+        "computer -1: id must be non-negative",
+    ),
+    "kind-not-a-policy-kind": (
+        [(("policy", "kind"), "fifo")],
+        [(("policy", "kind"), "rr")],
+        "policy.kind: must be a PolicyKind, got 'rr'",
+    ),
+    "workers-not-an-int": (
+        [(("computers", 0, "workers"), 1.5)],
+        [(("computers", 0, "workers"), 1.5)],
+        "computer 0: workers must be an int of at least 1, got 1.5",
+    ),
+    "negative-router-id": (
+        [(("routers", 0, "id"), -1), (("workload", 0, "router"), -1)],
+        [(("routers", 0, "id"), -1), (("workload", 0, "router"), -1)],
+        "router -1: id must be non-negative",
+    ),
+    "negative-lambda-id": (
+        [
+            (("routers", 0, "lambdas", 0, "id"), -1),
+            (("workload", 0, "lambda"), -1),
+            (("computers", 0, "service_ms"), {-1: 5}),
+        ],
+        [
+            (("routers", 0, "lambdas", 0, "id"), -1),
+            (("workload", 0, "lam"), -1),
+            (("computers", 0, "service_us"), {-1: 5000}),
+        ],
+        "router 0 lambda -1: id must be non-negative",
+    ),
+    "window-before-0": (
+        [(("congestion",), [{"router": 0, "computer": 0, "start_ms": -1, "end_ms": 10}])],
+        [(("congestion",), (CongestionWindow(0, 0, -1000, 10_000),))],
+        "congestion router 0 computer 0: window starts before 0 us, at -1000 us",
+    ),
+    "empty-name": ([(("name",), "")], [(("name",), "")], "name: must be a non-empty string, got ''"),
+    "no-computers": ([(("computers",), [])], [(("computers",), ())], "computers: must not be empty"),
+    "no-routers": ([(("routers",), [])], [(("routers",), ())], "routers: must not be empty"),
+    "no-workload": ([(("workload",), [])], [(("workload",), ())], "workload: must not be empty"),
+    "no-lambdas": (
+        [(("routers", 0, "lambdas"), [])],
+        [(("routers", 0, "lambdas"), ())],
+        "router 0: no lambdas",
+    ),
+    "no-service-times": (
+        [(("computers", 0, "service_ms"), {})],
+        [(("computers", 0, "service_us"), {})],
+        "computer 0: no service times",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc_edits, code_edits, words", VALUE_RULES.values(), ids=VALUE_RULES)
+def test_a_value_rule_holds_for_documents_and_code_built_scenarios(doc_edits, code_edits, words):
+    doc = tiny_doc()
+    for path, value in doc_edits:
+        set_in(doc, path, value)
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    where = "/".join(map(str, doc_edits[0][0]))
+    assert any(p.startswith(where) for p in info.value.problems), info.value.problems
+    scenario = tiny_scenario()
+    for path, value in code_edits:
+        scenario = replaced(scenario, path, value)
+    assert words in semantic_problems(scenario)
     with pytest.raises(InvalidScenario):
         run(scenario)
 
