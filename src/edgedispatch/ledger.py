@@ -15,16 +15,21 @@ predecessor's: deficits {4, 6, 7, 7} read as deltas {4, 2, 1, 0}.
 
 ``replay_frozen`` is the bulk select-then-charge loop behind the fairness
 suites. It does not drive ``DeficitLedger``: with weights frozen and no
-admissions or evictions, a heap of ``(deficit, id)`` pairs selects in the
-same order at O(log k) per step, and the test suite pins it to
-select-then-charge loops over ``DeficitLedger`` and a naive oracle.
+admissions or evictions, a heap of ints ``deficit << shift | id``, with
+``shift`` the bit width of the largest id, selects in the same order at
+O(log k) per step, since the int order is the ledger's order (smallest
+deficit, then smallest id). The test suite pins it to select-then-charge
+loops over ``DeficitLedger`` and a naive oracle.
 
 In that replay every deficit starts at zero and each selection adds the
 destination's own frozen weight (deficit round-robin, Shreedhar and
 Varghese, SIGCOMM 1995), so ``deficit[d] == count[d] * weight[d]`` at every
 step and the weighted selection-count spread is the deficit spread. The
-replay reports that one spread; the fairness suite checks the identity on
-each run's final counts, and the pin tests at every step.
+replay reports that one spread, measured only at a step that raises the
+largest key, since the minimum never falls. It tallies counts per step, so
+the fairness suite's check of the identity on each run's final counts
+tests the replay rather than holding by construction; the pin tests check
+it at every step.
 """
 
 from __future__ import annotations
@@ -187,9 +192,21 @@ def replay_frozen(
     Destination ids are the indices of ``weights`` (microseconds, positive);
     every destination starts admitted with deficit zero.
 
-    Each step costs O(log k). A heap of ``(deficit, id)`` selects in the
-    ledger's own order (smallest deficit, then smallest id), and since
-    deficits only grow, the largest is a running max.
+    Each step costs O(log k) on a heap of ints ``deficit << shift | id``,
+    ``shift = (k - 1).bit_length()``: ``key & mask`` is the id, ``key >>
+    shift`` the deficit, and a charge adds the precomputed ``weight <<
+    shift``, so no tuple is built or compared.
+
+    The spread is measured only when the charged key rises above the
+    running top, the largest key so far. Every weight is positive, so the
+    heap minimum never falls; at a step where the top does not rise, the
+    spread is therefore no larger than at the step before. Neither the
+    largest spread nor the first step above the largest weight can fall on
+    such a step, so both are what a check of every step gives.
+
+    Counts are tallied per step, not derived as ``deficit // weight``: the
+    short-term suite checks ``count * weight == deficit``, which derived
+    counts would satisfy by construction.
     """
     k = len(weights)
     if k == 0:
@@ -197,28 +214,32 @@ def replay_frozen(
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
     max_w = max(weights)
-    heap = [(0, dest) for dest in range(k)]  # sorted, hence a heap
+    shift = (k - 1).bit_length()
+    mask = (1 << shift) - 1
+    charges = [w << shift for w in weights]
+    heap = list(range(k))  # every deficit zero: sorted, hence a heap
     counts = [0] * k
     sequence: list[int] | None = [] if record_sequence else None
-    top = 0
+    top = k - 1
     violation = -1
     max_spread = 0
     for step in range(1, steps + 1):
-        deficit, dest = heap[0]
-        deficit += weights[dest]
-        heapreplace(heap, (deficit, dest))
-        if deficit > top:
-            top = deficit
+        key = heap[0]
+        dest = key & mask
+        key += charges[dest]
+        heapreplace(heap, key)
         counts[dest] += 1
         if sequence is not None:
             sequence.append(dest)
-        spread = top - heap[0][0]
-        if spread > max_spread:
-            max_spread = spread
-            # the first spread above max_w is also a new maximum
-            if spread > max_w and violation < 0:
-                violation = step
+        if key > top:
+            top = key
+            spread = (key >> shift) - (heap[0] >> shift)
+            if spread > max_spread:
+                max_spread = spread
+                # the first spread above max_w is also a new maximum
+                if spread > max_w and violation < 0:
+                    violation = step
     deficits = [0] * k
-    for deficit, dest in heap:
-        deficits[dest] = deficit
+    for key in heap:
+        deficits[key & mask] = key >> shift
     return ReplayResult(counts, deficits, violation, max_spread, sequence)

@@ -428,6 +428,29 @@ def scenario_from_mapping(doc) -> Scenario:
     return scenario
 
 
+def _ids(s: Scenario):
+    """Every id a scenario holds or refers to, with where it sits as a
+    ``%`` template and its arguments, formatted only for a bad id."""
+    for c in s.computers:
+        yield c.id, "computer %r: id", (c.id,)
+        for lam in c.service_us:
+            yield lam, "computer %r: service lambda", (c.id,)
+    for r in s.routers:
+        yield r.id, "router %r: id", (r.id,)
+        for computer in r.links_us:
+            yield computer, "router %r: link computer", (r.id,)
+        for l in r.lambdas:
+            yield l.id, "router %r lambda %r: id", (r.id, l.id)
+            for d in l.destinations:
+                yield d, "router %r lambda %r: destination", (r.id, l.id)
+    for w in s.workload:
+        yield w.router, "workload router %r lambda %r: router", (w.router, w.lam)
+        yield w.lam, "workload router %r lambda %r: lambda", (w.router, w.lam)
+    for c in s.congestion:
+        yield c.router, "congestion router %r computer %r: router", (c.router, c.computer)
+        yield c.computer, "congestion router %r computer %r: computer", (c.router, c.computer)
+
+
 def semantic_problems(s: Scenario) -> list[str]:
     """Cross-reference and range checks beyond the schema's reach, and the
     schema's value rules again, in microseconds, for a scenario built in code.
@@ -460,9 +483,13 @@ def semantic_problems(s: Scenario) -> list[str]:
     # Written so that NaN fails too: every comparison with it is false.
     if not 0 <= s.policy.alpha <= 1:
         problems.append(f"policy.alpha: must be in [0, 1], got {s.policy.alpha!r}")
+    # Loading takes int() of every id; an id set in code does not, and an
+    # integral float or a bool would run and reach the trace as "0.0" or
+    # "True", which read_trace refuses.
+    for value, where, args in _ids(s):
+        if type(value) is not int or value < 0:
+            problems.append(f"{where % args} must be a non-negative int, got {value!r}")
     for c in s.computers:
-        if c.id < 0:
-            problems.append(f"computer {c.id}: id must be non-negative")
         if type(c.workers) is not int or c.workers < 1:
             problems.append(f"computer {c.id}: workers must be an int of at least 1, got {c.workers!r}")
         if not 0 <= c.beta < math.inf:
@@ -491,8 +518,6 @@ def semantic_problems(s: Scenario) -> list[str]:
     known_computers = set(computer_ids)
     by_computer = {c.id: c for c in s.computers}
     for r in s.routers:
-        if r.id < 0:
-            problems.append(f"router {r.id}: id must be non-negative")
         if not r.lambdas:
             problems.append(f"router {r.id}: no lambdas")
         lam_ids = [l.id for l in r.lambdas]
@@ -504,8 +529,6 @@ def semantic_problems(s: Scenario) -> list[str]:
             if latency < 0:
                 problems.append(f"router {r.id}: negative link latency to {link_dest}")
         for l in r.lambdas:
-            if l.id < 0:
-                problems.append(f"router {r.id} lambda {l.id}: id must be non-negative")
             if not l.destinations:
                 problems.append(
                     f"router {r.id} lambda {l.id}: empty destination set"

@@ -1,6 +1,6 @@
 from dataclasses import replace
 
-from edgedispatch import fairness
+from edgedispatch import fairness, ledger
 from edgedispatch.fairness import (
     SuiteReport,
     all_suites,
@@ -61,6 +61,23 @@ def test_short_term_suite_checks_count_times_weight(monkeypatch):
     assert report.details["weighted_spread_violations"] == 4
     assert len(report.failures) == 4
     assert all("!= count x weight" in f for f in report.failures)
+
+
+def test_short_term_suite_sees_a_charge_that_no_selection_counts(monkeypatch):
+    # A replay that charges each selection twice keeps every deficit a
+    # multiple of its weight. Counts tallied per step then disagree with the
+    # deficits; counts derived from them would make the suite's
+    # count x weight check hold by construction.
+    real = ledger.heapreplace
+
+    def charge_twice(heap, key):
+        return real(heap, 2 * key - heap[0])
+
+    monkeypatch.setattr(ledger, "heapreplace", charge_twice)
+    report = short_term_suite(runs=4, steps=300, seed=5)
+    assert not report.passed
+    assert report.details["weighted_spread_violations"] == 4
+    assert sum("!= count x weight" in f for f in report.failures) == 4
 
 
 def test_exact_convergence_suite_small():

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -346,6 +346,26 @@ REPLAY_WEIGHTS = st.lists(st.integers(1, 3), min_size=1, max_size=10) | st.lists
 @settings(max_examples=200)
 @given(weights=REPLAY_WEIGHTS, steps=st.integers(0, 2000), record=st.booleans())
 def test_replay_matches_manual_ledger_loop_property(weights, steps, record):
+    expected = manual_replay(DeficitLedger(), weights, steps)
+    if not record:
+        expected = replace(expected, sequence=None)
+    assert replay_frozen(weights, steps, record_sequence=record) == expected
+
+
+# Each k where the key's id width, (k - 1).bit_length(), is about to grow
+# or just grew; weights of small ties, or up to 2**56 so that keys pass the
+# 2**30 and 2**60 int digit boundaries within a few hundred steps.
+KEY_WIDTH_WEIGHTS = st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33]).flatmap(
+    lambda k: st.lists(st.integers(1, 3), min_size=k, max_size=k)
+    | st.lists(st.integers(1, 3) | st.integers(1, 2**56), min_size=k, max_size=k)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=KEY_WIDTH_WEIGHTS, steps=st.integers(0, 500), record=st.booleans())
+@example(weights=[2**56 - 1] * 33, steps=500, record=True)
+@example(weights=[1] * 17 + [2**40], steps=500, record=False)
+def test_replay_keys_hold_at_every_id_width(weights, steps, record):
     expected = manual_replay(DeficitLedger(), weights, steps)
     if not record:
         expected = replace(expected, sequence=None)

@@ -241,9 +241,10 @@ def replaced(obj, path, value):
 
 # One case per value rule: the edits that break it in a document (refused
 # by the schema) and in a code-built scenario (refused by the semantic pass,
-# with these words). The first five are values that used to run: a lost
-# request, a crash in a TraceRow, an unknown process, rows with destination
-# -1 that read_trace refuses, and an AttributeError in the simulator.
+# with these words). The first five and the float router id are values that
+# used to run: a lost request, a crash in a TraceRow, an unknown process,
+# rows with destination -1 that read_trace refuses, an AttributeError in the
+# simulator, and rows with router "0.0" that read_trace refuses.
 VALUE_RULES = {
     "workers-0": (
         [(("computers", 0, "workers"), 0)],
@@ -271,7 +272,7 @@ VALUE_RULES = {
             (("routers", 0, "links_us"), {-1: 1000}),
             (("routers", 0, "lambdas", 0, "destinations"), (-1,)),
         ],
-        "computer -1: id must be non-negative",
+        "computer -1: id must be a non-negative int, got -1",
     ),
     "kind-not-a-policy-kind": (
         [(("policy", "kind"), "fifo")],
@@ -286,7 +287,7 @@ VALUE_RULES = {
     "negative-router-id": (
         [(("routers", 0, "id"), -1), (("workload", 0, "router"), -1)],
         [(("routers", 0, "id"), -1), (("workload", 0, "router"), -1)],
-        "router -1: id must be non-negative",
+        "router -1: id must be a non-negative int, got -1",
     ),
     "negative-lambda-id": (
         [
@@ -299,7 +300,26 @@ VALUE_RULES = {
             (("workload", 0, "lam"), -1),
             (("computers", 0, "service_us"), {-1: 5000}),
         ],
-        "router 0 lambda -1: id must be non-negative",
+        "router 0 lambda -1: id must be a non-negative int, got -1",
+    ),
+    "float-router-id": (
+        [(("routers", 0, "id"), 0.5), (("workload", 0, "router"), 0.5)],
+        [(("routers", 0, "id"), 0.0), (("workload", 0, "router"), 0.0)],
+        "router 0.0: id must be a non-negative int, got 0.0",
+    ),
+    "bool-computer-id": (
+        [(("computers", 0, "id"), True)],
+        [
+            (("computers", 0, "id"), False),
+            (("routers", 0, "links_us"), {False: 1000}),
+            (("routers", 0, "lambdas", 0, "destinations"), (False,)),
+        ],
+        "computer False: id must be a non-negative int, got False",
+    ),
+    "float-lambda-reference": (
+        [(("workload", 0, "lambda"), 0.5)],
+        [(("workload", 0, "lam"), 0.0)],
+        "workload router 0 lambda 0.0: lambda must be a non-negative int, got 0.0",
     ),
     "window-before-0": (
         [(("congestion",), [{"router": 0, "computer": 0, "start_ms": -1, "end_ms": 10}])],
