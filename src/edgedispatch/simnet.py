@@ -9,17 +9,41 @@ blackouts. Identical scenario and seed always reproduce the identical trace.
 
 Each heap entry is ``(time, class, n, handler, payload)``. The key
 ``(time, class, n)`` is unique and alone gives the order of events at one
-microsecond:
+microsecond. Each kind of event has its own class, in this written order:
 
 0. congestion toggles, with ``n`` the toggle's place in window order
    (windows by start, router, computer; each one's mark, then its
    clear). Windows on one pair never overlap, so a touching window's
-   clear precedes its mark;
+   clear precedes its mark. Toggles run first, so a request that arrives
+   or retries as a window opens or closes sees the window's new state;
 1. arrivals, with ``n`` the request's ``seq``;
-2. events pushed while the simulation runs (deliveries, service ends,
-   responses, retries), with ``n`` their push order.
+2. retries, which dispatch again as arrivals do. They run right after
+   the arrivals, so every dispatch at a microsecond, fresh or retried,
+   sees the policy as it was before that microsecond's responses;
+3. deliveries. They run after retries, since a retry over a 0 ms link
+   files its delivery at its own microsecond: no event files one with a
+   smaller key, so the keys run in order;
+4. responses. A delivery and a response touch disjoint state (a
+   computer's workers; a policy and the rows), so their order changes no
+   output; it is written down so that no tie is left to push order.
 
-The loop calls the entry's bound handler; nothing looks the kind up.
+For classes 2-4, ``n`` is the push order, and breaks ties only within a
+kind: there, creation order is the physical order (FIFO links and
+queues). A response is filed at its request's delivery, so responses at
+one microsecond run in delivery order. The loop calls the entry's bound
+handler; nothing looks the kind up.
+
+A computer is a FIFO queue in front of ``workers`` workers, and keeps when
+each worker is next free, as a heap. Every request that can delay a start
+was delivered earlier (Kiefer and Wolfowitz, Trans. AMS 78, 1955; Lindley,
+1952, for one worker), so the delivery handler computes it: the request
+starts at ``max(now, free[0])`` on the earliest free worker, and a worker
+freed at a delivery's microsecond serves it. The handler also computes
+the processing time and files the response, so a service end is not an
+event. The load at a start ``s`` is 1 plus the number of requests on that
+computer whose service ends after ``s``; one that ends at ``s`` is done.
+Starts follow delivery order, so only a worker's last service can end
+after ``s``, and the count is taken over ``free``.
 
 Requests are issued in ``(time, workload)`` order, merged lazily from the
 per-workload arrival streams, and ``seq`` is the place in that order. No
@@ -35,17 +59,14 @@ toggle or an earlier arrival at the same microsecond; then it is pushed.
 The order stays the key's: every event before it has run, run-time events
 at its microsecond come after arrivals, and each later issue lands no
 sooner, at the same microsecond only with a higher ``seq``. The shipped
-scenarios all have a client link of 0, so each request makes three heap
-trips (delivery, service end, response) instead of four.
+scenarios all have a client link of 0, so each request makes two heap
+trips (delivery, response) instead of three.
 
 A ``_Sim`` stores no bound method or closure of itself; the loop binds its
 handlers as locals or per push. A stored ``self._on_deliver`` makes each
 ``_Sim`` a reference cycle, so a finished run and its rows wait for a full
 garbage collection: a prototype that cached its handlers that way raised
 the benchmark's ``builtin`` peak RSS from 38.2 to 48.2 MB.
-
-A service start is not an event: a request takes a worker the moment it is
-delivered to an idle one, or the moment a worker it queued for frees up.
 
 Each request ends as one ``TraceRow``, built once, positionally, when the
 request completes or is given up. A row is slotted and frozen, and checks
@@ -63,7 +84,6 @@ import heapq
 import itertools
 import operator
 import random
-from collections import deque
 from dataclasses import dataclass
 from math import log
 from typing import Iterator
@@ -222,30 +242,30 @@ def arrival_process(kind: str, rate_per_s: float, seed: int = 0) -> Iterator[int
 
 
 class _Computer:
-    __slots__ = ("id", "workers", "beta", "service_us", "busy", "queue")
+    __slots__ = ("id", "workers", "beta", "service_us", "free")
 
     def __init__(self, spec) -> None:
         self.id = spec.id
         self.workers = spec.workers
         self.beta = spec.beta
         self.service_us = dict(spec.service_us)
-        self.busy = 0
-        self.queue: deque = deque()
+        # When each worker is next free: a heap, so free[0] is the earliest.
+        self.free = [0] * spec.workers
 
 
-def service_time(computer: _Computer, lam: int) -> int:
-    """Processing time for one invocation under the computer's current load.
+def service_time(computer: _Computer, lam: int, busy: int) -> int:
+    """Processing time for one invocation under the computer's load.
 
-    The base time scales by 1 + beta * busy/workers, where busy already
-    counts the request being started. It also counts requests started
-    earlier in the same microsecond, never ones started later.
+    The base time scales by 1 + beta * busy/workers, where ``busy`` counts
+    the request being started and every request on the computer whose
+    service ends after that start.
     """
     if lam not in computer.service_us:
         raise UnknownLambda(f"computer {computer.id} has no service time for lambda {lam}")
     base = computer.service_us[lam]
     if computer.beta == 0:
         return base
-    return round(base * (1 + computer.beta * computer.busy / computer.workers))
+    return round(base * (1 + computer.beta * busy / computer.workers))
 
 
 class _Request:
@@ -266,8 +286,7 @@ class _Request:
         "destination",
         "computer",
         "is_probe",
-        "delivered_us",
-        "service_start_us",
+        "queue_us",
         "processing_us",
     )
 
@@ -281,11 +300,8 @@ class _Request:
         self.links_us = links_us
 
 
-# The second item of a heap key: at one microsecond, toggles run first, then
-# arrivals, then run-time events.
-_TOGGLE = 0
-_ARRIVAL = 1
-_RUNTIME = 2
+# The second item of a heap key: the order of the kinds at one microsecond.
+_TOGGLE, _ARRIVAL, _RETRY, _DELIVERY, _RESPONSE = range(5)
 
 
 class _Sim:
@@ -370,7 +386,7 @@ class _Sim:
                 )
             else:
                 heapq.heappush(
-                    self.heap, (retry_at, _RUNTIME, next(self.counter), self._on_arrival, req)
+                    self.heap, (retry_at, _RETRY, next(self.counter), self._on_arrival, req)
                 )
             return
         req.destination = dest
@@ -379,34 +395,25 @@ class _Sim:
         req.dispatch_us = now
         heapq.heappush(
             self.heap,
-            (now + req.links_us[dest], _RUNTIME, next(self.counter), self._on_deliver, req),
-        )
-
-    def _start(self, now: int, comp: _Computer, req: _Request) -> None:
-        comp.busy += 1
-        req.service_start_us = now
-        req.processing_us = processing = service_time(comp, req.lam)
-        heapq.heappush(
-            self.heap, (now + processing, _RUNTIME, next(self.counter), self._on_service_end, req)
+            (now + req.links_us[dest], _DELIVERY, next(self.counter), self._on_deliver, req),
         )
 
     def _on_deliver(self, now: int, req: _Request) -> None:
+        """The request reaches its computer: it starts on the earliest free
+        worker, and its response is filed at once."""
         comp = req.computer
-        req.delivered_us = now
-        if comp.busy < comp.workers:
-            self._start(now, comp, req)
-        else:
-            comp.queue.append(req)
-
-    def _on_service_end(self, now: int, req: _Request) -> None:
-        comp = req.computer
-        comp.busy -= 1
-        back_at = now + req.links_us[req.destination]
-        heapq.heappush(
-            self.heap, (back_at, _RUNTIME, next(self.counter), self._on_response, req)
+        free = comp.free
+        start = max(now, free[0])
+        req.processing_us = processing = service_time(
+            comp, req.lam, 1 + len([f for f in free if f > start])
         )
-        if comp.queue:
-            self._start(now, comp, comp.queue.popleft())
+        end = start + processing
+        heapq.heapreplace(free, end)
+        req.queue_us = (req.dispatch_us - req.issued_us - req.client_link_us) + (start - now)
+        back_at = end + req.links_us[req.destination]
+        heapq.heappush(
+            self.heap, (back_at, _RESPONSE, next(self.counter), self._on_response, req)
+        )
 
     def _on_response(self, now: int, req: _Request) -> None:
         dest = req.destination
@@ -419,9 +426,8 @@ class _Sim:
         self.completed.append(
             TraceRow(
                 req.seq, req.lam, req.router, dest, issued, now + client,
-                2 * (client + req.links_us[dest]),
-                (dispatched - issued - client) + (req.service_start_us - req.delivered_us),
-                req.processing_us, req.is_probe, self.policy_label, dispatched,
+                2 * (client + req.links_us[dest]), req.queue_us, req.processing_us,
+                req.is_probe, self.policy_label, dispatched,
             )
         )
 
@@ -463,7 +469,7 @@ class _Sim:
             at = t + link
             # Nothing can come before an arrival at the earliest landing
             # unless a toggle or an earlier arrival waits at that microsecond.
-            if at == first and (not heap or heap[0][0] > at or heap[0][1] == _RUNTIME):
+            if at == first and (not heap or heap[0][0] > at or heap[0][1] > _ARRIVAL):
                 on_arrival(at, req)
             else:
                 push(heap, (at, _ARRIVAL, seq, on_arrival, req))

@@ -178,20 +178,26 @@ def reference_run(scenario):
     """Simulate ``scenario`` the plain way, as the ``simnet`` module
     docstring and the README state the rules; an oracle for ``simnet.run``.
 
-    Every pending event is a ``(time, class, n)`` key with its action:
-    class 0 toggles, ``n`` their place in window order (windows by start,
-    router, computer; mark ``2i``, clear ``2i + 1``); class 1 arrivals,
-    ``n`` the request's ``seq``; class 2 everything pushed while the run
-    goes (deliveries, service ends, responses, retries), ``n`` their push
-    order. The next event is the ``min`` key. Every arrival is filed before
-    the run starts and waits for its turn like any other event; the
-    arrivals sit in their own list, sorted by the same key, only so that
-    ``min`` need not scan all of them. Issue times come straight from
-    ``Random.expovariate`` or ``k / rate``, dispatch from ``NaivePolicy``,
-    and a service takes ``base * (1 + beta * busy / workers)`` with
-    ``busy`` counting the request it starts. Only the scenario, the state
-    changes of ``PolicyState`` (through ``NaivePolicy``) and the row type
-    are shared with ``simnet``.
+    Every pending event is a ``(time, class, n)`` key with its action, and
+    the next event is the ``min`` key. The classes are the kinds, in the
+    order they run at one microsecond: 0 toggles, ``n`` their place in
+    window order (windows by start, router, computer; mark ``2i``, clear
+    ``2i + 1``); 1 arrivals, ``n`` the request's ``seq``; 2 retries, 3
+    service ends and 4 deliveries, ``n`` their push order; 5 responses,
+    ``n`` the pop number of the request's delivery, so responses at one
+    microsecond run in the order their requests were delivered. Every
+    arrival is filed before the run starts and waits for its turn like any
+    other event; the arrivals sit in their own list, sorted by the same
+    key, only so that ``min`` need not scan all of them. Issue times come
+    straight from ``Random.expovariate`` or ``k / rate``, dispatch from
+    ``NaivePolicy``. A computer serves its queue in delivery order on
+    ``workers`` workers. A service end frees its worker before any
+    delivery at its microsecond, so the worker serves a request delivered
+    then. A service takes ``base * (1 + beta * busy / workers)``, with
+    ``busy`` 1 plus the services in progress that end after its start: one
+    that ends at the start is done, even if its end event has not run.
+    Only the scenario, the state changes of ``PolicyState`` (through
+    ``NaivePolicy``) and the row type are shared with ``simnet``.
 
     ``naive_selections`` in the result lets a caller check that the
     ``NaivePolicy`` overrides made the selections.
@@ -212,9 +218,8 @@ def reference_run(scenario):
                 alpha=s.policy.alpha,
             )
     links = {r.id: dict(r.links_us) for r in s.routers}
-    computers = {
-        c.id: {"spec": c, "busy": 0, "queue": deque()} for c in s.computers
-    }
+    # the ends of the services in progress, and the requests waiting
+    computers = {c.id: {"spec": c, "ends": [], "queue": deque()} for c in s.computers}
 
     issues = []
     for idx, (w, seed) in enumerate(zip(workloads, arrival_seeds)):
@@ -253,18 +258,19 @@ def reference_run(scenario):
     log = []
     retries = 0
 
-    def push(at, action, payload):
+    def push(at, kind, action, payload):
         nonlocal pushes
-        pending.append(((at, 2, pushes), action, payload))
+        pending.append(((at, kind, pushes), action, payload))
         pushes += 1
 
     def start(now, comp, req):
-        comp["busy"] += 1
         spec = comp["spec"]
-        base = spec.service_us[req["lam"]]
+        busy = 1 + sum(end > now for end in comp["ends"])
         req["started"] = now
-        req["processing"] = round(base * (1 + spec.beta * comp["busy"] / spec.workers))
-        push(now + req["processing"], "finish", req)
+        req["processing"] = round(spec.service_us[req["lam"]] * (1 + spec.beta * busy / spec.workers))
+        req["end"] = now + req["processing"]
+        comp["ends"].append(req["end"])
+        push(req["end"], 3, "finish", req)
 
     while pending or arrivals:
         event = min(pending + arrivals[-1:], key=lambda e: e[0])
@@ -293,23 +299,25 @@ def reference_run(scenario):
                     )
                 else:
                     retries += 1
-                    push(now + s.policy.retry_us, "arrive", req)
+                    push(now + s.policy.retry_us, 2, "arrive", req)
                 continue
             req["dest"] = dest
             req["probe"] = dest in policy.probing
             req["dispatched"] = now
-            push(now + links[req["router"]][req["dest"]], "deliver", req)
+            push(now + links[req["router"]][req["dest"]], 4, "deliver", req)
         elif action == "deliver":
             comp = computers[req["dest"]]
             req["delivered"] = now
-            if comp["busy"] < comp["spec"].workers:
+            req["delivery"] = pops
+            if len(comp["ends"]) < comp["spec"].workers:
                 start(now, comp, req)
             else:
                 comp["queue"].append(req)
         elif action == "finish":
             comp = computers[req["dest"]]
-            comp["busy"] -= 1
-            push(now + links[req["router"]][req["dest"]], "respond", req)
+            comp["ends"].remove(req["end"])
+            back_at = now + links[req["router"]][req["dest"]]
+            pending.append(((back_at, 5, req["delivery"]), "respond", req))
             if comp["queue"]:
                 start(now, comp, comp["queue"].popleft())
         else:
@@ -539,10 +547,19 @@ def scenario_docs(draw):
     has no client link, one blackout may start and end on two of its issue
     microseconds, at a computer it can pick: its arrivals then land in
     place, on a toggle's microsecond, and must still run after the toggle.
+
+    About half the documents have a hot spot, which meets the end tie: two
+    services on one computer end at one microsecond while a request waits,
+    and the waiting one must start with neither counted as busy. Computer 0
+    then has 2-4 workers, ``beta > 0`` and a different service time for
+    each of 2-3 lambdas, and an extra router sends it lambdas 0 and 1 at
+    100-500 deterministic requests per second each, more than its workers
+    take at times.
     """
     duration_ms = draw(st.integers(20, 200))
     computer_ids = list(range(draw(st.integers(1, 5))))
-    lambda_ids = list(range(draw(st.integers(1, 3))))
+    hot = draw(st.booleans())
+    lambda_ids = list(range(draw(st.integers(2 if hot else 1, 3))))
 
     def subset(items):
         return draw(st.lists(st.sampled_from(items), min_size=1, max_size=len(items), unique=True))
@@ -588,6 +605,32 @@ def scenario_docs(draw):
                     congestion.append(
                         {"router": rid, "computer": cid, "start_ms": start, "end_ms": end}
                     )
+    if hot:
+        computers[0].update(
+            workers=draw(st.integers(2, 4)),
+            beta=draw(st.sampled_from((0.25, 0.5, 2.0))),
+            service_ms=dict(
+                zip(lambda_ids, draw(st.permutations(range(1, 11)))[: len(lambda_ids)])
+            ),
+        )
+        rid = len(routers)
+        routers.append(
+            {
+                "id": rid,
+                "links_ms": {0: draw(st.integers(0, 3))},
+                "lambdas": [{"id": lam, "destinations": [0]} for lam in (0, 1)],
+            }
+        )
+        for lam in (0, 1):
+            workload.append(
+                {
+                    "router": rid,
+                    "lambda": lam,
+                    "process": "deterministic",
+                    "rate_per_s": draw(st.sampled_from((100, 200, 250, 500))),
+                    "client_link_ms": draw(st.integers(0, 2)),
+                }
+            )
     if not workload:
         first = routers[0]
         workload.append(

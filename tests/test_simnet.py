@@ -77,21 +77,17 @@ def test_arrival_process_validation():
 
 def test_service_time_scales_with_load():
     comp = _Computer(ComputerSpec(id=0, workers=2, beta=1.0, service_us={0: 5000}))
-    comp.busy = 2
-    assert service_time(comp, 0) == 10_000  # fully busy doubles it
-    comp.busy = 1
-    assert service_time(comp, 0) == 7500
+    assert service_time(comp, 0, 2) == 10_000  # fully busy doubles it
+    assert service_time(comp, 0, 1) == 7500
     # 5003 * 1.25 = 6253.75 rounds to nearest, not down
     half = _Computer(ComputerSpec(id=0, workers=2, beta=0.5, service_us={0: 5003, 1: 5002}))
-    half.busy = 1
-    assert service_time(half, 0) == 6254
+    assert service_time(half, 0, 1) == 6254
     # 5002 * 1.25 = 6252.5 rounds half to even
-    assert service_time(half, 1) == 6252
+    assert service_time(half, 1, 1) == 6252
     flat = _Computer(ComputerSpec(id=0, workers=2, beta=0.0, service_us={0: 5000}))
-    flat.busy = 2
-    assert service_time(flat, 0) == 5000
+    assert service_time(flat, 0, 2) == 5000
     with pytest.raises(UnknownLambda):
-        service_time(comp, 9)
+        service_time(comp, 9, 1)
 
 
 def trace_row(issued, completed, transfer, queue, processing, lam=0, destination=2):
@@ -567,6 +563,166 @@ def test_ties_and_retries_match_the_reference(policy):
     reference = assert_matches_reference(scenario)
     assert reference.retries > 0
     assert reference.congestion_log
+
+
+def deterministic(router, lam, client_link_ms, rate_per_s=100):
+    return {
+        "router": router, "lambda": lam, "process": "deterministic",
+        "rate_per_s": rate_per_s, "client_link_ms": client_link_ms,
+    }
+
+
+def run_logging_handlers(scenario):
+    """Run ``scenario``; also return each handler call the loop made, in
+    call order, as ``(now, handler name, seq)``."""
+    calls = []
+
+    def logged(handler):
+        def call(self, now, req):
+            calls.append((now, handler.__name__, req.seq))
+            return handler(self, now, req)
+
+        return call
+
+    names = ("_on_arrival", "_on_deliver", "_on_response")
+    with mock.patch.multiple(simnet._Sim, **{n: logged(getattr(simnet._Sim, n)) for n in names}):
+        result = run(scenario)
+    return result, calls
+
+
+def test_a_service_that_ends_at_a_start_does_not_load_it():
+    # Two workers, beta 1. seq 0 (lambda 0, 4 ms) starts alone at 10 ms and
+    # takes 6 ms; seq 1 (lambda 1, 2 ms) starts beside it at 12 ms and takes
+    # 4 ms; seq 2 (lambda 0) arrives at 13 ms and waits. Both services end at
+    # 16 ms, so seq 2 starts with no other request in service: 4 ms x 1.5,
+    # not the 4 ms x 2 that counting the second end as busy would give.
+    scenario = tiny_scenario(
+        duration_ms=20,
+        computers=[{"id": 0, "workers": 2, "beta": 1.0, "service_ms": {0: 4, 1: 2}}],
+        routers=[
+            {
+                "id": 0,
+                "links_ms": {0: 0},
+                "lambdas": [{"id": 0, "destinations": [0]}, {"id": 1, "destinations": [0]}],
+            },
+            {"id": 1, "links_ms": {0: 0}, "lambdas": [{"id": 0, "destinations": [0]}]},
+        ],
+        workload=[deterministic(0, 0, 0), deterministic(0, 1, 2), deterministic(1, 0, 3)],
+    )
+    rows = run(scenario).rows
+    # with 0 ms links, a service starts at dispatch + queue
+    assert [(r.seq, r.lam, r.dispatch_us, r.queue_us, r.processing_us) for r in rows] == [
+        (0, 0, 10_000, 0, 6000),
+        (1, 1, 12_000, 0, 4000),
+        (2, 0, 13_000, 3000, 6000),
+    ]
+    assert_matches_reference(scenario)
+
+
+def test_a_retry_runs_before_a_delivery_at_its_microsecond():
+    # seq 0 (router 0) is delivered at 12 ms over a 2 ms link. seq 1 (router
+    # 1) meets a blackout at 10 ms and retries at 12 ms, as it clears; its 0
+    # ms link files its delivery at 12 ms, behind seq 0's, so seq 0 takes the
+    # only worker and seq 1 waits for it
+    scenario = tiny_scenario(
+        duration_ms=20,
+        policy={"kind": "li", "retry_ms": 2},
+        routers=[
+            {"id": 0, "links_ms": {0: 2}, "lambdas": [{"id": 0, "destinations": [0]}]},
+            {"id": 1, "links_ms": {0: 0}, "lambdas": [{"id": 0, "destinations": [0]}]},
+        ],
+        workload=[deterministic(0, 0, 0), deterministic(1, 0, 0)],
+        congestion=[{"router": 1, "computer": 0, "start_ms": 10, "end_ms": 12}],
+    )
+    result, calls = run_logging_handlers(scenario)
+    assert [(t, name, seq) for t, name, seq in calls if t == 12_000] == [
+        (12_000, "_on_arrival", 1),
+        (12_000, "_on_deliver", 0),
+        (12_000, "_on_deliver", 1),
+    ]
+    first, retried = result.rows
+    assert (first.issued_us, first.dispatch_us, first.queue_us) == (10_000, 10_000, 0)
+    assert (retried.issued_us, retried.dispatch_us, retried.queue_us) == (10_000, 12_000, 2000 + 5000)
+    assert_matches_reference(scenario)
+
+
+def test_a_delivery_runs_before_a_response_at_its_microsecond():
+    # seq 0 (lambda 0) is delivered at 11 ms over a 1 ms link, served for 5
+    # ms and answered at 17 ms, when seq 1 (lambda 1, issued at 16 ms) is
+    # delivered
+    scenario = tiny_scenario(
+        duration_ms=20,
+        computers=[{"id": 0, "workers": 1, "beta": 0.0, "service_ms": {0: 5, 1: 5}}],
+        routers=[
+            {
+                "id": 0,
+                "links_ms": {0: 1},
+                "lambdas": [{"id": 0, "destinations": [0]}, {"id": 1, "destinations": [0]}],
+            }
+        ],
+        workload=[deterministic(0, 0, 0), deterministic(0, 1, 0, rate_per_s=62.5)],
+    )
+    result, calls = run_logging_handlers(scenario)
+    assert [(t, name, seq) for t, name, seq in calls if t == 17_000] == [
+        (17_000, "_on_deliver", 1),
+        (17_000, "_on_response", 0),
+    ]
+    answered, delivered = result.rows
+    assert (answered.completed_us, delivered.dispatch_us, delivered.queue_us) == (17_000, 16_000, 0)
+    assert_matches_reference(scenario)
+
+
+def test_responses_at_one_microsecond_run_in_delivery_order():
+    # rr probes computer 0 at 5 ms and computer 1 at 10 ms. Probe 0 is
+    # delivered first (6 ms) but served for 9 ms; probe 1 is delivered at 12
+    # ms and served for 2 ms, so its service ends first (14 ms against 15).
+    # Both are answered at 16 ms: probe 0's response runs first, so computer
+    # 0 is admitted first and computer 1 joins at its deficit
+    scenario = tiny_scenario(
+        duration_ms=12,
+        policy={"kind": "rr"},
+        computers=[
+            {"id": 0, "workers": 1, "beta": 0.0, "service_ms": {0: 9}},
+            {"id": 1, "workers": 1, "beta": 0.0, "service_ms": {0: 2}},
+        ],
+        routers=[{"id": 0, "links_ms": {0: 1, 1: 2}, "lambdas": [{"id": 0, "destinations": [0, 1]}]}],
+        workload=[deterministic(0, 0, 0, rate_per_s=200)],
+    )
+    result, calls = run_logging_handlers(scenario)
+    assert [(r.destination, r.dispatch_us, r.processing_us, r.completed_us) for r in result.rows] == [
+        (0, 5000, 9000, 16_000),
+        (1, 10_000, 2000, 16_000),
+    ]
+    assert [(t, name, seq) for t, name, seq in calls if t == 16_000] == [
+        (16_000, "_on_response", 0),
+        (16_000, "_on_response", 1),
+    ]
+    policy = result.snapshot["routers"][0]["lambdas"][0]["policy"]
+    assert policy["deficits_us"] == {0: 0, 1: 6000}
+    assert_matches_reference(scenario)
+
+
+def test_a_worker_freed_at_a_delivery_serves_it():
+    # seq 0's 5 ms service ends at 15 ms; seq 1, issued beside it over a 5
+    # ms client link, is delivered then and takes the freed worker at once
+    scenario = tiny_scenario(
+        duration_ms=20,
+        computers=[{"id": 0, "workers": 1, "beta": 0.0, "service_ms": {0: 5, 1: 5}}],
+        routers=[
+            {
+                "id": 0,
+                "links_ms": {0: 0},
+                "lambdas": [{"id": 0, "destinations": [0]}, {"id": 1, "destinations": [0]}],
+            }
+        ],
+        workload=[deterministic(0, 0, 0), deterministic(0, 1, 5)],
+    )
+    first, second = run(scenario).rows
+    # with 0 ms links, a service ends at dispatch + queue + processing
+    assert first.dispatch_us + first.queue_us + first.processing_us == 15_000
+    assert second.dispatch_us == 15_000
+    assert second.queue_us == 0
+    assert_matches_reference(scenario)
 
 
 @settings(max_examples=150)
