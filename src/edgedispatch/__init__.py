@@ -29,7 +29,6 @@ from .scenario import (
 from .simnet import (
     SimResult,
     TraceRow,
-    UnknownLambda,
     arrival_process,
     run,
     service_time,
@@ -77,7 +76,6 @@ __all__ = [
     "scenario_from_mapping",
     "SimResult",
     "TraceRow",
-    "UnknownLambda",
     "arrival_process",
     "run",
     "service_time",

@@ -7,9 +7,9 @@ router measures dispatch-to-response time and feeds it to the policy.
 Congestion signals arrive on a script and toggle per-(router, computer)
 blackouts. Identical scenario and seed always reproduce the identical trace.
 
-Each heap entry is ``(time, class, n, handler, payload)``. The key
-``(time, class, n)`` is unique and alone gives the order of events at one
-microsecond. Each kind of event has its own class, in this written order:
+Each heap entry is ``(time, class, n, payload)``. The key ``(time, class,
+n)`` is unique and alone gives the order of events at one microsecond.
+Each kind of event has its own class, in this written order:
 
 0. congestion toggles, with ``n`` the toggle's place in window order
    (windows by start, router, computer; each one's mark, then its
@@ -30,8 +30,9 @@ microsecond. Each kind of event has its own class, in this written order:
 For classes 2-4, ``n`` is the push order, and breaks ties only within a
 kind: there, creation order is the physical order (FIFO links and
 queues). A response is filed at its request's delivery, so responses at
-one microsecond run in delivery order. The loop calls the entry's bound
-handler; nothing looks the kind up.
+one microsecond run in delivery order. The class is the one statement of
+an entry's kind: ``run`` binds the five handlers once, as a local tuple
+indexed by class, and calls ``handlers[class](time, payload)``.
 
 A computer is a FIFO queue in front of ``workers`` workers, and keeps when
 each worker is next free, as a heap. Every request that can delay a start
@@ -43,7 +44,8 @@ the processing time and files the response, so a service end is not an
 event. The load at a start ``s`` is 1 plus the number of requests on that
 computer whose service ends after ``s``; one that ends at ``s`` is done.
 Starts follow delivery order, so only a worker's last service can end
-after ``s``, and the count is taken over ``free``.
+after ``s``: ``service_time`` counts over ``free``, and only when the
+computer's ``beta`` is not 0.
 
 Requests are issued in ``(time, workload)`` order, merged lazily from the
 per-workload arrival streams, and ``seq`` is the place in that order. No
@@ -62,11 +64,9 @@ sooner, at the same microsecond only with a higher ``seq``. The shipped
 scenarios all have a client link of 0, so each request makes two heap
 trips (delivery, response) instead of three.
 
-A ``_Sim`` stores no bound method or closure of itself; the loop binds its
-handlers as locals or per push. A stored ``self._on_deliver`` makes each
-``_Sim`` a reference cycle, so a finished run and its rows wait for a full
-garbage collection: a prototype that cached its handlers that way raised
-the benchmark's ``builtin`` peak RSS from 38.2 to 48.2 MB.
+A ``_Sim`` stores no bound method or closure of itself: that would make it
+a reference cycle, so a finished run and its rows would wait for a full
+garbage collection (``test_a_finished_run_leaves_no_reference_cycle``).
 
 Each request ends as one ``TraceRow``, built once, positionally, when the
 request completes or is given up. A row is slotted and frozen, and checks
@@ -90,10 +90,6 @@ from typing import Iterator
 
 from .policy import NoEligibleDestination, PolicyState
 from .scenario import Scenario, ensure_valid
-
-
-class UnknownLambda(KeyError):
-    """A computer was asked to run a lambda it has no service time for."""
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -242,10 +238,9 @@ def arrival_process(kind: str, rate_per_s: float, seed: int = 0) -> Iterator[int
 
 
 class _Computer:
-    __slots__ = ("id", "workers", "beta", "service_us", "free")
+    __slots__ = ("workers", "beta", "service_us", "free")
 
     def __init__(self, spec) -> None:
-        self.id = spec.id
         self.workers = spec.workers
         self.beta = spec.beta
         self.service_us = dict(spec.service_us)
@@ -253,18 +248,19 @@ class _Computer:
         self.free = [0] * spec.workers
 
 
-def service_time(computer: _Computer, lam: int, busy: int) -> int:
-    """Processing time for one invocation under the computer's load.
+def service_time(computer: _Computer, lam: int, start: int) -> int:
+    """Processing time for one invocation that starts at ``start``.
 
     The base time scales by 1 + beta * busy/workers, where ``busy`` counts
     the request being started and every request on the computer whose
-    service ends after that start.
+    service ends after ``start``; one that ends at ``start`` is done. The
+    count is taken only when beta is not 0. A lambda with no service time
+    raises KeyError (validation refuses such a destination).
     """
-    if lam not in computer.service_us:
-        raise UnknownLambda(f"computer {computer.id} has no service time for lambda {lam}")
     base = computer.service_us[lam]
     if computer.beta == 0:
         return base
+    busy = 1 + len([f for f in computer.free if f > start])
     return round(base * (1 + computer.beta * busy / computer.workers))
 
 
@@ -346,11 +342,10 @@ class _Sim:
         windows = sorted(
             scenario.congestion, key=lambda w: (w.start_us, w.router, w.computer)
         )
-        on_toggle = self._on_toggle
         for i, win in enumerate(windows):
             pair = (win.router, self.policies[win.router], win.computer)
-            self.heap.append((win.start_us, _TOGGLE, 2 * i, on_toggle, (*pair, True)))
-            self.heap.append((win.end_us, _TOGGLE, 2 * i + 1, on_toggle, (*pair, False)))
+            self.heap.append((win.start_us, _TOGGLE, 2 * i, (*pair, True)))
+            self.heap.append((win.end_us, _TOGGLE, 2 * i + 1, (*pair, False)))
         heapq.heapify(self.heap)
 
         # Issues in (time, workload index) order; seq is the place in it.
@@ -385,17 +380,14 @@ class _Sim:
                     )
                 )
             else:
-                heapq.heappush(
-                    self.heap, (retry_at, _RETRY, next(self.counter), self._on_arrival, req)
-                )
+                heapq.heappush(self.heap, (retry_at, _RETRY, next(self.counter), req))
             return
         req.destination = dest
         req.computer = self.computers[dest]
         req.is_probe = dest in req.policy.probing
         req.dispatch_us = now
         heapq.heappush(
-            self.heap,
-            (now + req.links_us[dest], _DELIVERY, next(self.counter), self._on_deliver, req),
+            self.heap, (now + req.links_us[dest], _DELIVERY, next(self.counter), req)
         )
 
     def _on_deliver(self, now: int, req: _Request) -> None:
@@ -404,16 +396,12 @@ class _Sim:
         comp = req.computer
         free = comp.free
         start = max(now, free[0])
-        req.processing_us = processing = service_time(
-            comp, req.lam, 1 + len([f for f in free if f > start])
-        )
+        req.processing_us = processing = service_time(comp, req.lam, start)
         end = start + processing
         heapq.heapreplace(free, end)
         req.queue_us = (req.dispatch_us - req.issued_us - req.client_link_us) + (start - now)
         back_at = end + req.links_us[req.destination]
-        heapq.heappush(
-            self.heap, (back_at, _RESPONSE, next(self.counter), self._on_response, req)
-        )
+        heapq.heappush(self.heap, (back_at, _RESPONSE, next(self.counter), req))
 
     def _on_response(self, now: int, req: _Request) -> None:
         dest = req.destination
@@ -452,6 +440,8 @@ class _Sim:
         duration = self.duration
         workloads = self.workloads
         on_arrival = self._on_arrival
+        # In class order. Local, so the _Sim holds no bound method of itself.
+        handlers = (self._on_toggle, on_arrival, on_arrival, self._on_deliver, self._on_response)
         # The streams are endless, so the loop always ends at the first issue
         # past the duration, whose place is the number of arrivals.
         seq = 0
@@ -462,8 +452,8 @@ class _Sim:
             # the issues after it arrive no sooner, so none is missed.
             first = t + lead
             while heap and heap[0][0] < first:
-                at, _, _, handler, payload = pop(heap)
-                handler(at, payload)
+                at, kind, _, payload = pop(heap)
+                handlers[kind](at, payload)
             lam, rid, link, policy, links = workloads[idx]
             req = _Request(seq, lam, rid, t, link, policy, links)
             at = t + link
@@ -472,10 +462,10 @@ class _Sim:
             if at == first and (not heap or heap[0][0] > at or heap[0][1] > _ARRIVAL):
                 on_arrival(at, req)
             else:
-                push(heap, (at, _ARRIVAL, seq, on_arrival, req))
+                push(heap, (at, _ARRIVAL, seq, req))
         while heap:
-            at, _, _, handler, payload = pop(heap)
-            handler(at, payload)
+            at, kind, _, payload = pop(heap)
+            handlers[kind](at, payload)
         snapshot = {"routers": {}}
         for rid, policies in self.policies.items():
             lambdas = {}

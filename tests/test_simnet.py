@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import gc
 import inspect
 import itertools
 import pickle
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -16,7 +18,6 @@ from edgedispatch.policy import PolicyKind, PolicyState
 from edgedispatch.scenario import ComputerSpec, load_scenario, scenario_from_mapping
 from edgedispatch.simnet import (
     TraceRow,
-    UnknownLambda,
     _Computer,
     arrival_process,
     run,
@@ -76,18 +77,25 @@ def test_arrival_process_validation():
 
 
 def test_service_time_scales_with_load():
+    # The load at a start is 1 plus the services on the computer that end
+    # after it, read from the workers' free times
     comp = _Computer(ComputerSpec(id=0, workers=2, beta=1.0, service_us={0: 5000}))
-    assert service_time(comp, 0, 2) == 10_000  # fully busy doubles it
-    assert service_time(comp, 0, 1) == 7500
+    comp.free = [8000, 12_000]
+    assert service_time(comp, 0, 8000) == 10_000  # fully busy doubles it
+    # a worker that becomes free exactly at the start is done
+    comp.free = [0, 9000]
+    assert service_time(comp, 0, 9000) == 7500
     # 5003 * 1.25 = 6253.75 rounds to nearest, not down
     half = _Computer(ComputerSpec(id=0, workers=2, beta=0.5, service_us={0: 5003, 1: 5002}))
-    assert service_time(half, 0, 1) == 6254
+    half.free = [0, 3000]
+    assert service_time(half, 0, 4000) == 6254
     # 5002 * 1.25 = 6252.5 rounds half to even
-    assert service_time(half, 1, 1) == 6252
+    assert service_time(half, 1, 4000) == 6252
     flat = _Computer(ComputerSpec(id=0, workers=2, beta=0.0, service_us={0: 5000}))
-    assert service_time(flat, 0, 2) == 5000
-    with pytest.raises(UnknownLambda):
-        service_time(comp, 9, 1)
+    flat.free = [8000, 12_000]
+    assert service_time(flat, 0, 8000) == 5000
+    with pytest.raises(KeyError):
+        service_time(comp, 9, 9000)
 
 
 def trace_row(issued, completed, transfer, queue, processing, lam=0, destination=2):
@@ -334,6 +342,29 @@ def test_identical_runs_match_exactly():
     assert a.rows == b.rows
     assert a.snapshot == b.snapshot
     assert a.congestion_log == b.congestion_log
+
+
+@pytest.mark.parametrize("policy", ["rr", "li", "rp"])
+@pytest.mark.parametrize("name", ["line", "ring-tree"])
+def test_a_finished_run_leaves_no_reference_cycle(name, policy):
+    # A _Sim that refers to itself, say through a stored bound handler, and
+    # its rows wait for a full garbage collection once the run is over; a
+    # prototype that did so raised the benchmark's peak RSS by a quarter.
+    # With the collector off, dropping the last reference must free it.
+    scenario = load_scenario(name).with_overrides(
+        duration_us=500_000, policy_kind=PolicyKind(policy)
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = simnet._Sim(scenario)
+        gone = weakref.ref(sim)
+        assert sim.run().completed
+        del sim
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_arrivals_do_not_depend_on_policy():
