@@ -27,9 +27,9 @@ Each kind of event has its own class, in this written order:
    computer's workers; a policy and the rows), so their order changes no
    output; it is written down so that no tie is left to push order.
 
-For classes 2-4, ``n`` is the push order, and breaks ties only within a
-kind: there, creation order is the physical order (FIFO links and
-queues). A response is filed at its request's delivery, so responses at
+For classes 2-4, ``n`` is the creation order, and breaks ties only within
+a kind: there, creation order is the physical order (FIFO links and
+queues). A response is created at its request's delivery, so responses at
 one microsecond run in delivery order. The class is the one statement of
 an entry's kind: ``run`` binds the five handlers once, as a local tuple
 indexed by class, and calls ``handlers[class](time, payload)``.
@@ -47,13 +47,33 @@ Starts follow delivery order, so only a worker's last service can end
 after ``s``: ``service_time`` counts over ``free``, and only when the
 computer's ``beta`` is not 0.
 
+Each computer files its responses in its own stream, ``responses``: a FIFO
+of full heap entries in key order, of which only the head is in the heap.
+When the head runs, the next one is pushed. This is a k-way merge of
+sorted streams under one heap, a standard pending-event set (Brown,
+"Calendar queues", CACM 31(10), 1988, surveys the alternatives). Every
+entry of a stream is at or above its head, which is in the heap, so the
+heap's least key is the least pending key, and events run in exactly the
+key order they would with every response in the heap; a response keeps the
+``n`` drawn at its delivery, so responses at one microsecond still run in
+delivery order across computers. A stream stays sorted only while each
+response is due after its tail. For ``a`` delivered before ``b``, with
+service ends ``e_a`` and ``e_b`` and return links ``L_a`` and ``L_b``,
+``b`` is due first when ``L_b < L_a - (e_b - e_a)``: return links differ
+per router, and with more than one worker a later start can end first.
+Such a response is filed eagerly, straight into the heap. The stream's
+tail is due later still, so the stream is not empty when it runs. So the
+heap holds the toggles, the requests in flight to their delivery, one
+response per computer and the eager ones: under ``li``, which piles its
+backlog onto one computer, that backlog waits in the stream, not the heap.
+
 Requests are issued in ``(time, workload)`` order, merged lazily from the
 per-workload arrival streams, and ``seq`` is the place in that order. No
 arrival lands sooner after its issue than the smallest client link (the
 loop's lookahead, as in conservative discrete-event simulation: Chandy and
 Misra, IEEE TSE 1979), so the loop files the next issue as an arrival once
-every event before that earliest landing has run. The heap holds the
-toggles and the requests in flight, never the issues still to come.
+every event before that earliest landing has run. The heap never holds
+the issues still to come.
 
 An arrival that lands at that earliest moment (its workload has the
 smallest link) skips the heap and runs at once, unless ``heap[0]`` is a
@@ -63,6 +83,14 @@ at its microsecond come after arrivals, and each later issue lands no
 sooner, at the same microsecond only with a higher ``seq``. The shipped
 scenarios all have a client link of 0, so each request makes two heap
 trips (delivery, response) instead of three.
+
+The loop counts its pops against the termination bound. A request arrives
+at most ``1 + ceil(duration / retry)`` times (a retry at or past the
+duration gives it up), then is delivered and answered once; each window
+toggles twice. So each issue adds ``3 + ceil(duration / retry)`` to a
+budget that starts at the toggle count, and a pop past it raises
+``RuntimeError``: an event that files itself again at its own microsecond
+would otherwise keep the loop from ever ending.
 
 A ``_Sim`` stores no bound method or closure of itself: that would make it
 a reference cycle, so a finished run and its rows would wait for a full
@@ -84,6 +112,7 @@ import heapq
 import itertools
 import operator
 import random
+from collections import deque
 from dataclasses import dataclass
 from math import log
 from typing import Iterator
@@ -238,7 +267,7 @@ def arrival_process(kind: str, rate_per_s: float, seed: int = 0) -> Iterator[int
 
 
 class _Computer:
-    __slots__ = ("workers", "beta", "service_us", "free")
+    __slots__ = ("workers", "beta", "service_us", "free", "responses")
 
     def __init__(self, spec) -> None:
         self.workers = spec.workers
@@ -246,6 +275,8 @@ class _Computer:
         self.service_us = dict(spec.service_us)
         # When each worker is next free: a heap, so free[0] is the earliest.
         self.free = [0] * spec.workers
+        # Response entries filed in key order; only the head is in the heap.
+        self.responses = deque()
 
 
 def service_time(computer: _Computer, lam: int, start: int) -> int:
@@ -392,7 +423,8 @@ class _Sim:
 
     def _on_deliver(self, now: int, req: _Request) -> None:
         """The request reaches its computer: it starts on the earliest free
-        worker, and its response is filed at once."""
+        worker, and its response is filed at once, in the computer's stream
+        or, when due before the stream's tail, in the heap."""
         comp = req.computer
         free = comp.free
         start = max(now, free[0])
@@ -400,10 +432,24 @@ class _Sim:
         end = start + processing
         heapq.heapreplace(free, end)
         req.queue_us = (req.dispatch_us - req.issued_us - req.client_link_us) + (start - now)
-        back_at = end + req.links_us[req.destination]
-        heapq.heappush(self.heap, (back_at, _RESPONSE, next(self.counter), req))
+        entry = (end + req.links_us[req.destination], _RESPONSE, next(self.counter), req)
+        responses = comp.responses
+        if not responses:
+            responses.append(entry)
+            heapq.heappush(self.heap, entry)
+        elif entry > responses[-1]:
+            responses.append(entry)
+        else:
+            heapq.heappush(self.heap, entry)
 
     def _on_response(self, now: int, req: _Request) -> None:
+        # An eager entry is due before its stream's tail, so the stream is
+        # not empty when it runs.
+        responses = req.computer.responses
+        if responses[0][3] is req:
+            responses.popleft()
+            if responses:
+                heapq.heappush(self.heap, responses[0])
         dest = req.destination
         dispatched = req.dispatch_us
         req.policy.on_response(dest, now - dispatched, now)
@@ -442,18 +488,25 @@ class _Sim:
         on_arrival = self._on_arrival
         # In class order. Local, so the _Sim holds no bound method of itself.
         handlers = (self._on_toggle, on_arrival, on_arrival, self._on_deliver, self._on_response)
+        # The termination bound (module docstring), counted down per pop.
+        per_issue = 3 - (-duration // self.retry_us)
+        budget = len(heap)
         # The streams are endless, so the loop always ends at the first issue
         # past the duration, whose place is the number of arrivals.
         seq = 0
         for seq, (t, idx) in enumerate(self.issues):
             if t >= duration:
                 break
+            budget += per_issue
             # Every event before this issue's earliest arrival runs first;
             # the issues after it arrive no sooner, so none is missed.
             first = t + lead
             while heap and heap[0][0] < first:
                 at, kind, _, payload = pop(heap)
                 handlers[kind](at, payload)
+                budget -= 1
+                if budget < 0:
+                    raise _runaway(self.s)
             lam, rid, link, policy, links = workloads[idx]
             req = _Request(seq, lam, rid, t, link, policy, links)
             at = t + link
@@ -466,6 +519,9 @@ class _Sim:
         while heap:
             at, kind, _, payload = pop(heap)
             handlers[kind](at, payload)
+            budget -= 1
+            if budget < 0:
+                raise _runaway(self.s)
         snapshot = {"routers": {}}
         for rid, policies in self.policies.items():
             lambdas = {}
@@ -489,6 +545,13 @@ class _Sim:
             snapshot=snapshot,
             congestion_log=tuple(self.congestion_log),
         )
+
+
+def _runaway(scenario: Scenario) -> RuntimeError:
+    return RuntimeError(
+        f"scenario {scenario.name!r}: the event loop popped more events than "
+        "its issues and windows can make; an event is filing itself again"
+    )
 
 
 def run(scenario: Scenario) -> SimResult:
