@@ -16,7 +16,10 @@ deficit is exactly ``count * weight``, so the weighted-count spread is the
 deficit spread: the weighted-count bound holds on a run whose deficit bound
 holds and whose final deficits are its ``count * weight`` products, which
 the short-term suite checks at the end of each run. The draw check reads
-the bound ``PolicyState.select`` once and counts the id it returns per draw.
+the bound ``PolicyState.select`` once and counts the id it returns per draw;
+over frozen weights every draw after the first takes ``select``'s one-flag
+path, one ``random()`` and one bisect. Each suite refuses a size below 1,
+since a suite of no cases would pass vacuously.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ DEFAULT_SEED = 20260822
 
 # The reference schedule's weights (``schedule_table``, ``replay-table``).
 SCHEDULE_WEIGHTS_US = {1: 2 * US_PER_MS, 2: 3 * US_PER_MS, 3: 4 * US_PER_MS}
+
+
+def _check_sizes(**sizes: int) -> None:
+    """Refuse a suite size below 1: a suite of no cases passes vacuously."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,7 @@ def short_term_suite(
     """Bounded deficit spread, checked at every step of every randomized run
     (2-10 destinations, weights 1-50 ms), and bounded weighted-count spread:
     the deficit bound plus ``deficit == count * weight`` at the run's end."""
+    _check_sizes(runs=runs, steps=steps)
     rng = random.Random(seed)
     failures: list[str] = []
     spread_violations = 0
@@ -114,6 +125,7 @@ def exact_convergence_suite(
 ) -> SuiteReport:
     """At the full period's horizon, counts equal period/weight exactly and
     every deficit equals the period exactly."""
+    _check_sizes(cases=cases)
     rng = random.Random(seed)
     failures: list[str] = []
     total_steps = 0
@@ -148,6 +160,7 @@ def proportional_selection_check(
 ) -> SuiteReport:
     """Empirical selection ratios of the reciprocal-weight random policy
     against their targets: N_i/N_j must come out as w_j/w_i."""
+    _check_sizes(draws=draws)
     weights = {0: 1 * US_PER_MS, 1: 2 * US_PER_MS, 2: 4 * US_PER_MS}
     policy = PolicyState.preloaded(PolicyKind.RANDOM_PROPORTIONAL, weights, seed=seed)
     counts = {d: 0 for d in weights}
@@ -185,6 +198,8 @@ def all_suites(
     draws: int = 1_000_000,
     seed: int = DEFAULT_SEED,
 ) -> list[SuiteReport]:
+    # every size is checked before any suite runs
+    _check_sizes(runs=runs, steps=steps, cases=cases, draws=draws)
     return [
         short_term_suite(runs=runs, steps=steps, seed=seed),
         exact_convergence_suite(cases=cases, seed=seed),

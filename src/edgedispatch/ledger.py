@@ -213,6 +213,8 @@ def replay_frozen(
         raise ValueError("need at least one destination")
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     max_w = max(weights)
     shift = (k - 1).bit_length()
     mask = (1 << shift) - 1

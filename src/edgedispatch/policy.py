@@ -34,8 +34,9 @@ the state changes, so that no selection scans all k destinations:
   destination, their running sums with a leading ``0.0``, and the first
   position whose reciprocal changed since the sums were last brought up to
   date. An observation, a mark or a clear writes one reciprocal and lowers
-  that position; a selection re-accumulates only the tail from there, seeded
-  with the sum before it, and bisects for the pick.
+  that position; the next selection re-accumulates only the tail from there,
+  seeded with the sum before it. Every selection draws with one
+  ``rng.random()`` times the total and one ``bisect_right`` over the sums.
 
 The random-proportional draw must reproduce the full scan's float sums bit
 for bit, or the picks and the traces move. A partial-sum tree would add in
@@ -56,8 +57,8 @@ exactly when ``probing`` holds it afterwards: only round-robin probes.
 tells a managed destination from another lambda's and gives a reciprocal
 its slot.
 
-The kind is resolved once, at construction, into two plain flags: ``_rr``
-for round-robin and ``_li`` for least-impedance, with random-proportional
+The kind is resolved once, at construction, into plain flags: ``_rr`` for
+round-robin and ``_li`` for least-impedance, with random-proportional
 neither. ``select``, ``on_response`` and ``sync_congestion`` branch on these
 flags and never on ``PolicyKind``, whose members are slow to read on
 CPython 3.11: ``EnumType`` defines ``__getattr__`` there, so every
@@ -65,6 +66,18 @@ CPython 3.11: ``EnumType`` defines ``__getattr__`` there, so every
 interpreter's cached class lookup, at about 145 ns against 15 ns for an
 instance flag (``timeit``, x86-64). ``kind`` itself stays for
 ``snapshot()``.
+
+A third flag, ``_drawable``, lets a random-proportional selection go
+straight to its draw. When it is set, the policy is random-proportional, the
+sums are current (``_stale == k``), their total is above 0 and the bootstrap
+list is empty; ``select`` then makes the draw and nothing else. Otherwise
+``select`` takes the slow path: the round-robin pick, the bootstrap, the
+least-impedance pick, or, for random-proportional, the tail
+re-accumulation, ``NoEligibleDestination`` on a zero total, and setting the
+flag before the same draw line. Exactly two writes clear it:
+``_set_reciprocal`` when a reciprocal changes (an observation, a mark, or a
+clear that restores a weight), and a clear that puts a never-measured
+destination back on the bootstrap list, which changes no reciprocal.
 """
 
 from __future__ import annotations
@@ -147,6 +160,7 @@ class PolicyState:
         self._reciprocals = [0.0] * k
         self._sums = [0.0] * (k + 1)
         self._stale = k
+        self._drawable = False
         self._position = {d: i for i, d in enumerate(self.destinations)}
         self.probes_launched = 0
         self.probes_admitted = 0
@@ -174,38 +188,41 @@ class PolicyState:
     # -- selection ---------------------------------------------------------
 
     def select(self, now: int) -> int:
-        if self._rr:
-            return self._select_rr(now)
-        return self._select_greedy()
-
-    def _select_greedy(self) -> int:
-        unmeasured = self._unmeasured
-        if unmeasured:
-            # Bootstrap: hand requests to the not-yet-measured destinations in
-            # id order until each has produced a first sample. Starting the
-            # estimate at zero instead would hand the whole reciprocal
-            # probability mass to whichever destination answered last.
-            dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
-            self._bootstrap_cursor += 1
-            return dest
-        if self._li:
-            pairs = self._weights.pairs
-            if not pairs:
+        if not self._drawable:
+            if self._rr:
+                return self._select_rr(now)
+            unmeasured = self._unmeasured
+            if unmeasured:
+                # Bootstrap: hand requests to the not-yet-measured destinations
+                # in id order until each has produced a first sample. Starting
+                # the estimate at zero instead would hand the whole reciprocal
+                # probability mass to whichever destination answered last.
+                dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
+                self._bootstrap_cursor += 1
+                return dest
+            if self._li:
+                pairs = self._weights.pairs
+                if not pairs:
+                    raise NoEligibleDestination("no destination with a finite weight")
+                return pairs[0][1]
+            # Random-proportional with the draw not ready: re-accumulate the
+            # sums from the first stale position on (none when they are
+            # current), seeded with the sum before it (``_sums[i + 1]`` runs
+            # through position ``i``).
+            sums, i = self._sums, self._stale
+            reciprocals = self._reciprocals
+            sums[i:] = accumulate(reciprocals[i:], initial=sums[i])
+            self._stale = len(reciprocals)
+            if sums[-1] == 0.0:
                 raise NoEligibleDestination("no destination with a finite weight")
-            return pairs[0][1]
-        # Random-proportional: reciprocal weights, normalized.
-        if self._stale < len(self._reciprocals):
-            self._cumulative_sums()
+            self._drawable = True
+        # Random-proportional: reciprocal weights, normalized. random() is at
+        # most 1 - 2**-53, and under round-to-nearest that times any total
+        # from 2**-1021 up (a reciprocal of integer microseconds is far above
+        # it) rounds below the total, so some bound exceeds the draw and the
+        # pick is always in range.
         sums = self._sums
-        total = sums[-1]
-        if total == 0.0:
-            raise NoEligibleDestination("no destination with a finite weight")
-        # random() is at most 1 - 2**-53, and under round-to-nearest that
-        # times any total from 2**-1021 up (a reciprocal of integer
-        # microseconds is far above it) rounds below the total, so some bound
-        # exceeds the draw and the pick is always in range.
-        draw = self.rng.random() * total
-        return self.destinations[bisect_right(sums, draw) - 1]
+        return self.destinations[bisect_right(sums, self.rng.random() * sums[-1]) - 1]
 
     def _select_rr(self, now: int) -> int:
         pending = self._pending.pairs
@@ -305,21 +322,14 @@ class PolicyState:
             self._pending.set(dest, self.eligible_at[dest])
 
     def _set_reciprocal(self, dest: int, reciprocal: float) -> None:
-        """Store ``dest``'s reciprocal weight; the sums after it go stale."""
+        """Store ``dest``'s reciprocal weight; the sums after it go stale and
+        the draw waits for them."""
         i = self._position[dest]
         if self._reciprocals[i] != reciprocal:
             self._reciprocals[i] = reciprocal
+            self._drawable = False
             if i < self._stale:
                 self._stale = i
-
-    def _cumulative_sums(self) -> None:
-        """Bring the running sums of the reciprocals (``_sums[i + 1]``
-        through position ``i``) up to date, re-accumulating them from the
-        first stale position on."""
-        sums, i = self._sums, self._stale
-        reciprocals = self._reciprocals
-        sums[i:] = accumulate(reciprocals[i:], initial=sums[i])
-        self._stale = len(reciprocals)
 
     # -- congestion --------------------------------------------------------
 
@@ -358,6 +368,7 @@ class PolicyState:
                     self._refresh(dest, now)
                 elif weight is None:
                     _add(self._unmeasured, dest)
+                    self._drawable = False
                 elif self._li:
                     self._weights.set(dest, weight)
                 else:

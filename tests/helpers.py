@@ -89,23 +89,26 @@ def check_same_state(ledger: DeficitLedger, oracle: NaiveLedger):
 class NaivePolicy(PolicyState):
     """``PolicyState`` whose selections rescan all k destinations.
 
-    The state changes are inherited; only the four lookups the indexes
-    replace are done the obvious way: the probe candidates by comprehension
-    and ``rng.choice``, the active minimum by ``min``, the bootstrap cursor
-    over a freshly built list of unmeasured destinations, and the
+    The state changes are inherited; only the lookups the indexes replace
+    are done the obvious way: the probe candidates by comprehension and
+    ``rng.choice``, the active minimum by ``min``, the bootstrap cursor over
+    a freshly built list of unmeasured destinations, and the
     random-proportional draw by a linear scan of freshly added sums. Active
     membership is read from the ledger, the one place that holds it.
 
-    ``naive_selections`` counts the selections these overrides made. A
-    caller asserts it is positive: if ``PolicyState`` renamed or split a
-    selection method, the override would go dead and the comparison would
-    set the indexed code against itself.
+    ``select`` itself is overridden, so no fast path inside
+    ``PolicyState.select`` can skip the rescan. ``naive_selections`` counts
+    the selections the rescan made; a caller compares it with the number of
+    ``select`` calls, or an override gone dead would set the indexed code
+    against itself.
     """
 
     naive_selections = 0
 
-    def _select_greedy(self):
+    def select(self, now):
         self.naive_selections += 1
+        if self.kind is PolicyKind.ROUND_ROBIN:
+            return self._scan_rr(now)
         table = self.table
         # congested first: ``get`` reports None for it as for an unmeasured one
         measured = [(table.get(d), d) for d in self.destinations if not table.is_congested(d)]
@@ -129,8 +132,7 @@ class NaivePolicy(PolicyState):
                 return d
         return cumulative[-1][1]
 
-    def _select_rr(self, now):
-        self.naive_selections += 1
+    def _scan_rr(self, now):
         eligible = [
             d
             for d in self.destinations
@@ -162,14 +164,15 @@ class ReferenceResult:
     """What ``reference_run`` reports: the rows in issue order, the final
     snapshot as ``summarize`` takes it, the issue count, one
     ``(at_us, router, computer, congested, weights_us)`` per toggle, the
-    retries scheduled, the selections ``NaivePolicy`` made, and the events
-    the run popped."""
+    retries scheduled, the ``select`` calls the run made, the selections
+    ``NaivePolicy``'s rescan made, and the events the run popped."""
 
     rows: list
     snapshot: dict
     arrivals: int
     congestion_log: list
     retries: int
+    selects: int
     naive_selections: int
     pops: int
 
@@ -199,8 +202,8 @@ def reference_run(scenario):
     Only the scenario, the state changes of ``PolicyState`` (through
     ``NaivePolicy``) and the row type are shared with ``simnet``.
 
-    ``naive_selections`` in the result lets a caller check that the
-    ``NaivePolicy`` overrides made the selections.
+    ``selects`` and ``naive_selections`` in the result let a caller check
+    that the ``NaivePolicy`` rescan made every selection.
     """
     s = scenario
     label = s.policy.kind.value
@@ -254,6 +257,7 @@ def reference_run(scenario):
         pending.append(((win.end_us, 0, 2 * i + 1), "toggle", (win.router, win.computer, False)))
     pushes = 0
     pops = 0
+    selects = 0
     rows = []
     log = []
     retries = 0
@@ -287,6 +291,7 @@ def reference_run(scenario):
             log.append((now, rid, dest, on, weights))
         elif action == "arrive":
             policy = policies[req["router"], req["lam"]]
+            selects += 1
             try:
                 dest = policy.select(now)
             except NoEligibleDestination:
@@ -349,6 +354,7 @@ def reference_run(scenario):
         arrivals=len(issues),
         congestion_log=log,
         retries=retries,
+        selects=selects,
         naive_selections=sum(p.naive_selections for p in policies.values()),
         pops=pops,
     )

@@ -256,6 +256,18 @@ def test_lemmas_failure_exits_one(capsys):
     assert "FAIL long-term proportional selection" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--runs", "-2"), ("--runs", "0"), ("--steps", "0"), ("--cases", "-1"), ("--draws", "-3")],
+)
+def test_lemmas_refuses_a_size_below_one(capsys, flag, value):
+    # the sizes are checked before any suite runs, so nothing is printed
+    assert main(["lemmas", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[2:]} must be at least 1, got {value}\n"
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

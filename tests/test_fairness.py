@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import pytest
+
 from edgedispatch import fairness, ledger
 from edgedispatch.fairness import (
     SuiteReport,
@@ -109,6 +111,24 @@ def test_all_suites_order():
         "long-term proportional selection",
     ]
     assert reports[0].passed and reports[1].passed
+
+
+SUITE_SIZES = [
+    (short_term_suite, "runs"),
+    (short_term_suite, "steps"),
+    (exact_convergence_suite, "cases"),
+    (proportional_selection_check, "draws"),
+] + [(all_suites, name) for name in ("runs", "steps", "cases", "draws")]
+
+
+@pytest.mark.parametrize("size", [0, -2])
+@pytest.mark.parametrize(
+    "suite, name", SUITE_SIZES, ids=[f"{suite.__name__}-{name}" for suite, name in SUITE_SIZES]
+)
+def test_suites_refuse_a_size_below_one(suite, name, size):
+    # a suite of no cases would report a vacuous pass
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {size}$"):
+        suite(**{name: size})
 
 
 def test_suite_report_describe_failure():

@@ -385,6 +385,15 @@ def test_replay_validation():
         replay_frozen([], 10)
     with pytest.raises(ValueError):
         replay_frozen([0], 10)
+    with pytest.raises(ValueError, match="^steps must be non-negative, got -1$"):
+        replay_frozen([1000, 2000], -1)
+
+
+def test_replay_of_no_steps_is_the_start():
+    result = replay_frozen([1000, 2000], 0, record_sequence=True)
+    assert result.counts == [0, 0]
+    assert result.deficits == [0, 0]
+    assert result.sequence == []
 
 
 def test_backend_label():

@@ -578,6 +578,68 @@ def test_rp_draw_on_a_bound_picks_what_the_scan_picked(congested):
     assert not set(picks[0]) & set(congested)
 
 
+def in_step(states, op, *args):
+    """Run one operation on the indexed and the rescanning state alike;
+    both must give the same result and leave ``rng`` in the same state."""
+    got = [apply(state, op, args) for state in states]
+    assert got[0] == got[1], (op, args)
+    assert states[0].rng.getstate() == states[1].rng.getstate()
+    return got[0]
+
+
+def test_rp_clear_of_a_never_measured_destination_bootstraps_it():
+    # The draw is live (no bootstrap left, sums current) when 2, never
+    # measured, is marked and cleared: no reciprocal changes, but 2 is back
+    # on the bootstrap list, so the next selection must hand it a request.
+    states = [
+        cls(PolicyKind.RANDOM_PROPORTIONAL, [0, 1, 2], seed=6) for cls in (PolicyState, NaivePolicy)
+    ]
+    in_step(states, "on_response", 0, 3 * MS, 0)
+    in_step(states, "on_response", 1, 5 * MS, 0)
+    in_step(states, "sync_congestion", 2, True, 0)
+    assert {in_step(states, "select", 0) for _ in range(50)} == {0, 1}
+    in_step(states, "sync_congestion", 2, False, 0)
+    assert in_step(states, "select", 0) == 2
+    assert {in_step(states, "select", 0) for _ in range(50)} == {2}
+
+
+def test_rp_observation_redraws_over_the_new_weight():
+    # After a live draw, one observation changes 1's reciprocal. The next
+    # picks are those of a state preloaded with the new weights at the same
+    # rng state, not those of one that kept the old weights.
+    weights = {0: 1 * MS, 1: 2 * MS, 2: 4 * MS}
+    states = [
+        cls.preloaded(PolicyKind.RANDOM_PROPORTIONAL, weights, seed=4)
+        for cls in (PolicyState, NaivePolicy)
+    ]
+    for _ in range(20):
+        in_step(states, "select", 0)
+    in_step(states, "on_response", 1, 40 * MS, 0)
+    new = {d: states[0].table.get(d) for d in weights}
+    assert new[1] != weights[1]
+    picks = {}
+    for name, table in (("new", new), ("old", weights)):
+        fresh = PolicyState.preloaded(PolicyKind.RANDOM_PROPORTIONAL, table)
+        fresh.rng.setstate(states[0].rng.getstate())
+        picks[name] = [fresh.select(0) for _ in range(200)]
+    assert [in_step(states, "select", 0) for _ in range(200)] == picks["new"] != picks["old"]
+
+
+def test_rp_mark_of_the_last_finite_destination_stops_the_draw():
+    states = [
+        cls.preloaded(PolicyKind.RANDOM_PROPORTIONAL, {0: MS, 1: 2 * MS}, seed=2)
+        for cls in (PolicyState, NaivePolicy)
+    ]
+    in_step(states, "select", 0)
+    in_step(states, "sync_congestion", 0, True, 0)
+    assert in_step(states, "select", 0) == 1
+    in_step(states, "sync_congestion", 1, True, 0)
+    assert in_step(states, "select", 0) is None  # NoEligibleDestination
+    # the clear restores the weight, and with it the draw
+    in_step(states, "sync_congestion", 1, False, 0)
+    assert {in_step(states, "select", 0) for _ in range(20)} == {1}
+
+
 @pytest.mark.parametrize("kind", list(PolicyKind))
 def test_signal_for_another_lambdas_destination_changes_nothing(kind):
     # The router signals every lambda; destination 5 belongs to another one.

@@ -5,11 +5,15 @@
 ``PolicyKind`` member (``PolicyKind.X``); every other method branches on the
 flags ``__init__`` sets, because a member read costs an ``EnumType``
 attribute hook on each call. The per-call entry points stay ordinary
-functions on the class, so a wrapper put on the class sees every call.
+functions on the class, so a wrapper put on the class sees every call, and
+no method is bound onto the instance, whatever its name: a finished state is
+freed by reference counting alone.
 """
 
 import ast
+import gc
 import inspect
+import weakref
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,26 @@ def test_entry_points_stay_functions_on_the_class(kind):
     for name in ("select", "on_response", "sync_congestion"):
         assert inspect.isfunction(vars(PolicyState)[name]), name
         assert name not in vars(state), name
+
+
+@pytest.mark.parametrize("kind", list(PolicyKind))
+def test_a_finished_state_leaves_no_reference_cycle(kind):
+    # A bound method stored on the instance, under any name, points back at
+    # it; with the collector off, such a state would outlive its last
+    # reference.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        state = PolicyState(kind, [0, 1, 2], seed=3, b_min_us=1000)
+        for now in range(0, 40_000, 1000):
+            dest = state.select(now)
+            state.on_response(dest, 2000 + 500 * dest, now)
+            if now % 7000 == 0:
+                state.sync_congestion(now // 7000 % 3, True, now)
+                state.sync_congestion(now // 7000 % 3, False, now)
+        ref = weakref.ref(state)
+        del state
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
