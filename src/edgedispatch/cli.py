@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
-from .core import from_ms, string_keys, to_ms
+from .core import US_PER_MS, from_ms, string_keys, to_ms
 from .fairness import DEFAULT_SEED, SCHEDULE_WEIGHTS_US, all_suites, schedule_table
 from .metrics import fairness_ratios, group_weights, summarize, write_trace
 from .policy import PolicyKind
-from .scenario import InvalidScenario, builtin_names, load_scenario
+from .scenario import InvalidScenario, builtin_names, finite_problem, load_scenario
 from .simnet import run as run_simulation
 
 
@@ -83,8 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.duration_ms is not None and not math.isfinite(args.duration_ms):
-        raise InvalidScenario([f"--duration-ms: {args.duration_ms!r} is not a finite number"])
+    problem = args.duration_ms is not None and finite_problem(args.duration_ms, US_PER_MS)
+    if problem:
+        raise InvalidScenario([f"--duration-ms: {problem}"])
     scenario = load_scenario(args.scenario)
     scenario = scenario.with_overrides(
         policy_kind=PolicyKind(args.policy) if args.policy else None,

@@ -36,6 +36,8 @@ DEFAULT_SEED = 20260822
 
 # The reference schedule's weights (``schedule_table``, ``replay-table``).
 SCHEDULE_WEIGHTS_US = {1: 2 * US_PER_MS, 2: 3 * US_PER_MS, 3: 4 * US_PER_MS}
+# The most steps an exact-convergence case may need to reach its full period.
+CONVERGENCE_HORIZON_CAP = 400_000
 
 
 def _check_sizes(**sizes: int) -> None:
@@ -105,7 +107,7 @@ def short_term_suite(
     )
 
 
-def _convergence_case(rng: random.Random, cap: int = 400_000):
+def _convergence_case(rng: random.Random):
     """Weight set with a tractable full period: a common unit times small
     integer multipliers keeps the least common multiple small."""
     while True:
@@ -115,7 +117,7 @@ def _convergence_case(rng: random.Random, cap: int = 400_000):
         weights = [unit * m for m in multipliers]
         period = math.lcm(*weights)
         horizon = sum(period // w for w in weights)
-        if horizon <= cap:
+        if horizon <= CONVERGENCE_HORIZON_CAP:
             return weights, period, horizon
 
 

@@ -55,7 +55,53 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, command, field, value):
     assert "is not a finite number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("duration", ["inf", "nan", "Infinity"])
+@pytest.mark.parametrize("value", [1.0e306, -1.0e306], ids=["+1e306", "-1e306"])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("duration_ms",),
+        ("policy", "b_min_ms"),
+        ("policy", "retry_ms"),
+        ("computers", 0, "service_ms", 0),
+        ("computers", 0, "beta"),
+        ("routers", 0, "links_ms", 0),
+        ("workload", 0, "client_link_ms"),
+        ("congestion", 0, "start_ms"),
+        ("congestion", 0, "end_ms"),
+    ],
+    ids=lambda path: "/".join(map(str, path)),
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_numbers_past_the_float_range_exit_one(tmp_path, capsys, command, path, value):
+    # a millisecond value this large is finite, but its microsecond value
+    # is not: rounding it used to exit 2, and so did a service time that
+    # beta scales past the float range
+    doc = tiny_doc(congestion=[{"router": 0, "computer": 0, "start_ms": 50, "end_ms": 100}])
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    scenario = tmp_path / "huge.yaml"
+    scenario.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    trace = tmp_path / "t.csv"
+    args = [str(scenario)] if command == "validate" else [
+        "--scenario", str(scenario),
+        "--trace-out", str(trace),
+        "--summary-out", str(tmp_path / "s.json"),
+    ]
+    assert main([command, *args]) == 1
+    if last != "beta":
+        problem = f"{'/'.join(map(str, path))}: {value!r} ms is not a finite number of microseconds"
+    elif value > 0:
+        problem = f"computer 0: beta must leave service_us * (1 + beta) finite, got {value!r}"
+    else:
+        problem = f"computer 0: beta must be finite and non-negative, got {value!r}"
+    assert capsys.readouterr().err == f"invalid scenario: {problem}\n"
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan", "Infinity", "1e306", "-1e306"])
 def test_run_rejects_a_non_finite_duration(tmp_path, capsys, duration):
     code = main(
         [

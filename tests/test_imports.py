@@ -103,6 +103,13 @@ def test_the_package_does_not_import_csv():
         ("items", [{"type": "object"}], "items: only a single schema"),
         ("additionalProperties", {"type": "object"}, "additionalProperties: only false"),
         ("enum", [[], 1], "enum: only string members"),
+        # a value rule belongs to semantic_problems, not the schema
+        ("minimum", 0, "keyword 'minimum' is not implemented"),
+        ("exclusiveMinimum", 0, "keyword 'exclusiveMinimum' is not implemented"),
+        ("maximum", 1, "keyword 'maximum' is not implemented"),
+        ("minItems", 1, "keyword 'minItems' is not implemented"),
+        ("minProperties", 1, "keyword 'minProperties' is not implemented"),
+        ("minLength", 1, "keyword 'minLength' is not implemented"),
     ],
 )
 def test_the_shape_check_refuses_what_it_does_not_implement(keyword, value, refusal):
