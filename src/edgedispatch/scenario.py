@@ -11,7 +11,14 @@ with draft 7's semantics and jsonschema's messages; a keyword outside that
 subset, a numeric or size bound included, is refused when the schema is
 compiled, so none is silently ignored. A number whose float, or whose
 microsecond value under an ``_ms`` key, is not finite cannot be converted;
-it is refused by path alongside the schema's findings. Two ready-made
+it is refused by path alongside the schema's findings. A document that
+passes both has its id keys checked last, on its keys as given, before
+``str`` merges an int ``0`` with a string ``"0"``: a ``service_ms`` or
+``links_ms`` key must write its id the one canonical way,
+``0|[1-9][0-9]*`` under ``fullmatch`` (the schema's ``^[0-9]+$`` is a
+``search``, and ``$`` also matches before a final newline), and no two keys
+of one map may name one id. Otherwise ``"0"``, ``"0\\n"`` and ``"00"`` would
+all load as id 0, the last one winning. Two ready-made
 scenarios ship with the package and can be addressed by name wherever a
 path is accepted.
 
@@ -49,6 +56,11 @@ DEFAULT_RETRY_US = 50 * US_PER_MS
 # The bounds that make every valid run terminate (module docstring).
 MAX_RATE_PER_S = 1_000_000
 MAX_DURATION_US = 2**52
+# A computer keeps one int per worker, and a load count under beta scans
+# them at every start.
+MAX_WORKERS = 10_000
+# How a service_ms or links_ms key writes its id.
+_ID_KEY = re.compile("0|[1-9][0-9]*")
 
 _BUILTINS = {"line": "line.yaml", "ring-tree": "ring_tree.yaml"}
 
@@ -348,7 +360,7 @@ def scenario_from_mapping(doc) -> Scenario:
         raise InvalidScenario(["scenario document must be a mapping"])
     # YAML happily parses {0: 5} with an integer key; JSON schema only talks
     # about string properties, so keys are normalized before validation.
-    doc = string_keys(doc)
+    given, doc = doc, string_keys(doc)
     schema_errors = sorted(_scenario_errors()(doc) + _non_finite(doc), key=lambda e: e[0])
     if schema_errors:
         problems = []
@@ -356,6 +368,9 @@ def scenario_from_mapping(doc) -> Scenario:
             where = "/".join(str(p) for p in path) or "(top level)"
             problems.append(f"{where}: {message}")
         raise InvalidScenario(problems)
+    key_problems = _id_key_problems(given)
+    if key_problems:
+        raise InvalidScenario(key_problems)
 
     policy_doc = doc.get("policy", {})
     policy = PolicyConfig(
@@ -417,6 +432,26 @@ def scenario_from_mapping(doc) -> Scenario:
     )
     ensure_valid(scenario)
     return scenario
+
+
+def _id_key_problems(doc: dict) -> list[str]:
+    """Each ``service_ms`` or ``links_ms`` key of a document that passed the
+    shape check, taken as given, that does not write an id the canonical
+    way, and each key that names the same id as an earlier one."""
+    maps = [(f"computers/{i}/service_ms", c["service_ms"]) for i, c in enumerate(doc["computers"])]
+    maps += [(f"routers/{i}/links_ms", r["links_ms"]) for i, r in enumerate(doc["routers"])]
+    problems = []
+    for where, keys in maps:
+        named = {}
+        for key in keys:
+            text = str(key)
+            if not _ID_KEY.fullmatch(text):
+                problems.append(f"{where}: key {key!r} is not an id written as {_ID_KEY.pattern!r}")
+            elif text in named:
+                problems.append(f"{where}: keys {named[text]!r} and {key!r} name one id")
+            else:
+                named[text] = key
+    return problems
 
 
 def _ids(s: Scenario):
@@ -481,6 +516,8 @@ def semantic_problems(s: Scenario) -> list[str]:
     for c in s.computers:
         if type(c.workers) is not int or c.workers < 1:
             problems.append(f"computer {c.id}: workers must be an int of at least 1, got {c.workers!r}")
+        elif c.workers > MAX_WORKERS:
+            problems.append(f"computer {c.id}: workers must be at most {MAX_WORKERS}, got {c.workers!r}")
         if not 0 <= c.beta < math.inf:
             problems.append(f"computer {c.id}: beta must be finite and non-negative, got {c.beta!r}")
         # busy never exceeds workers, so 1 + beta is the largest multiplier

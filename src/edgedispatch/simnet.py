@@ -20,17 +20,20 @@ Each kind of event has its own class, in this written order:
 2. retries, which dispatch again as arrivals do. They run right after
    the arrivals, so every dispatch at a microsecond, fresh or retried,
    sees the policy as it was before that microsecond's responses;
-3. deliveries. They run after retries, since a retry over a 0 ms link
-   files its delivery at its own microsecond: no event files one with a
-   smaller key, so the keys run in order;
+3. deliveries that wait in the heap; one over its computer's lead runs
+   at its dispatch instead (below). They run after retries, since a retry
+   over a 0 ms link files its delivery at its own microsecond: no event
+   files one with a smaller key, so the keys run in order;
 4. responses. A delivery and a response touch disjoint state (a
    computer's workers; a policy and the rows), so their order changes no
    output; it is written down so that no tie is left to push order.
 
-For classes 2-4, ``n`` is the creation order, and breaks ties only within
-a kind: there, creation order is the physical order (FIFO links and
-queues). A response is created at its request's delivery, so responses at
-one microsecond run in delivery order. The class is the one statement of
+For classes 2 and 3, ``n`` is the creation order, and breaks ties only
+within a kind: there, creation order is the physical order (FIFO links and
+queues). A delivery's ``n`` is drawn at its dispatch, whether it waits in
+the heap or not. A response's ``n`` is its request's delivery key,
+``(delivered_at, n)``, so responses at one microsecond run in delivery
+order. The class is the one statement of
 an entry's kind: ``run`` binds the five handlers once, as a local tuple
 indexed by class, and calls ``handlers[class](time, payload)``.
 
@@ -54,8 +57,8 @@ sorted streams under one heap, a standard pending-event set (Brown,
 "Calendar queues", CACM 31(10), 1988, surveys the alternatives). Every
 entry of a stream is at or above its head, which is in the heap, so the
 heap's least key is the least pending key, and events run in exactly the
-key order they would with every response in the heap; a response keeps the
-``n`` drawn at its delivery, so responses at one microsecond still run in
+key order they would with every response in the heap; a response's ``n``
+is its delivery key, so responses at one microsecond still run in
 delivery order across computers. A stream stays sorted only while each
 response is due after its tail. For ``a`` delivered before ``b``, with
 service ends ``e_a`` and ``e_b`` and return links ``L_a`` and ``L_b``,
@@ -63,9 +66,26 @@ service ends ``e_a`` and ``e_b`` and return links ``L_a`` and ``L_b``,
 per router, and with more than one worker a later start can end first.
 Such a response is filed eagerly, straight into the heap. The stream's
 tail is due later still, so the stream is not empty when it runs. So the
-heap holds the toggles, the requests in flight to their delivery, one
-response per computer and the eager ones: under ``li``, which piles its
-backlog onto one computer, that backlog waits in the stream, not the heap.
+heap holds the toggles, the deliveries that wait (below), one response per
+computer and the eager ones: under ``li``, which piles its backlog onto one
+computer, that backlog waits in the stream, not the heap.
+
+Each computer has a lead, ``lead_us``: the shortest link that any router
+has to it. No delivery reaches it sooner after its dispatch: this is the
+lookahead of the arrivals below, applied per computer. The computer also
+counts in ``waiting`` its deliveries dispatched and not yet run. A
+dispatch over the lead, with none waiting, calls ``_on_deliver`` at once
+with the delivery's time, ``now + lead_us``; any other delivery is pushed as
+a class-3 entry. This is exact. Every delivery to that computer
+dispatched before it has run, and every later one lands no sooner; one
+that lands at the same microsecond was dispatched later, so it has the
+larger ``n``. So the computer's deliveries still run in key order, and
+only they read or write its ``free``: the start, the processing time, the
+queue delay and the response's time are those of a delivery run from the
+heap, and the response waits in the stream or the heap under its key like
+any other. Across computers, deliveries do not run in key order, which is
+why a response's ``n`` is its delivery key and not a number drawn as the
+delivery runs.
 
 Requests are issued in ``(time, workload)`` order, merged lazily from the
 per-workload arrival streams, and ``seq`` is the place in that order. No
@@ -81,12 +101,15 @@ toggle or an earlier arrival at the same microsecond; then it is pushed.
 The order stays the key's: every event before it has run, run-time events
 at its microsecond come after arrivals, and each later issue lands no
 sooner, at the same microsecond only with a higher ``seq``. The shipped
-scenarios all have a client link of 0, so each request makes two heap
-trips (delivery, response) instead of three.
+scenarios all have a client link of 0. On ``line`` (one router) every link
+is its computer's lead, so a request makes one heap trip, its response,
+instead of three. On ``ring-tree`` only a delivery over a remote link, or
+one behind it at the same computer, waits in the heap.
 
 The loop counts its pops against the termination bound. A request arrives
 at most ``1 + ceil(duration / retry)`` times (a retry at or past the
-duration gives it up), then is delivered and answered once; each window
+duration gives it up), then is delivered (from the heap or in place) and
+answered once; each window
 toggles twice. So each issue adds ``3 + ceil(duration / retry)`` to a
 budget that starts at the toggle count, and a pop past it raises
 ``RuntimeError``: an event that files itself again at its own microsecond
@@ -267,7 +290,7 @@ def arrival_process(kind: str, rate_per_s: float, seed: int = 0) -> Iterator[int
 
 
 class _Computer:
-    __slots__ = ("workers", "beta", "service_us", "free", "responses")
+    __slots__ = ("workers", "beta", "service_us", "free", "responses", "lead_us", "waiting")
 
     def __init__(self, spec) -> None:
         self.workers = spec.workers
@@ -277,6 +300,10 @@ class _Computer:
         self.free = [0] * spec.workers
         # Response entries filed in key order; only the head is in the heap.
         self.responses = deque()
+        # The shortest link any router has to it (None when none has one),
+        # set by _Sim, and its deliveries dispatched and not yet run.
+        self.lead_us = None
+        self.waiting = 0
 
 
 def service_time(computer: _Computer, lam: int, start: int) -> int:
@@ -313,6 +340,7 @@ class _Request:
         "destination",
         "computer",
         "is_probe",
+        "n",
         "queue_us",
         "processing_us",
     )
@@ -367,6 +395,8 @@ class _Sim:
                 )
                 for l in sorted(r.lambdas, key=lambda l: l.id)
             }
+        for cid, comp in self.computers.items():
+            comp.lead_us = min((to[cid] for to in links.values() if cid in to), default=None)
 
         # Toggle n is its place in window order, so a touching window's
         # clear (numbered with the earlier window) precedes its mark.
@@ -414,25 +444,36 @@ class _Sim:
                 heapq.heappush(self.heap, (retry_at, _RETRY, next(self.counter), req))
             return
         req.destination = dest
-        req.computer = self.computers[dest]
+        req.computer = comp = self.computers[dest]
         req.is_probe = dest in req.policy.probing
         req.dispatch_us = now
-        heapq.heappush(
-            self.heap, (now + req.links_us[dest], _DELIVERY, next(self.counter), req)
-        )
+        req.n = n = next(self.counter)
+        link = req.links_us[dest]
+        # Over the computer's lead, with none of its deliveries waiting,
+        # nothing can reach it first: deliver now (module docstring).
+        waiting = comp.waiting
+        comp.waiting = waiting + 1
+        if not waiting and link == comp.lead_us:
+            self._on_deliver(now + link, req)
+        else:
+            heapq.heappush(self.heap, (now + link, _DELIVERY, n, req))
 
     def _on_deliver(self, now: int, req: _Request) -> None:
-        """The request reaches its computer: it starts on the earliest free
-        worker, and its response is filed at once, in the computer's stream
-        or, when due before the stream's tail, in the heap."""
+        """The request reaches its computer, from the heap or in place at
+        its dispatch: it starts on the earliest free worker, and its
+        response is filed at once, in the computer's stream or, when due
+        before the stream's tail, in the heap."""
         comp = req.computer
+        comp.waiting -= 1
         free = comp.free
         start = max(now, free[0])
         req.processing_us = processing = service_time(comp, req.lam, start)
         end = start + processing
         heapq.heapreplace(free, end)
         req.queue_us = (req.dispatch_us - req.issued_us - req.client_link_us) + (start - now)
-        entry = (end + req.links_us[req.destination], _RESPONSE, next(self.counter), req)
+        # n is the delivery's key, so responses at one microsecond run in
+        # delivery order, whether a delivery ran in place or from the heap.
+        entry = (end + req.links_us[req.destination], _RESPONSE, (now, req.n), req)
         responses = comp.responses
         if not responses:
             responses.append(entry)

@@ -13,6 +13,7 @@ from edgedispatch.core import string_keys
 from edgedispatch.metrics import read_trace, summarize, write_trace
 from edgedispatch.policy import PolicyKind
 from edgedispatch.scenario import (
+    MAX_WORKERS,
     CongestionWindow,
     InvalidScenario,
     Scenario,
@@ -242,6 +243,18 @@ VALUE_RULES = {
         [(("computers", 0, "workers"), 0)],
         "computer 0: workers must be an int of at least 1, got 0",
     ),
+    # the computer's worker list is never built: validation comes first
+    "workers-above-max": (
+        [(("computers", 0, "workers"), 10_001)],
+        [(("computers", 0, "workers"), 10_001)],
+        "computer 0: workers must be at most 10000, got 10001",
+    ),
+    # an integral float is an integer: this one loads as an int of 307 digits
+    "workers-1e306": (
+        [(("computers", 0, "workers"), 1.0e306)],
+        [(("computers", 0, "workers"), int(1.0e306))],
+        f"computer 0: workers must be at most 10000, got {int(1.0e306)}",
+    ),
     "negative-client-link": (
         [(("workload", 0, "client_link_ms"), -5)],
         [(("workload", 0, "client_link_us"), -5000)],
@@ -414,6 +427,38 @@ def test_a_value_rule_holds_for_documents_and_code_built_scenarios(case):
     assert words in semantic_problems(scenario)
     with pytest.raises(InvalidScenario):
         run(scenario)
+
+
+def test_the_largest_worker_count_passes_validation():
+    scenario = replaced(tiny_scenario(), ("computers", 0, "workers"), MAX_WORKERS)
+    assert semantic_problems(scenario) == []
+
+
+KEY_RULE = "is not an id written as '0|[1-9][0-9]*'"
+
+
+@pytest.mark.parametrize(
+    "path, keys, problems",
+    [
+        (
+            ("routers", 0, "links_ms"),
+            {"0": 1, "0\n": 50, "00": 7},
+            [f"routers/0/links_ms: key '0\\n' {KEY_RULE}", f"routers/0/links_ms: key '00' {KEY_RULE}"],
+        ),
+        (("routers", 0, "links_ms"), {0: 1, "0": 50}, ["routers/0/links_ms: keys 0 and '0' name one id"]),
+        (("computers", 0, "service_ms"), {"0": 5, "01": 5}, [f"computers/0/service_ms: key '01' {KEY_RULE}"]),
+    ],
+    ids=["newline-and-leading-zero", "int-and-string", "service-leading-zero"],
+)
+def test_an_id_key_writes_its_id_one_way(path, keys, problems):
+    # each key matches the schema's '^[0-9]+$' under re.search, and int()
+    # reads each as an id: keys written apart could name one id, and the
+    # last one would win
+    doc = tiny_doc()
+    set_in(doc, path, keys)
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_mapping(doc)
+    assert info.value.problems == problems
 
 
 def test_retry_rounding_to_zero_us_rejected():

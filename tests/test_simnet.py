@@ -28,6 +28,7 @@ from edgedispatch.simnet import (
 )
 
 from helpers import reference_run, scenario_docs, tiny_doc, tiny_scenario
+from perfbench.fanout import fanout_mapping
 
 
 def take(it, n):
@@ -630,13 +631,16 @@ def run_logging_handlers(scenario):
 @contextlib.contextmanager
 def watching_heap():
     """Patch ``simnet``'s ``heapq`` so that every push is seen. Yields a dict
-    with the event heap's high-water mark and the number of responses filed
+    with the event heap's high-water mark, the number of deliveries pushed
+    (not run in place at their dispatch) and the number of responses filed
     eagerly: pushed while another response heads their computer's stream."""
-    seen = {"high_water": 0, "eager": 0}
+    seen = {"high_water": 0, "deliveries": 0, "eager": 0}
 
     def heappush(heap, entry):
         heapq.heappush(heap, entry)
         seen["high_water"] = max(seen["high_water"], len(heap))
+        if entry[1] == simnet._DELIVERY:
+            seen["deliveries"] += 1
         if entry[1] == simnet._RESPONSE and entry[3].computer.responses[0] is not entry:
             seen["eager"] += 1
 
@@ -760,6 +764,72 @@ def test_responses_at_one_microsecond_run_in_delivery_order():
     policy = result.snapshot["routers"][0]["lambdas"][0]["policy"]
     assert policy["deficits_us"] == {0: 0, 1: 6000}
     assert_matches_reference(scenario)
+
+
+def test_responses_at_one_microsecond_run_in_delivery_order_across_computers():
+    # rr probes computer 0 at 2 ms over a 4 ms link, then computer 1 at 4 ms
+    # over a 1 ms link: dispatched in that order, delivered in the other (6
+    # and 5 ms). Both responses land at 12 ms. Computer 1's runs first, so
+    # computer 1 is admitted first and computer 0 joins at its 10 ms deficit
+    scenario = tiny_scenario(
+        duration_ms=5,
+        policy={"kind": "rr"},
+        computers=[
+            {"id": 0, "workers": 1, "beta": 0.0, "service_ms": {0: 2}},
+            {"id": 1, "workers": 1, "beta": 0.0, "service_ms": {0: 6}},
+        ],
+        routers=[{"id": 0, "links_ms": {0: 4, 1: 1}, "lambdas": [{"id": 0, "destinations": [0, 1]}]}],
+        workload=[deterministic(0, 0, 0, rate_per_s=500)],
+    )
+    result, calls = run_logging_handlers(scenario)
+    assert [(r.destination, r.dispatch_us, r.processing_us, r.completed_us) for r in result.rows] == [
+        (0, 2000, 2000, 12_000),
+        (1, 4000, 6000, 12_000),
+    ]
+    assert response_calls(calls) == [(12_000, 1), (12_000, 0)]
+    policy = result.snapshot["routers"][0]["lambdas"][0]["policy"]
+    assert list(policy["deficits_us"].items()) == [(1, 0), (0, 10_000)]
+    assert_matches_reference(scenario)
+
+
+@pytest.mark.parametrize(
+    "client_link_ms, queue_us", [(9.5, 4500), (9, 5000)], ids=["later", "same-microsecond"]
+)
+def test_a_computers_queue_stays_fifo_past_a_delivery_in_the_heap(client_link_ms, queue_us):
+    # Router 0 reaches the computer over 10 ms, router 1 over 1 ms, its
+    # lead. seq 1 (router 0) is dispatched at 20 ms and waits in the heap
+    # until 30 ms. seq 2 is dispatched over the lead at 29.5 ms (or 29 ms)
+    # and lands at 30.5 ms (or at 30 ms, behind seq 1's delivery): it must
+    # not run in place, ahead of seq 1, but wait behind it for the only
+    # worker. seq 0 and seq 3 find no delivery waiting and run in place.
+    scenario = tiny_scenario(
+        duration_ms=35,
+        routers=[
+            {"id": 0, "links_ms": {0: 10}, "lambdas": [{"id": 0, "destinations": [0]}]},
+            {"id": 1, "links_ms": {0: 1}, "lambdas": [{"id": 0, "destinations": [0]}]},
+        ],
+        workload=[deterministic(0, 0, 0, rate_per_s=50), deterministic(1, 0, client_link_ms)],
+    )
+    with watching_heap() as seen:
+        result = run(scenario)
+    assert seen["deliveries"] == 2
+    assert [(r.seq, r.router, r.queue_us) for r in result.rows] == [
+        (0, 1, 0), (1, 0, 0), (2, 1, queue_us), (3, 1, 0),
+    ]
+    assert_matches_reference(scenario)
+
+
+def test_only_a_delivery_over_a_longer_link_waits_in_the_heap():
+    # One router: every link is its computer's lead, and no delivery waits
+    # in the heap. ring-tree's remote links are 2 ms against a local 1 ms.
+    for scenario, pushed in (
+        (load_scenario("line"), False),
+        (scenario_from_mapping(fanout_mapping(1)), False),
+        (load_scenario("ring-tree"), True),
+    ):
+        with watching_heap() as seen:
+            run(scenario)
+        assert bool(seen["deliveries"]) is pushed, scenario.name
 
 
 def test_a_worker_freed_at_a_delivery_serves_it():
