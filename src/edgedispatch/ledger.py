@@ -1,10 +1,24 @@
 """Exact sorted keys, base-relative deficit counters and the frozen-weight replay.
 
-``SortedKeys`` is the package's one sorted index: a sorted list of one
-``(value, key)`` pair per key, so ``pairs[0]`` is the minimum with the
-smallest key on ties. A change bisects out the key's old pair and
-``insort``s the new one, O(log k) comparisons plus a C-level memmove, so no
-entry is ever stale.
+The ledger's order, smallest value and then smallest key, has one encoding
+in the package: the int ``value << shift | key``, with ``shift`` at least
+the bit width of every key. Keys are non-negative, so ``key < 1 << shift``
+and the ints sort exactly as the ``(value, key)`` pairs would, for any int
+values, negative ones included; ``entry >> shift`` is the value and
+``entry & mask`` the key, ``mask = (1 << shift) - 1``. ``SortedKeys`` and
+``replay_frozen`` both use it, so ``bisect``, ``insort`` and ``heapq``
+compare plain ints and no tuple is built.
+
+``SortedKeys`` is the package's one sorted index: a sorted list of one such
+int per key, so ``order[0]`` is the minimum with the smallest key on ties.
+Its ``shift`` comes from the keys themselves: it starts at 0 and, on the
+first key that does not fit, widens to that key's bit width and re-encodes
+the list, which keeps its order. A change bisects out the key's old entry
+and ``insort``s the new one, O(log k) comparisons plus a C-level memmove, so
+no entry is ever stale. Callers read an index's front inline, without a
+call: a round-robin request makes three frames in this module, ``charge``
+and ``SortedKeys.add`` as it selects and ``SortedKeys.set`` as its response
+updates the weight index (7 in all with ``policy`` and ``estimator``).
 
 The ledger keeps its keys in one, ordered by deficit then destination id. A
 destination's deficit is its raw value minus the ledger's base.
@@ -15,11 +29,10 @@ predecessor's: deficits {4, 6, 7, 7} read as deltas {4, 2, 1, 0}.
 
 ``replay_frozen`` is the bulk select-then-charge loop behind the fairness
 suites. It does not drive ``DeficitLedger``: with weights frozen and no
-admissions or evictions, a heap of ints ``deficit << shift | id``, with
-``shift`` the bit width of the largest id, selects in the same order at
-O(log k) per step, since the int order is the ledger's order (smallest
-deficit, then smallest id). The test suite pins it to select-then-charge
-loops over ``DeficitLedger`` and a naive oracle.
+admissions or evictions, a heap of the same ints ``deficit << shift | id``,
+with ``shift`` the bit width of the largest id, selects in the same order
+at O(log k) per step. The test suite pins it to select-then-charge loops
+over ``DeficitLedger`` and a naive oracle.
 
 In that replay every deficit starts at zero and each selection adds the
 destination's own frozen weight (deficit round-robin, Shreedhar and
@@ -55,75 +68,94 @@ class AlreadyAdmitted(Exception):
 
 
 class SortedKeys:
-    """One ``(value, key)`` pair per key, kept sorted in ``pairs``.
+    """One int ``value << shift | key`` per key, kept sorted in ``order``.
 
-    ``values`` maps each key to its value. Callers read both directly and
-    change them only through the methods.
+    ``values`` maps each key to its value; ``mask`` is ``(1 << shift) - 1``,
+    so ``order[0] >> shift`` is the least value and ``order[0] & mask`` its
+    key. Callers read all four directly and change them only through the
+    methods. Keys are non-negative ints: a negative key raises ValueError.
     """
 
-    __slots__ = ("pairs", "values")
+    __slots__ = ("order", "values", "shift", "mask")
 
     def __init__(self) -> None:
-        self.pairs: list[tuple[int, int]] = []
+        self.order: list[int] = []
         self.values: dict[int, int] = {}
+        self.shift = 0
+        self.mask = 0
 
     def set(self, key: int, value: int) -> None:
         """Give ``key`` the value ``value``, adding the key if it is new."""
-        pairs, values = self.pairs, self.values
+        order, values, shift = self.order, self.values, self.shift
         if key in values:
-            del pairs[bisect_left(pairs, (values[key], key))]
+            del order[bisect_left(order, values[key] << shift | key)]
+        elif key >> shift:
+            shift = self._widen(key)
         values[key] = value
-        insort(pairs, (value, key))
+        insort(order, value << shift | key)
 
     def add(self, key: int, amount: int) -> None:
         """Add ``amount`` to the value of ``key``; KeyError if it is absent."""
-        pairs, values = self.pairs, self.values
+        order, values, shift = self.order, self.values, self.shift
         value = values[key]
-        del pairs[bisect_left(pairs, (value, key))]
+        del order[bisect_left(order, value << shift | key)]
         values[key] = value = value + amount
-        insort(pairs, (value, key))
+        insort(order, value << shift | key)
 
     def discard(self, key: int) -> None:
         """Remove ``key`` if present."""
         values = self.values
         if key in values:
-            pairs = self.pairs
-            del pairs[bisect_left(pairs, (values.pop(key), key))]
+            order = self.order
+            del order[bisect_left(order, values.pop(key) << self.shift | key)]
+
+    def _widen(self, key: int) -> int:
+        """Widen ``shift`` to the bit width of ``key`` and re-encode every
+        entry, in place and in the same order; return the new shift."""
+        if key < 0:
+            raise ValueError(f"a key must be a non-negative int, got {key}")
+        old, mask = self.shift, self.mask
+        self.shift = shift = key.bit_length()
+        self.mask = (1 << shift) - 1
+        self.order[:] = [entry >> old << shift | entry & mask for entry in self.order]
+        return shift
 
 
 class DeficitLedger:
     """Sorted deficit counters stored relative to a base.
 
-    ``_keys`` holds each destination's raw value and a deficit is
+    ``keys`` holds each destination's raw value and a deficit is
     ``raw - _base``, so renormalization on admit only moves the base.
+    Callers may read ``keys`` (its front is the next selection) and change
+    it only through the methods.
     """
 
     def __init__(self) -> None:
-        self._keys = SortedKeys()
+        self.keys = SortedKeys()
         self._base = 0
 
     def __len__(self) -> int:
-        return len(self._keys.pairs)
+        return len(self.keys.order)
 
     def __contains__(self, dest: int) -> bool:
-        return dest in self._keys.values
+        return dest in self.keys.values
 
     def pop_min(self) -> int:
         """Destination with the minimum deficit, smallest id on ties.
 
         Selection only; the entry stays in place.
         """
-        pairs = self._keys.pairs
-        if not pairs:
+        keys = self.keys
+        if not keys.order:
             raise EmptyLedger("no active destinations")
-        return pairs[0][1]
+        return keys.order[0] & keys.mask
 
     def charge(self, dest: int, amount: int) -> None:
         """Increase a destination's deficit by ``amount`` and re-sort it."""
         if amount < 0:
             raise ValueError("charge amount must be non-negative")
         try:
-            self._keys.add(dest, amount)
+            self.keys.add(dest, amount)
         except KeyError:
             raise UnknownDestination(f"destination {dest} is not in the ledger") from None
 
@@ -134,32 +166,36 @@ class DeficitLedger:
         new destination enters with ``initial_deficit`` (relative to the
         renormalized counters).
         """
-        keys = self._keys
+        keys = self.keys
         if dest in keys.values:
             raise AlreadyAdmitted(f"destination {dest} is already in the ledger")
         if initial_deficit < 0:
             raise ValueError("initial deficit must be non-negative")
-        if keys.pairs:
-            self._base = keys.pairs[0][0]
+        if keys.order:
+            self._base = keys.order[0] >> keys.shift
         keys.set(dest, self._base + initial_deficit)
 
     def evict(self, dest: int) -> None:
         """Remove a destination; every other decoded deficit is unchanged."""
-        if dest not in self._keys.values:
+        if dest not in self.keys.values:
             raise UnknownDestination(f"destination {dest} is not in the ledger")
-        self._keys.discard(dest)
+        self.keys.discard(dest)
 
     def decode(self) -> dict[int, int]:
         """Absolute deficit per destination, in ledger order."""
-        base = self._base
-        return {dest: raw - base for raw, dest in self._keys.pairs}
+        keys, base = self.keys, self._base
+        shift, mask = keys.shift, keys.mask
+        return {entry & mask: (entry >> shift) - base for entry in keys.order}
 
     def deltas(self) -> list[tuple[int, int]]:
         """The difference encoding, in ledger order, for tests and snapshots."""
+        keys = self.keys
+        shift, mask = keys.shift, keys.mask
         out = []
         previous = self._base
-        for raw, dest in self._keys.pairs:
-            out.append((dest, raw - previous))
+        for entry in keys.order:
+            raw = entry >> shift
+            out.append((entry & mask, raw - previous))
             previous = raw
         return out
 

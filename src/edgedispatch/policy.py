@@ -38,6 +38,19 @@ the state changes, so that no selection scans all k destinations:
   seeded with the sum before it. Every selection draws with one
   ``rng.random()`` times the total and one ``bisect_right`` over the sums.
 
+A ``SortedKeys`` entry is the int ``value << shift | key`` (``ledger``), so
+a front is read inline: ``order[0] >> shift`` is its value and ``order[0] &
+mask`` its id. A round-robin request therefore costs 7 frames in this
+module, ``ledger`` and ``estimator``. A selection that is not a probe runs
+``select``, ``_select_rr``, ``DeficitLedger.charge`` and
+``SortedKeys.add``: it takes the id at the front of the ledger's keys and
+charges it its weight from the weight index, which for an active
+destination equals ``table.get``. A response from an active destination
+runs ``on_response``, ``WeightTable.observe`` and ``SortedKeys.set``: the
+active set is the key set of both the ledger and the weight index, so
+membership is one dict lookup, and the active minimum is the weight index's
+front. Least-impedance and random-proportional cost 4.
+
 The random-proportional draw must reproduce the full scan's float sums bit
 for bit, or the picks and the traces move. A partial-sum tree would add in
 another order, so the sums stay a left-to-right running total, and the tail
@@ -201,10 +214,10 @@ class PolicyState:
                 self._bootstrap_cursor += 1
                 return dest
             if self._li:
-                pairs = self._weights.pairs
-                if not pairs:
+                weights = self._weights
+                if not weights.order:
                     raise NoEligibleDestination("no destination with a finite weight")
-                return pairs[0][1]
+                return weights.order[0] & weights.mask
             # Random-proportional with the draw not ready: re-accumulate the
             # sums from the first stale position on (none when they are
             # current), seeded with the sum before it (``_sums[i + 1]`` runs
@@ -225,21 +238,26 @@ class PolicyState:
         return self.destinations[bisect_right(sums, self.rng.random() * sums[-1]) - 1]
 
     def _select_rr(self, now: int) -> int:
-        pending = self._pending.pairs
-        while pending and pending[0][0] <= now:
-            self._refresh(pending[0][1], now)
+        pending = self._pending
+        order = pending.order
+        while order and order[0] >> pending.shift <= now:
+            self._refresh(order[0] & pending.mask, now)
         ready = self._ready
         if ready:
             dest = ready.pop(self.rng.randrange(len(ready)))
             self.probing.add(dest)
             self.probes_launched += 1
             return dest
-        if len(self.ledger) == 0:
+        # The front of the ledger's keys is the least deficit, smallest id
+        # on ties; an active destination's weight is its table estimate.
+        ledger = self.ledger
+        keys = ledger.keys
+        if not keys.order:
             raise NoEligibleDestination(
                 "active set empty and no destination is probe-eligible"
             )
-        dest = self.ledger.pop_min()
-        self.ledger.charge(dest, self.table.get(dest))
+        dest = keys.order[0] & keys.mask
+        ledger.charge(dest, self._weights.values[dest])
         return dest
 
     # -- feedback ----------------------------------------------------------
@@ -270,13 +288,18 @@ class PolicyState:
             else:
                 self._set_reciprocal(dest, 1.0 / weight)
             return
+        # The active set is the key set of both the ledger and the weight
+        # index, whose front is the active minimum.
+        weights = self._weights
         if dest in self.probing:
             self.probing.discard(dest)
             value = max(int(measured_us), 1)
-            if value <= 2 * self._min_active_weight():
+            # An empty active set admits any probe, otherwise nothing could
+            # ever bootstrap the scheduler.
+            if not weights.order or value <= 2 * (weights.order[0] >> weights.shift):
                 self.ledger.admit(dest, value)
                 table.assign(dest, value)
-                self._weights.set(dest, value)
+                weights.set(dest, value)
                 self.backoff[dest] = self.b_min_us
                 self.probes_admitted += 1
             else:
@@ -284,12 +307,12 @@ class PolicyState:
                 self.eligible_at[dest] = now + self.backoff[dest]
                 self.probes_rejected += 1
             self._refresh(dest, now)
-        elif dest in self.ledger:
+        elif dest in weights.values:
             new_weight = table.observe(dest, measured_us)
-            self._weights.set(dest, new_weight)
-            if new_weight > 2 * self._min_active_weight():
+            weights.set(dest, new_weight)
+            if new_weight > 2 * (weights.order[0] >> weights.shift):
                 self.ledger.evict(dest)
-                self._weights.discard(dest)
+                weights.discard(dest)
                 self.eligible_at[dest] = now + self.backoff[dest]
                 self._refresh(dest, now)
         elif table.is_congested(dest):
@@ -299,12 +322,6 @@ class PolicyState:
             # signal that has since cleared) while the request was in flight:
             # stale, keep the count.
             self.stale_responses += 1
-
-    def _min_active_weight(self) -> int | float:
-        pairs = self._weights.pairs
-        # Empty active set admits any probe, otherwise nothing could ever
-        # bootstrap the scheduler.
-        return pairs[0][0] if pairs else float("inf")
 
     # -- indexes -----------------------------------------------------------
 

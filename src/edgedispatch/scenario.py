@@ -641,6 +641,35 @@ def ensure_valid(s: Scenario) -> None:
         raise InvalidScenario(problems)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A ``SafeLoader`` that refuses a key already constructed in the same
+    mapping node, where PyYAML would keep the last value: ``{0: 1, 00: 7}``
+    (YAML 1.1 reads ``00`` as 0) or a doubled top-level ``policy:``. Only
+    the keys written in the node count, so an explicit key may still
+    override one that a ``<<`` merge brings in."""
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            seen = {}
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    first = seen.setdefault(key, key_node)
+                except TypeError:  # unhashable: the base class refuses it
+                    continue
+                if first is not key_node:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping",
+                        node.start_mark,
+                        f"found duplicate key {key!r} (first on line "
+                        f"{first.start_mark.line + 1})",
+                        key_node.start_mark,
+                    )
+        return super().construct_mapping(node, deep=deep)
+
+
 def builtin_names() -> list[str]:
     return sorted(_BUILTINS)
 
@@ -663,7 +692,7 @@ def load_scenario(source: str | Path) -> Scenario:
             )
         text = path.read_text(encoding="utf-8")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise InvalidScenario([f"not valid YAML: {exc}"]) from exc
     return scenario_from_mapping(doc)

@@ -47,8 +47,11 @@ the processing time and files the response, so a service end is not an
 event. The load at a start ``s`` is 1 plus the number of requests on that
 computer whose service ends after ``s``; one that ends at ``s`` is done.
 Starts follow delivery order, so only a worker's last service can end
-after ``s``: ``service_time`` counts over ``free``, and only when the
-computer's ``beta`` is not 0.
+after ``s``: ``service_time`` counts over ``free``, and the handler calls
+it only when the computer's ``beta`` is not 0; otherwise the processing
+time is the base time, read inline. The policy's part of a request is two
+calls, ``select`` and ``on_response``; under ``rr`` they make 7 frames in
+all (``policy`` docstring), under ``li`` and ``rp`` 4.
 
 Each computer files its responses in its own stream, ``responses``: a FIFO
 of full heap entries in key order, of which only the head is in the heap.
@@ -466,8 +469,15 @@ class _Sim:
         comp = req.computer
         comp.waiting -= 1
         free = comp.free
-        start = max(now, free[0])
-        req.processing_us = processing = service_time(comp, req.lam, start)
+        start = free[0]
+        if start < now:
+            start = now
+        # service_time's rule, with the call made only when beta counts
+        if comp.beta:
+            processing = service_time(comp, req.lam, start)
+        else:
+            processing = comp.service_us[req.lam]
+        req.processing_us = processing
         end = start + processing
         heapq.heapreplace(free, end)
         req.queue_us = (req.dispatch_us - req.issued_us - req.client_link_us) + (start - now)

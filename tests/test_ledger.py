@@ -12,6 +12,7 @@ from edgedispatch.ledger import (
     DeficitLedger,
     EmptyLedger,
     ReplayResult,
+    SortedKeys,
     UnknownDestination,
     replay_frozen,
 )
@@ -200,6 +201,56 @@ def test_large_ledger_matches_oracle():
     admit_some(k)
     select_and_charge(3000)
     check_same_state(led, oracle)
+
+
+# Keys of many widths, so a later key often forces the shift up; values of
+# either sign, mostly tiny, so ties broken by key are common.
+SORTED_KEYS = st.sampled_from([0, 1, 2, 3, 7, 8, 255, 256, 2**40, 2**40 + 1]) | st.integers(0, 2**70)
+SORTED_VALUES = st.integers(-3, 3) | st.integers(-(2**64), 2**64)
+SORTED_KEY_OPS = st.lists(
+    st.tuples(st.just("set"), SORTED_KEYS, SORTED_VALUES)
+    | st.tuples(st.just("add"), SORTED_KEYS, SORTED_VALUES)
+    | st.tuples(st.just("discard"), SORTED_KEYS, st.none()),
+    max_size=60,
+)
+
+
+@settings(max_examples=300)
+@given(ops=SORTED_KEY_OPS)
+@example(ops=[("set", 0, 5), ("set", 2**40, 5), ("add", 0, 1), ("set", 3, 6)])
+@example(ops=[("set", 1, -2), ("set", 0, 9), ("set", 8, -2), ("discard", 1, None)])
+def test_sorted_keys_match_a_sorted_pair_oracle(ops):
+    keys, oracle, width = SortedKeys(), {}, 0
+    for op, key, value in ops:
+        if op == "set":
+            keys.set(key, value)
+            oracle[key] = value
+            width = max(width, key.bit_length())
+        elif op == "add":
+            if key in oracle:
+                keys.add(key, value)
+                oracle[key] += value
+            else:
+                with pytest.raises(KeyError):
+                    keys.add(key, value)
+        else:
+            keys.discard(key)
+            oracle.pop(key, None)
+        # the shift is the widest key so far, and the ints decode to the
+        # oracle's pairs in the oracle's order
+        assert (keys.shift, keys.mask) == (width, (1 << width) - 1)
+        assert [(e >> keys.shift, e & keys.mask) for e in keys.order] == sorted(
+            (v, k) for k, v in oracle.items()
+        )
+        assert keys.values == oracle
+
+
+def test_sorted_keys_refuse_a_negative_key():
+    keys = SortedKeys()
+    keys.set(3, 1)
+    with pytest.raises(ValueError, match="^a key must be a non-negative int, got -1$"):
+        keys.set(-1, 0)
+    assert (keys.order, keys.values) == ([1 << 2 | 3], {3: 1})
 
 
 DESTS = st.integers(0, 5)

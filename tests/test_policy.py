@@ -1,8 +1,11 @@
+import collections
 import random
+import sys
 from itertools import accumulate
 
 import pytest
 
+from edgedispatch import estimator, ledger, policy, simnet
 from edgedispatch.core import from_ms
 from edgedispatch.ledger import UnknownDestination
 from edgedispatch.policy import (
@@ -11,6 +14,7 @@ from edgedispatch.policy import (
     PolicyKind,
     PolicyState,
 )
+from edgedispatch.scenario import load_scenario
 
 from helpers import NaivePolicy
 
@@ -381,6 +385,14 @@ def scan_sums(state):
     return sums
 
 
+def decoded(keys):
+    """A ``SortedKeys``' entries as ``(value, key)`` pairs, in list order,
+    after checking that its shift covers every key."""
+    assert keys.mask == (1 << keys.shift) - 1
+    assert all(key >> keys.shift == 0 for key in keys.values)
+    return [(entry >> keys.shift, entry & keys.mask) for entry in keys.order]
+
+
 def check_indexes(state):
     """The weight and pending indexes hold exactly what the table and the
     backoffs say, with no stale or missing entry."""
@@ -393,10 +405,10 @@ def check_indexes(state):
         ]
     else:
         held = []
-    assert state._weights.pairs == sorted((get(d), d) for d in held)
+    assert decoded(state._weights) == sorted((get(d), d) for d in held)
     assert state._weights.values == {d: get(d) for d in held}
     pending = state._pending.values
-    assert state._pending.pairs == sorted((t, d) for d, t in pending.items())
+    assert decoded(state._pending) == sorted((t, d) for d, t in pending.items())
     assert all(t == state.eligible_at[d] for d, t in pending.items())
     if state.kind is not PolicyKind.ROUND_ROBIN:
         assert not pending and not state.backoff and not state.eligible_at
@@ -648,3 +660,37 @@ def test_signal_for_another_lambdas_destination_changes_nothing(kind):
     assert state.sync_congestion(5, True, 10) is None
     assert state.sync_congestion(5, False, 20) is None
     assert (state.snapshot(), state.table.snapshot()) == before
+
+
+# The Python functions of policy, ledger and estimator that a request runs
+# on the common path: an rr selection that charges the ledger's front and a
+# response from an active destination; for li and rp, the pick and the
+# update of one index.
+PER_REQUEST_FRAMES = {
+    "rr": {"select", "_select_rr", "charge", "add", "on_response", "observe", "set"},
+    "li": {"select", "set", "on_response", "observe"},
+    "rp": {"select", "on_response", "observe", "_set_reciprocal"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PER_REQUEST_FRAMES))
+def test_the_frames_a_request_makes_in_the_policy_layers(kind):
+    files = {module.__file__ for module in (policy, ledger, estimator)}
+    calls = collections.Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            calls[frame.f_code.co_name] += 1
+
+    scenario = load_scenario("line").with_overrides(
+        policy_kind=PolicyKind(kind), duration_us=1_000_000
+    )
+    sys.setprofile(count)
+    try:
+        result = simnet.run(scenario)
+    finally:
+        sys.setprofile(None)
+    # the rest runs at most once per probe, admission, eviction or widening
+    requests = result.arrivals
+    assert {name for name, n in calls.items() if n > requests // 2} == PER_REQUEST_FRAMES[kind]
+    assert sum(calls.values()) < (len(PER_REQUEST_FRAMES[kind]) + 0.1) * requests

@@ -73,6 +73,47 @@ def test_bad_yaml(tmp_path):
     assert "YAML" in info.value.problems[0]
 
 
+def tiny_yaml(old, new):
+    """``tiny_doc`` as YAML in key order, with one line replaced."""
+    text = yaml.safe_dump(tiny_doc(), sort_keys=False)
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "old, new, words",
+    [
+        # YAML 1.1 reads 00 as the int 0, the key of the line before
+        ("    0: 1\n", "    0: 1\n    00: 7\n", ["duplicate key 0 (first on line 15)", "line 16, column 5:"]),
+        (
+            "policy:\n  kind: li\n",
+            "policy:\n  kind: li\npolicy:\n  kind: rr\n",
+            ["duplicate key 'policy' (first on line 4)", "line 6, column 1:"],
+        ),
+    ],
+    ids=["links-00", "doubled-policy"],
+)
+def test_a_key_given_twice_in_one_mapping_is_refused(tmp_path, old, new, words):
+    # PyYAML would keep the last of two equal keys; the loader refuses the
+    # second, by key and line
+    path = tmp_path / "twice.yaml"
+    path.write_text(tiny_yaml(old, new), encoding="utf-8")
+    with pytest.raises(InvalidScenario) as info:
+        load_scenario(path)
+    (problem,) = info.value.problems
+    assert problem.startswith("not valid YAML: while constructing a mapping")
+    assert all(w in problem for w in words), problem
+
+
+def test_an_explicit_key_may_override_a_merged_one(tmp_path):
+    path = tmp_path / "merge.yaml"
+    path.write_text(
+        tiny_yaml("policy:\n  kind: li\n", "policy: {<<: {kind: li, alpha: 0.5}, alpha: 0.25}\n"),
+        encoding="utf-8",
+    )
+    assert load_scenario(path).policy.alpha == 0.25
+
+
 def test_non_mapping_document():
     with pytest.raises(InvalidScenario):
         scenario_from_mapping(["not", "a", "mapping"])

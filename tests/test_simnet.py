@@ -9,9 +9,11 @@ import pickle
 import random
 import types
 import weakref
+from importlib import resources
 from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -530,6 +532,70 @@ def test_the_order_of_a_documents_lists_never_changes_the_run(doc, data):
             )
         else:
             assert got.snapshot == want.snapshot
+
+
+def shipped_doc(file):
+    """A shipped scenario's document, as parsed from its YAML file."""
+    text = resources.files("edgedispatch").joinpath(f"scenarios/{file}").read_text("utf-8")
+    return yaml.safe_load(text)
+
+
+def runs_by_kind(doc):
+    scenario = scenario_from_mapping(doc)
+    return {kind: run(scenario.with_overrides(policy_kind=kind)) for kind in PolicyKind}
+
+
+@settings(max_examples=50)
+@given(doc=scenario_docs())
+@example(doc=shipped_doc("line.yaml"))
+@example(doc=shipped_doc("ring_tree.yaml"))
+def test_computer_ids_are_names(doc):
+    # x -> 3x + 7 keeps the ids' order, so every tie breaks as before; the
+    # wider ids widen the policies' sorted indexes as they fill
+    def relabel(cid):
+        return 3 * int(cid) + 7
+
+    relabelled = copy.deepcopy(doc)
+    for c in relabelled["computers"]:
+        c["id"] = relabel(c["id"])
+    for r in relabelled["routers"]:
+        r["links_ms"] = {relabel(cid): ms for cid, ms in r["links_ms"].items()}
+        for l in r["lambdas"]:
+            l["destinations"] = [relabel(cid) for cid in l["destinations"]]
+    for w in relabelled["congestion"]:
+        w["computer"] = relabel(w["computer"])
+    want, got = runs_by_kind(doc), runs_by_kind(relabelled)
+    for kind in PolicyKind:
+        mapped = [
+            dataclasses.replace(row, destination=relabel(row.destination))
+            if row.destination >= 0
+            else row
+            for row in want[kind].rows
+        ]
+        assert trace_bytes(got[kind].rows) == trace_bytes(mapped)
+
+
+@settings(max_examples=50)
+@given(doc=scenario_docs(), extra=st.integers(0, 40))
+@example(doc=shipped_doc("line.yaml"), extra=2)
+@example(doc=shipped_doc("ring_tree.yaml"), extra=9)
+def test_a_computer_no_lambda_routes_to_changes_nothing(doc, extra):
+    # linked from every router but no lambda's destination, with an id that
+    # may fall between the others
+    ids = {int(c["id"]) for c in doc["computers"]}
+    cid = extra if extra not in ids else max(ids) + 1 + extra
+    grown = copy.deepcopy(doc)
+    service_ms = dict(grown["computers"][0]["service_ms"])
+    grown["computers"].append({"id": cid, "workers": 1, "beta": 0.5, "service_ms": service_ms})
+    for r in grown["routers"]:
+        r["links_ms"] = {**r["links_ms"], cid: 0}
+    want, got = runs_by_kind(doc), runs_by_kind(grown)
+    for kind in PolicyKind:
+        assert trace_bytes(got[kind].rows) == trace_bytes(want[kind].rows)
+        assert (
+            summarize(got[kind].rows, got[kind].snapshot).to_json()
+            == summarize(want[kind].rows, want[kind].snapshot).to_json()
+        )
 
 
 def termination_bound(scenario, arrivals):
