@@ -122,14 +122,32 @@ A ``_Sim`` stores no bound method or closure of itself: that would make it
 a reference cycle, so a finished run and its rows would wait for a full
 garbage collection (``test_a_finished_run_leaves_no_reference_cycle``).
 
+Two transformations of a scenario do not carry over to its trace, and
+are not meant to; ``tests/test_simnet.py`` pins one example of each.
+Doubling every time (the duration, links, service times, retry and
+backoff, and the gaps between issues) does not double every time of the
+trace: ``WeightTable.observe`` rounds each blend half up to a whole
+microsecond, so an estimate from doubled samples can be one less than
+twice the estimate (0.9 * 7,000 + 0.1 * 7,005 rounds up to 7,001; the
+doubled blend is exactly 14,001). ``line`` under ``rr``, with
+deterministic issues every 1,600 us, matches its doubled twin up to row
+109 of 6,249, where the two pick different computers. Renaming computer
+ids keeps the trace, destinations renamed, only if the renaming keeps the
+ids' order: a tie goes to the smallest id, so ``x -> 3 - x`` on ``line``
+sends the first request to the other end of the line.
+
 Each request ends as one ``TraceRow``, built once, positionally, when the
 request completes or is given up. A row is slotted and frozen, and checks
 its own delays: a completed row whose times or delays are negative, or
 whose delays do not add up to its span, cannot be built, here or when a
-trace is read back. Its ``__init__`` is written out (``init=False``): it
-checks the delays, then fills each slot through that slot's own setter,
-at about half the cost of the generated frozen ``__init__`` and its one
-``object.__setattr__`` per field (``TraceRow`` has the numbers).
+trace is read back. It is built in one allocation, by ``TraceRow.__new__``
+(``init=False``; ``__init__`` is ``object.__init__``): it checks the delays,
+fills a ``_Cells``, a writable class with ``TraceRow``'s own slots, with
+plain slot stores, then switches that object's class to ``TraceRow``.
+CPython allows the switch between classes of one layout and raises
+``TypeError`` on any other, so a drift would fail on the first row. This
+costs about half as much as filling each slot through its member
+descriptor (``TraceRow`` has the numbers).
 """
 
 from __future__ import annotations
@@ -156,16 +174,20 @@ class TraceRow:
     span; construction raises ValueError otherwise. ``dispatch_us`` is the
     one field outside the on-disk trace format.
 
-    The ``__init__`` is written out (``init=False``), since a row is built
-    once per request and once per trace line read back. It checks the delays
-    on its arguments, then stores each field through its slot's member
-    descriptor (the ``_set_*`` names below the class), which the frozen
-    ``__setattr__`` does not intercept. ``timeit`` on a 2-vCPU x86-64
-    host, best of 7: 1.35-1.9 µs a row, against 2.3-4.4 µs for the
-    generated ``__init__`` (one ``object.__setattr__`` per field, then
-    ``__post_init__``) and 0.36 µs for a plain mutable slotted class.
-    ``dataclasses.replace``, ``pickle`` and ``copy`` keep working:
-    ``replace`` calls this ``__init__``, so it checks the delays too.
+    Every row, built by the simulator, by ``read_trace``, by
+    ``dataclasses.replace`` or by unpickling, goes through ``__new__``: it
+    checks the delay rule on its arguments, stores them into a fresh
+    ``_Cells`` (a writable class whose ``__slots__`` are this class's) and
+    sets that object's ``__class__`` to this class, from which point the
+    frozen ``__setattr__`` refuses every store. ``__init__`` is
+    ``object.__init__``. ``timeit`` on a 2-vCPU x86-64 host, best of 7,
+    four runs: 0.47-0.52 µs a row, against 0.88-0.89 µs for twelve
+    member-descriptor ``__set__`` calls after the check, 1.54-1.65 µs for
+    the generated frozen ``__init__`` and 0.20-0.25 µs for a plain mutable
+    slotted class.
+    ``__reduce__`` rebuilds through ``__new__``, so ``pickle`` at every
+    protocol, ``copy`` and ``deepcopy`` check the delays, as ``replace``
+    does.
     """
 
     seq: int
@@ -181,10 +203,10 @@ class TraceRow:
     policy: str
     dispatch_us: int | None = None
 
-    def __init__(
-        self, seq, lam, router, destination, issued_us, completed_us,
+    def __new__(
+        cls, seq, lam, router, destination, issued_us, completed_us,
         transfer_us, queue_us, processing_us, is_probe, policy, dispatch_us=None,
-    ) -> None:
+    ):
         if completed_us is not None:
             if (
                 issued_us < 0 or completed_us < 0 or transfer_us < 0
@@ -201,18 +223,28 @@ class TraceRow:
                 raise ValueError(
                     f"delay components sum to {parts}us but the record spans {span}us"
                 )
-        _set_seq(self, seq)
-        _set_lam(self, lam)
-        _set_router(self, router)
-        _set_destination(self, destination)
-        _set_issued_us(self, issued_us)
-        _set_completed_us(self, completed_us)
-        _set_transfer_us(self, transfer_us)
-        _set_queue_us(self, queue_us)
-        _set_processing_us(self, processing_us)
-        _set_is_probe(self, is_probe)
-        _set_policy(self, policy)
-        _set_dispatch_us(self, dispatch_us)
+        row = object.__new__(_Cells)
+        row.seq = seq
+        row.lam = lam
+        row.router = router
+        row.destination = destination
+        row.issued_us = issued_us
+        row.completed_us = completed_us
+        row.transfer_us = transfer_us
+        row.queue_us = queue_us
+        row.processing_us = processing_us
+        row.is_probe = is_probe
+        row.policy = policy
+        row.dispatch_us = dispatch_us
+        row.__class__ = cls
+        return row
+
+    def __reduce__(self):
+        return TraceRow, (
+            self.seq, self.lam, self.router, self.destination, self.issued_us,
+            self.completed_us, self.transfer_us, self.queue_us, self.processing_us,
+            self.is_probe, self.policy, self.dispatch_us,
+        )
 
     @property
     def latency_us(self) -> int | None:
@@ -221,12 +253,9 @@ class TraceRow:
         return self.completed_us - self.issued_us
 
 
-# Each field's slot setter, in field order; TraceRow.__init__ calls them.
-(
-    _set_seq, _set_lam, _set_router, _set_destination, _set_issued_us, _set_completed_us,
-    _set_transfer_us, _set_queue_us, _set_processing_us, _set_is_probe, _set_policy,
-    _set_dispatch_us,
-) = (getattr(TraceRow, name).__set__ for name in TraceRow.__match_args__)
+# A writable twin of TraceRow's slots: TraceRow.__new__ fills one, then
+# switches its class. The slots are TraceRow's own, so the layouts match.
+_Cells = type("_Cells", (), {"__slots__": TraceRow.__slots__})
 
 # The sort key of rows in issue order.
 _by_seq = operator.attrgetter("seq")

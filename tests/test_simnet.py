@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgedispatch import simnet
+from edgedispatch.estimator import WeightTable
 from edgedispatch.metrics import summarize, trace_bytes
 from edgedispatch.policy import PolicyKind, PolicyState
 from edgedispatch.scenario import ComputerSpec, load_scenario, scenario_from_mapping
@@ -166,11 +167,11 @@ def test_trace_row_accepts_unserved_rows():
 
 def test_trace_row_is_frozen_and_slotted():
     row = trace_row(1000, 8000, 2000, 0, 5000)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        row.queue_us = 1
-    assert not hasattr(row, "__dict__")
     (completed, *_) = run(tiny_scenario()).completed
-    assert not hasattr(completed, "__dict__")
+    for built in (row, completed, pickle.loads(pickle.dumps(row)), dataclasses.replace(row)):
+        assert type(built) is TraceRow and not hasattr(built, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.queue_us = 1
 
 
 def _raises_value_error(build, *args) -> bool:
@@ -198,8 +199,8 @@ def test_trace_row_raises_exactly_when_the_delay_rule_fails(fields, balanced):
     assert row_raises == (min(times) < 0 or completed - issued != transfer + queue + processing)
 
 
-# TraceRow's __init__ is written out and fills each slot through its own
-# setter, so these tests hold it to the declared fields.
+# TraceRow.__new__ is written out and stores each slot by name, so these
+# tests hold it to the declared fields.
 
 _natural = st.integers(0, 10**9)
 
@@ -229,7 +230,10 @@ def test_trace_row_stores_every_argument_in_its_own_field(args):
     names = [f.name for f in dataclasses.fields(TraceRow)]
     by_keyword = TraceRow(**dict(zip(names, args)))
     assert by_keyword == row and hash(by_keyword) == hash(row)
-    for twin in (pickle.loads(pickle.dumps(row)), copy.copy(row)):
+    twins = [pickle.loads(pickle.dumps(row, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (*twins, copy.copy(row), copy.deepcopy(row)):
+        assert type(twin) is TraceRow
         assert dataclasses.astuple(twin) == args
         assert twin == row and hash(twin) == hash(row)
 
@@ -251,17 +255,36 @@ def test_replace_checks_the_delay_rule():
         dataclasses.replace(row, queue_us=row.queue_us + 1)
 
 
-def test_trace_row_init_is_the_written_one():
-    # A generated __init__ (init=True) is compiled from source text, so its
-    # file is "<string>"; it would set every field with object.__setattr__.
-    assert TraceRow.__init__.__code__.co_filename == simnet.__file__
+def test_a_pickled_row_is_rebuilt_through_the_delay_check():
+    row = trace_row(1000, 8000, 2000, 0, 5000)
+    build, args = row.__reduce__()
+    assert build is TraceRow and args == dataclasses.astuple(row)
+    queue = [f.name for f in dataclasses.fields(TraceRow)].index("queue_us")
+    forged = args[:queue] + (args[queue] + 1,) + args[queue + 1:]
+
+    class Forged:
+        def __reduce__(self):
+            return build, forged
+
+    payload = pickle.dumps(Forged())
+    with pytest.raises(ValueError, match="sum to"):
+        pickle.loads(payload)
+
+
+def test_trace_row_is_built_by_the_written_new():
+    # No __init__ runs but object's: simnet's __new__ fills a writable twin
+    # whose slots are TraceRow's own, then switches its class.
+    assert TraceRow.__new__.__code__.co_filename == simnet.__file__
+    assert TraceRow.__init__ is object.__init__
     assert not TraceRow.__dataclass_params__.init
+    assert simnet._Cells.__slots__ == TraceRow.__slots__
 
-    @dataclasses.dataclass(frozen=True, slots=True)
-    class Generated:
-        seq: int
 
-    assert Generated.__init__.__code__.co_filename == "<string>"
+def test_a_twin_with_another_layout_fails_on_the_first_row(monkeypatch):
+    wider = type("_Cells", (), {"__slots__": (*TraceRow.__slots__, "extra")})
+    monkeypatch.setattr(simnet, "_Cells", wider)
+    with pytest.raises(TypeError, match="layout differs"):
+        trace_row(1000, 8000, 2000, 0, 5000)
 
 
 def test_request_record_names_trace_row():
@@ -545,6 +568,29 @@ def runs_by_kind(doc):
     return {kind: run(scenario.with_overrides(policy_kind=kind)) for kind in PolicyKind}
 
 
+def relabelled_doc(doc, relabel):
+    """``doc`` with every computer id ``x`` written as ``relabel(x)``."""
+    relabelled = copy.deepcopy(doc)
+    for c in relabelled["computers"]:
+        c["id"] = relabel(c["id"])
+    for r in relabelled["routers"]:
+        r["links_ms"] = {relabel(cid): ms for cid, ms in r["links_ms"].items()}
+        for l in r["lambdas"]:
+            l["destinations"] = [relabel(cid) for cid in l["destinations"]]
+    for w in relabelled["congestion"]:
+        w["computer"] = relabel(w["computer"])
+    return relabelled
+
+
+def with_destinations(rows, relabel):
+    return [
+        dataclasses.replace(row, destination=relabel(row.destination))
+        if row.destination >= 0
+        else row
+        for row in rows
+    ]
+
+
 @settings(max_examples=50)
 @given(doc=scenario_docs())
 @example(doc=shipped_doc("line.yaml"))
@@ -555,24 +601,63 @@ def test_computer_ids_are_names(doc):
     def relabel(cid):
         return 3 * int(cid) + 7
 
-    relabelled = copy.deepcopy(doc)
-    for c in relabelled["computers"]:
-        c["id"] = relabel(c["id"])
-    for r in relabelled["routers"]:
-        r["links_ms"] = {relabel(cid): ms for cid, ms in r["links_ms"].items()}
-        for l in r["lambdas"]:
-            l["destinations"] = [relabel(cid) for cid in l["destinations"]]
-    for w in relabelled["congestion"]:
-        w["computer"] = relabel(w["computer"])
-    want, got = runs_by_kind(doc), runs_by_kind(relabelled)
+    want, got = runs_by_kind(doc), runs_by_kind(relabelled_doc(doc, relabel))
     for kind in PolicyKind:
-        mapped = [
-            dataclasses.replace(row, destination=relabel(row.destination))
-            if row.destination >= 0
-            else row
-            for row in want[kind].rows
-        ]
+        mapped = with_destinations(want[kind].rows, relabel)
         assert trace_bytes(got[kind].rows) == trace_bytes(mapped)
+
+
+def test_a_relabel_that_reverses_the_ids_changes_who_wins_a_tie():
+    # Not a relation (simnet docstring): a tie goes to the smallest id, so
+    # x -> 3 - x on line's four computers sends the first request, which
+    # meets four equal weights, to the other end of the line.
+    doc = shipped_doc("line.yaml")
+
+    def relabel(cid):
+        return 3 - int(cid)
+
+    want, got = runs_by_kind(doc), runs_by_kind(relabelled_doc(doc, relabel))
+    for kind in PolicyKind:
+        mapped = with_destinations(want[kind].rows, relabel)
+        assert (mapped[0].destination, got[kind].rows[0].destination) == (3, 0)
+        assert trace_bytes(got[kind].rows) != trace_bytes(mapped)
+
+
+def test_doubling_every_time_breaks_at_a_fixed_row():
+    # Not a relation (simnet docstring): WeightTable.observe rounds half up
+    # in integer microseconds, so an estimate of doubled samples is not
+    # always double the estimate. line under rr with deterministic issues
+    # every 1600 us (625 per second, so every issue time doubles exactly)
+    # matches its doubled twin up to row 109 of 6,249.
+    doc = shipped_doc("line.yaml")
+    doc["workload"][0].update(process="deterministic", rate_per_s=625)
+    doubled = copy.deepcopy(doc)
+    doubled["duration_ms"] *= 2
+    for key in ("b_min_ms", "retry_ms"):
+        doubled["policy"][key] *= 2
+    for c in doubled["computers"]:
+        c["service_ms"] = {lam: 2 * ms for lam, ms in c["service_ms"].items()}
+    for r in doubled["routers"]:
+        r["links_ms"] = {cid: 2 * ms for cid, ms in r["links_ms"].items()}
+    for w in doubled["workload"]:
+        w.update(rate_per_s=w["rate_per_s"] / 2, client_link_ms=2 * w["client_link_ms"])
+    times = ("issued_us", "completed_us", "transfer_us", "queue_us", "processing_us", "dispatch_us")
+    want = [
+        dataclasses.replace(row, **{t: 2 * getattr(row, t) for t in times})
+        for row in run(scenario_from_mapping(doc)).rows
+    ]
+    got = run(scenario_from_mapping(doubled)).rows
+    assert len(got) == len(want) == 6249
+    first = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+    assert first == 109
+    assert (want[first].destination, got[first].destination) == (0, 1)
+
+    # The rounding itself, at alpha 0.9: 0.9 * 7000 + 0.1 * 7005 = 7000.5
+    # rounds up to 7001, but the doubled blend is exactly 14001.
+    for scale, want_estimate in ((1, 7001), (2, 14001)):
+        table = WeightTable(0.9)
+        table.observe(0, 7000 * scale)
+        assert table.observe(0, 7005 * scale) == want_estimate
 
 
 @settings(max_examples=50)

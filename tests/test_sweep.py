@@ -4,6 +4,8 @@ the tool's three modes on a small run list."""
 import json
 import re
 
+import pytest
+
 import sweep
 from test_golden import GOLDEN
 
@@ -54,3 +56,26 @@ def test_write_check_and_diff_on_a_small_run_list(tmp_path, monkeypatch, capsys)
     assert sweep.main(["--diff"]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["ring-tree li: 1 moved", "  seed 1: summary"]
 
+
+
+def test_table_on_a_small_run_list(monkeypatch, capsys):
+    runs = [("ring-tree", "rr", 1), ("line", "rr", 1999834075)]
+    monkeypatch.setattr(sweep, "RUNS", runs)
+    assert sweep.main(["--table"]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["run", "p50_us", "p99_us", "served"],
+        ["ring-tree/rr/1", "9000", "21617", "1.0000"],
+        ["line/rr/1999834075", "99203", "632686", "1.0000"],
+        "ring-tree rr: p99 above 100 ms in 0 of 1 runs".split(),
+        "line rr: p99 above 100 ms in 1 of 1 runs".split(),
+    ]
+
+
+def test_table_seeds_are_the_first_draws_of_the_sweep_stream(monkeypatch):
+    assert sweep.BUILTIN_SEEDS[1:] == sweep.draws(30)
+    chosen = []
+    monkeypatch.setattr(sweep, "table", lambda runs: chosen.append(runs) or [])
+    assert sweep.main(["--table", "--seeds", "2", "--seed", "1999834075", "--seed", "7"]) == 0
+    assert chosen == [sweep.runs([*sweep.BUILTIN_SEEDS[1:3], 1999834075, 7])]
+    with pytest.raises(SystemExit):
+        sweep.main(["--check", "--seeds", "2"])
