@@ -24,7 +24,7 @@ def to_ms(us: int) -> float:
 
 def string_keys(obj):
     """Copy of a nested dict/list/tuple tree with every dict key as a string
-    and tuples as lists: the shape JSON (and JSON schema) speaks."""
+    and tuples as lists: the shape JSON speaks."""
     if isinstance(obj, dict):
         return {str(k): string_keys(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -1,24 +1,23 @@
 """Scenario files: topology, workload, policy config, congestion schedule.
 
-Scenarios are YAML documents. ``schemas/scenario.schema.json`` states their
-shape and nothing more: types, required and unknown keys, the id-key
-patterns and the policy kinds, which is what conversion to a ``Scenario``
-needs. ``semantic_problems`` states every value rule once, in microseconds,
+Scenarios are YAML documents. ``scenario_from_mapping`` reads a document
+once: each field is checked as it is read and converted in the same step.
+The read checks the shape and nothing more, which is what conversion to a
+``Scenario`` needs: each field's type in JSON Schema draft 7's terms (an
+integral float such as 1.0 is an integer; a bool is neither an integer nor
+a number; a list or a tuple is an array), the required and unknown keys,
+the policy kinds, and that a number is finite, and under an ``_ms`` key
+that its microseconds are, so that it can be converted. A ``service_ms`` or
+``links_ms`` key is taken as given, before ``str`` merges an int ``0`` with
+a string ``"0"``: it must write its id the one canonical way,
+``0|[1-9][0-9]*`` under ``fullmatch``, and no two keys of one map may name
+one id. Otherwise ``"0"``, ``"0\\n"`` and ``"00"`` would all load as id 0,
+the last one winning. Each fault is reported by its path, in jsonschema's
+words for a type or a key (``tests/scenario.schema.json`` states the same
+shape, and a test holds the read to jsonschema's ``Draft7Validator``).
+``semantic_problems`` then states every value rule once, in microseconds,
 for documents and for scenarios built in code alike: bounds, rounding,
-cross-references, duplicates and the process names. The schema is checked
-by a small interpreter of the JSON Schema draft 7 keywords that file uses,
-with draft 7's semantics and jsonschema's messages; a keyword outside that
-subset, a numeric or size bound included, is refused when the schema is
-compiled, so none is silently ignored. A number whose float, or whose
-microsecond value under an ``_ms`` key, is not finite cannot be converted;
-it is refused by path alongside the schema's findings. A document that
-passes both has its id keys checked last, on its keys as given, before
-``str`` merges an int ``0`` with a string ``"0"``: a ``service_ms`` or
-``links_ms`` key must write its id the one canonical way,
-``0|[1-9][0-9]*`` under ``fullmatch`` (the schema's ``^[0-9]+$`` is a
-``search``, and ``$`` also matches before a final newline), and no two keys
-of one map may name one id. Otherwise ``"0"``, ``"0\\n"`` and ``"00"`` would
-all load as id 0, the last one winning. Two ready-made
+cross-references, duplicates and the process names. Two ready-made
 scenarios ship with the package and can be addressed by name wherever a
 path is accepted.
 
@@ -36,8 +35,6 @@ accumulator's spacing, which then stops and issues forever at one time.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import json
 import math
 import numbers
 import re
@@ -48,7 +45,7 @@ from typing import Callable
 
 import yaml
 
-from .core import US_PER_MS, from_ms, string_keys, to_ms
+from .core import US_PER_MS, from_ms, to_ms
 from .estimator import DEFAULT_ALPHA
 from .policy import DEFAULT_B_MIN_US, PolicyKind
 
@@ -148,167 +145,6 @@ class Scenario:
         return out
 
 
-# A shape check: called with a value, the path to it as a tuple of keys and
-# indices, and a list to which it appends each (path, message) it finds.
-_Check = Callable[[object, tuple, list], None]
-
-_IS_TYPE: dict[str, Callable[[object], bool]] = {
-    "array": lambda v: isinstance(v, list),
-    # draft 7: an integral float such as 1.0 is an integer; a bool is not
-    "integer": lambda v: (
-        not isinstance(v, bool) and isinstance(v, int)
-        or isinstance(v, float) and v.is_integer()
-    ),
-    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
-    "object": lambda v: isinstance(v, dict),
-    "string": lambda v: isinstance(v, str),
-}
-
-
-def _type(name: str, schema: dict) -> _Check:
-    if not isinstance(name, str) or name not in _IS_TYPE:
-        raise ValueError(f"schema type {name!r} is not implemented")
-    is_type = _IS_TYPE[name]
-
-    def check(value, path, found):
-        if not is_type(value):
-            found.append((path, f"{value!r} is not of type {name!r}"))
-
-    return check
-
-
-def _properties(subschemas: dict, schema: dict) -> _Check:
-    checks = {key: _compile(sub) for key, sub in subschemas.items()}
-
-    def check(value, path, found):
-        if isinstance(value, dict):
-            for key, sub in checks.items():
-                if key in value:
-                    sub(value[key], path + (key,), found)
-
-    return check
-
-
-def _pattern_properties(subschemas: dict, schema: dict) -> _Check:
-    checks = [(re.compile(p).search, _compile(sub)) for p, sub in subschemas.items()]
-
-    def check(value, path, found):
-        if isinstance(value, dict):
-            for search, sub in checks:
-                for key, item in value.items():
-                    if search(key):
-                        sub(item, path + (key,), found)
-
-    return check
-
-
-def _additional_properties(allowed, schema: dict) -> _Check:
-    if allowed is not False:
-        raise ValueError("additionalProperties: only false is implemented")
-    named = schema.get("properties", {})
-    patterns = schema.get("patternProperties", {})
-    search = re.compile("|".join(patterns)).search if patterns else lambda key: None
-
-    def check(value, path, found):
-        if not isinstance(value, dict):
-            return
-        extras = sorted((k for k in value if k not in named and not search(k)), key=str)
-        if not extras:
-            return
-        keys = ", ".join(repr(k) for k in extras)
-        if patterns:
-            verb = "does" if len(extras) == 1 else "do"
-            regexes = ", ".join(repr(p) for p in sorted(patterns))
-            found.append((path, f"{keys} {verb} not match any of the regexes: {regexes}"))
-        else:
-            verb = "was" if len(extras) == 1 else "were"
-            found.append((path, f"Additional properties are not allowed ({keys} {verb} unexpected)"))
-
-    return check
-
-
-def _required(names: list, schema: dict) -> _Check:
-    def check(value, path, found):
-        if isinstance(value, dict):
-            for name in names:
-                if name not in value:
-                    found.append((path, f"{name!r} is a required property"))
-
-    return check
-
-
-def _items(subschema, schema: dict) -> _Check:
-    if not isinstance(subschema, dict):
-        raise ValueError("items: only a single schema is implemented")
-    sub = _compile(subschema)
-
-    def check(value, path, found):
-        if isinstance(value, list):
-            for index, item in enumerate(value):
-                sub(item, path + (index,), found)
-
-    return check
-
-
-def _enum(members: list, schema: dict) -> _Check:
-    # Draft 7's enum tells True from 1; ``in`` agrees with it for strings.
-    if not all(isinstance(m, str) for m in members):
-        raise ValueError("enum: only string members are implemented")
-
-    def check(value, path, found):
-        if value not in members:
-            found.append((path, f"{value!r} is not one of {members!r}"))
-
-    return check
-
-
-# Each implemented keyword, building its check from its value and the
-# schema it sits in. Each check passes over a value of another type, so one
-# value can fail several keywords at one path, as in draft 7.
-_KEYWORDS: dict[str, Callable[[object, dict], _Check]] = {
-    "type": _type,
-    "properties": _properties,
-    "patternProperties": _pattern_properties,
-    "additionalProperties": _additional_properties,
-    "required": _required,
-    "items": _items,
-    "enum": _enum,
-}
-_ANNOTATIONS = frozenset({"$schema", "title"})
-
-
-def _compile(schema: dict) -> _Check:
-    checks = []
-    for keyword, value in schema.items():
-        if keyword in _ANNOTATIONS:
-            continue
-        if keyword not in _KEYWORDS:
-            raise ValueError(f"schema keyword {keyword!r} is not implemented")
-        checks.append(_KEYWORDS[keyword](value, schema))
-
-    def check(value, path, found):
-        for each in checks:
-            each(value, path, found)
-
-    return check
-
-
-def compile_schema(schema: dict) -> Callable[[object], list[tuple[tuple, str]]]:
-    """A function that lists every (path, message) a document fails against
-    ``schema``, in the schema's order; a path is a tuple of keys and indices.
-
-    Raises ValueError on a keyword, or a form of one, outside the subset.
-    """
-    check = _compile(schema)
-
-    def errors(doc) -> list[tuple[tuple, str]]:
-        found: list[tuple[tuple, str]] = []
-        check(doc, (), found)
-        return found
-
-    return errors
-
-
 def _finite(value, scale=1) -> bool:
     """Whether ``value * scale`` is a finite float (an int past its range is not)."""
     try:
@@ -327,131 +163,191 @@ def finite_problem(value, scale: int = 1) -> str | None:
     return None
 
 
-def _non_finite(value, path: tuple = (), scale: int = 1) -> list[tuple[tuple, str]]:
-    """(path, message) for each number of a document that ``finite_problem``
-    refuses, at scale ``US_PER_MS`` under a key that ends in ``_ms``. Draft 7
-    has no word for these, so this pass names them."""
-    if isinstance(value, (int, float)):
-        problem = finite_problem(value, scale)
-        return [(path, problem)] if problem else []
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return []
-    return [
-        found
-        for key, item in items
-        for found in _non_finite(item, path + (key,), US_PER_MS if str(key).endswith("_ms") else scale)
-    ]
+# Each field's conversion, with the draft 7 type its value must have. An
+# integral float such as 1.0 is an integer; a bool is neither an integer
+# nor a number.
+_NUMBER = ("number", lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real))
+_TYPES: dict[Callable, tuple[str, Callable[[object], bool]]] = {
+    str: ("string", lambda v: isinstance(v, str)),
+    int: (
+        "integer",
+        lambda v: not isinstance(v, bool) and isinstance(v, int)
+        or isinstance(v, float) and v.is_integer(),
+    ),
+    float: _NUMBER,
+    from_ms: _NUMBER,
+}
+_POLICY_KINDS = sorted(kind.value for kind in PolicyKind)
 
 
-@functools.cache
-def _scenario_errors() -> Callable[[object], list[tuple[tuple, str]]]:
-    """The scenario schema, read and compiled once per process."""
-    text = resources.files("edgedispatch").joinpath("schemas/scenario.schema.json")
-    return compile_schema(json.loads(text.read_text(encoding="utf-8")))
+class _Reader:
+    """One walk over a scenario document that reads each field once: it
+    checks the field's type, that a number is finite (and under an ``_ms``
+    key that its microseconds are), and converts it in the same step. Each
+    fault is kept in ``found`` as (path, message), a path being a tuple of
+    keys and indices; a faulty value reads as None."""
+
+    def __init__(self) -> None:
+        self.found: list[tuple[tuple, str]] = []
+
+    def fault(self, path: tuple, message: str) -> None:
+        self.found.append((path, message))
+
+    def mapping(self, value, path: tuple, required: tuple, optional: tuple = ()) -> dict:
+        """``value`` if it is an object, else an empty one, which reads as
+        absent fields; a required key it lacks or a key it has outside both
+        tuples is a fault."""
+        if not isinstance(value, dict):
+            self.fault(path, f"{value!r} is not of type 'object'")
+            return {}
+        for name in required:
+            if name not in value:
+                self.fault(path, f"{name!r} is a required property")
+        extras = sorted({str(key) for key in value}.difference(required, optional))
+        if extras:
+            keys = ", ".join(map(repr, extras))
+            verb = "was" if len(extras) == 1 else "were"
+            self.fault(path, f"Additional properties are not allowed ({keys} {verb} unexpected)")
+        return value
+
+    def read(self, value, path: tuple, convert: Callable):
+        """``convert(value)`` for ``convert`` ``str``, ``int``, ``float`` or
+        ``from_ms``, once ``value`` has its type and is finite."""
+        name, is_type = _TYPES[convert]
+        ok = is_type(value)
+        if not ok:
+            self.fault(path, f"{value!r} is not of type {name!r}")
+        if isinstance(value, numbers.Real):
+            problem = finite_problem(value, US_PER_MS if convert is from_ms else 1)
+            if problem:
+                self.fault(path, problem)
+                ok = False
+        return convert(value) if ok else None
+
+    def get(self, obj: dict, name: str, path: tuple, convert: Callable, default=None):
+        """``obj[name]`` read by ``convert``, or ``default`` if it is absent."""
+        return self.read(obj[name], path + (name,), convert) if name in obj else default
+
+    def array(self, obj: dict, name: str, path: tuple, read: Callable) -> tuple:
+        """The items of the array (a list or a tuple) ``obj[name]``, each
+        read by ``read(item, path)``; an absent one has none."""
+        value = obj.get(name, ())
+        path += (name,)
+        if not isinstance(value, (list, tuple)):
+            self.fault(path, f"{value!r} is not of type 'array'")
+            return ()
+        return tuple(read(item, path + (index,)) for index, item in enumerate(value))
+
+    def id_map(self, obj: dict, name: str, path: tuple) -> dict:
+        """The ``service_ms`` or ``links_ms`` map ``obj[name]`` as microseconds
+        by id. Each key must write its id the one way ``_ID_KEY`` states,
+        taken as given, before ``str`` merges an int 0 with a string "0";
+        and no two keys may name one id."""
+        value = obj.get(name, {})
+        path += (name,)
+        if not isinstance(value, dict):
+            self.fault(path, f"{value!r} is not of type 'object'")
+            return {}
+        named = {}
+        out = {}
+        for key, item in value.items():
+            text = str(key)
+            if not _ID_KEY.fullmatch(text):
+                self.fault(path, f"key {key!r} is not an id written as {_ID_KEY.pattern!r}")
+            elif text in named:
+                self.fault(path, f"keys {named[text]!r} and {key!r} name one id")
+            else:
+                named[text] = key
+                out[int(text)] = self.read(item, path + (text,), from_ms)
+        return out
+
+    def policy(self, value, path: tuple) -> PolicyConfig:
+        p = self.mapping(value, path, (), ("kind", "alpha", "b_min_ms", "retry_ms"))
+        kind = p.get("kind", "rr")
+        if kind in _POLICY_KINDS:
+            kind = PolicyKind(kind)
+        else:
+            self.fault(path + ("kind",), f"{kind!r} is not one of {_POLICY_KINDS!r}")
+        return PolicyConfig(
+            kind=kind,
+            alpha=self.get(p, "alpha", path, float, DEFAULT_ALPHA),
+            b_min_us=self.get(p, "b_min_ms", path, from_ms, DEFAULT_B_MIN_US),
+            retry_us=self.get(p, "retry_ms", path, from_ms, DEFAULT_RETRY_US),
+        )
+
+    def computer(self, value, path: tuple) -> ComputerSpec:
+        c = self.mapping(value, path, ("id", "service_ms"), ("workers", "beta"))
+        return ComputerSpec(
+            id=self.get(c, "id", path, int),
+            workers=self.get(c, "workers", path, int, 1),
+            beta=self.get(c, "beta", path, float, 0.0),
+            service_us=self.id_map(c, "service_ms", path),
+        )
+
+    def router(self, value, path: tuple) -> RouterSpec:
+        r = self.mapping(value, path, ("id", "links_ms", "lambdas"))
+        return RouterSpec(
+            id=self.get(r, "id", path, int),
+            links_us=self.id_map(r, "links_ms", path),
+            lambdas=self.array(r, "lambdas", path, self.lam),
+        )
+
+    def lam(self, value, path: tuple) -> LambdaSpec:
+        l = self.mapping(value, path, ("id", "destinations"))
+        return LambdaSpec(
+            id=self.get(l, "id", path, int),
+            destinations=self.array(l, "destinations", path, lambda v, at: self.read(v, at, int)),
+        )
+
+    def workload(self, value, path: tuple) -> WorkloadSpec:
+        w = self.mapping(value, path, ("router", "lambda", "process", "rate_per_s"), ("client_link_ms",))
+        return WorkloadSpec(
+            router=self.get(w, "router", path, int),
+            lam=self.get(w, "lambda", path, int),
+            process=self.get(w, "process", path, str),
+            rate_per_s=self.get(w, "rate_per_s", path, float),
+            client_link_us=self.get(w, "client_link_ms", path, from_ms, 0),
+        )
+
+    def window(self, value, path: tuple) -> CongestionWindow:
+        c = self.mapping(value, path, ("router", "computer", "start_ms", "end_ms"))
+        return CongestionWindow(
+            router=self.get(c, "router", path, int),
+            computer=self.get(c, "computer", path, int),
+            start_us=self.get(c, "start_ms", path, from_ms),
+            end_us=self.get(c, "end_ms", path, from_ms),
+        )
 
 
 def scenario_from_mapping(doc) -> Scenario:
     """Build and fully validate a Scenario from a parsed YAML/JSON mapping."""
     if not isinstance(doc, dict):
         raise InvalidScenario(["scenario document must be a mapping"])
-    # YAML happily parses {0: 5} with an integer key; JSON schema only talks
-    # about string properties, so keys are normalized before validation.
-    given, doc = doc, string_keys(doc)
-    schema_errors = sorted(_scenario_errors()(doc) + _non_finite(doc), key=lambda e: e[0])
-    if schema_errors:
-        problems = []
-        for path, message in schema_errors[:10]:
-            where = "/".join(str(p) for p in path) or "(top level)"
-            problems.append(f"{where}: {message}")
-        raise InvalidScenario(problems)
-    key_problems = _id_key_problems(given)
-    if key_problems:
-        raise InvalidScenario(key_problems)
-
-    policy_doc = doc.get("policy", {})
-    policy = PolicyConfig(
-        kind=PolicyKind(policy_doc.get("kind", "rr")),
-        alpha=float(policy_doc.get("alpha", DEFAULT_ALPHA)),
-        b_min_us=from_ms(policy_doc.get("b_min_ms", to_ms(DEFAULT_B_MIN_US))),
-        retry_us=from_ms(policy_doc.get("retry_ms", to_ms(DEFAULT_RETRY_US))),
+    reader = _Reader()
+    reader.mapping(
+        doc,
+        (),
+        ("name", "duration_ms", "computers", "routers", "workload"),
+        ("description", "seed", "policy", "congestion"),
     )
-    # Draft 7 takes an integral float such as 0.0 as an integer; int() keeps
-    # it from reaching the trace as "0.0", which read_trace would refuse.
-    computers = tuple(
-        ComputerSpec(
-            id=int(c["id"]),
-            workers=int(c.get("workers", 1)),
-            beta=float(c.get("beta", 0.0)),
-            service_us={int(k): from_ms(v) for k, v in c["service_ms"].items()},
-        )
-        for c in doc["computers"]
-    )
-    routers = tuple(
-        RouterSpec(
-            id=int(r["id"]),
-            links_us={int(k): from_ms(v) for k, v in r["links_ms"].items()},
-            lambdas=tuple(
-                LambdaSpec(id=int(l["id"]), destinations=tuple(map(int, l["destinations"])))
-                for l in r["lambdas"]
-            ),
-        )
-        for r in doc["routers"]
-    )
-    workload = tuple(
-        WorkloadSpec(
-            router=int(w["router"]),
-            lam=int(w["lambda"]),
-            process=w["process"],
-            rate_per_s=float(w["rate_per_s"]),
-            client_link_us=from_ms(w.get("client_link_ms", 0)),
-        )
-        for w in doc["workload"]
-    )
-    congestion = tuple(
-        CongestionWindow(
-            router=int(c["router"]),
-            computer=int(c["computer"]),
-            start_us=from_ms(c["start_ms"]),
-            end_us=from_ms(c["end_ms"]),
-        )
-        for c in doc.get("congestion", [])
-    )
+    reader.get(doc, "description", (), str)  # read for its type only
     scenario = Scenario(
-        name=doc["name"],
-        duration_us=from_ms(doc["duration_ms"]),
-        seed=int(doc.get("seed", 0)),
-        policy=policy,
-        computers=computers,
-        routers=routers,
-        workload=workload,
-        congestion=congestion,
+        name=reader.get(doc, "name", (), str),
+        duration_us=reader.get(doc, "duration_ms", (), from_ms),
+        seed=reader.get(doc, "seed", (), int, 0),
+        policy=reader.policy(doc.get("policy", {}), ("policy",)),
+        computers=reader.array(doc, "computers", (), reader.computer),
+        routers=reader.array(doc, "routers", (), reader.router),
+        workload=reader.array(doc, "workload", (), reader.workload),
+        congestion=reader.array(doc, "congestion", (), reader.window),
     )
+    if reader.found:
+        raise InvalidScenario([
+            f"{'/'.join(map(str, path)) or '(top level)'}: {message}"
+            for path, message in sorted(reader.found, key=lambda found: found[0])[:10]
+        ])
     ensure_valid(scenario)
     return scenario
-
-
-def _id_key_problems(doc: dict) -> list[str]:
-    """Each ``service_ms`` or ``links_ms`` key of a document that passed the
-    shape check, taken as given, that does not write an id the canonical
-    way, and each key that names the same id as an earlier one."""
-    maps = [(f"computers/{i}/service_ms", c["service_ms"]) for i, c in enumerate(doc["computers"])]
-    maps += [(f"routers/{i}/links_ms", r["links_ms"]) for i, r in enumerate(doc["routers"])]
-    problems = []
-    for where, keys in maps:
-        named = {}
-        for key in keys:
-            text = str(key)
-            if not _ID_KEY.fullmatch(text):
-                problems.append(f"{where}: key {key!r} is not an id written as {_ID_KEY.pattern!r}")
-            elif text in named:
-                problems.append(f"{where}: keys {named[text]!r} and {key!r} name one id")
-            else:
-                named[text] = key
-    return problems
 
 
 def _ids(s: Scenario):
@@ -500,7 +396,7 @@ def semantic_problems(s: Scenario) -> list[str]:
         problems.append(
             f"duration_ms: must be below {MAX_DURATION_US} us (2**52), got {s.duration_us} us"
         )
-    # A seed set in code skips the schema: random.Random seeds a negative
+    # A seed set in code skips the read: random.Random seeds a negative
     # one as its absolute value, and would take a bool or a float as it is.
     if type(s.seed) is not int or s.seed < 0:
         problems.append(f"seed: must be a non-negative int, got {s.seed!r}")
