@@ -134,12 +134,14 @@ def _discard(items: list[int], value: int) -> None:
 class PolicyState:
     """Forwarding state for one (router, lambda) pair.
 
-    Owned and mutated by a single router; never shared. ``table`` holds the
-    pair's latency estimates, smoothed by ``alpha``; only this object writes
-    to it. ``rng`` drives the random-proportional draw and the probe pick, so
-    a seed makes the whole policy replayable. ``now`` never decreases from
-    one call to the next. The round-robin active set is the ledger's key
-    set, and only round-robin fills ``backoff`` and ``eligible_at``.
+    Owned and mutated by a single router; never shared. ``destinations``
+    must be distinct and not empty; ``ValueError`` otherwise. ``table``
+    holds the pair's latency estimates, smoothed by ``alpha``; only this
+    object writes to it. ``rng`` drives the random-proportional draw and the
+    probe pick, so a seed makes the whole policy replayable. ``now`` never
+    decreases from one call to the next. The round-robin active set is the
+    ledger's key set, and only round-robin fills ``backoff`` and
+    ``eligible_at``.
     """
 
     def __init__(
@@ -152,9 +154,11 @@ class PolicyState:
     ) -> None:
         if not destinations:
             raise ValueError("a policy needs at least one destination")
+        self.destinations = sorted(destinations)
+        if len(set(self.destinations)) != len(self.destinations):
+            raise ValueError(f"duplicate destination in {self.destinations}")
         self.kind = kind
         self.table = WeightTable(alpha)
-        self.destinations = sorted(destinations)
         self.rng = random.Random(seed)
         self.b_min_us = b_min_us
         self._rr = rr = kind is PolicyKind.ROUND_ROBIN

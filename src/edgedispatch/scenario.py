@@ -586,7 +586,12 @@ def load_scenario(source: str | Path) -> Scenario:
                 [f"no scenario named {name!r} (built-ins: {', '.join(builtin_names())}) "
                  "and no such file"]
             )
-        text = path.read_text(encoding="utf-8")
+        if not path.is_file():
+            raise InvalidScenario([f"{name!r} is not a file"])
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidScenario([f"not valid UTF-8: {exc}"]) from exc
     try:
         doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:

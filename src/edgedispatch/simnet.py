@@ -24,9 +24,10 @@ Each kind of event has its own class, in this written order:
    at its dispatch instead (below). They run after retries, since a retry
    over a 0 ms link files its delivery at its own microsecond: no event
    files one with a smaller key, so the keys run in order;
-4. responses. A delivery and a response touch disjoint state (a
-   computer's workers; a policy and the rows), so their order changes no
-   output; it is written down so that no tie is left to push order.
+4. responses, each filed in the heap as its delivery runs. A delivery
+   and a response touch disjoint state (a computer's workers; a policy
+   and the rows), so their order changes no output; it is written down so
+   that no tie is left to push order.
 
 For classes 2 and 3, ``n`` is the creation order, and breaks ties only
 within a kind: there, creation order is the physical order (FIFO links and
@@ -53,26 +54,6 @@ time is the base time, read inline. The policy's part of a request is two
 calls, ``select`` and ``on_response``; under ``rr`` they make 7 frames in
 all (``policy`` docstring), under ``li`` and ``rp`` 4.
 
-Each computer files its responses in its own stream, ``responses``: a FIFO
-of full heap entries in key order, of which only the head is in the heap.
-When the head runs, the next one is pushed. This is a k-way merge of
-sorted streams under one heap, a standard pending-event set (Brown,
-"Calendar queues", CACM 31(10), 1988, surveys the alternatives). Every
-entry of a stream is at or above its head, which is in the heap, so the
-heap's least key is the least pending key, and events run in exactly the
-key order they would with every response in the heap; a response's ``n``
-is its delivery key, so responses at one microsecond still run in
-delivery order across computers. A stream stays sorted only while each
-response is due after its tail. For ``a`` delivered before ``b``, with
-service ends ``e_a`` and ``e_b`` and return links ``L_a`` and ``L_b``,
-``b`` is due first when ``L_b < L_a - (e_b - e_a)``: return links differ
-per router, and with more than one worker a later start can end first.
-Such a response is filed eagerly, straight into the heap. The stream's
-tail is due later still, so the stream is not empty when it runs. So the
-heap holds the toggles, the deliveries that wait (below), one response per
-computer and the eager ones: under ``li``, which piles its backlog onto one
-computer, that backlog waits in the stream, not the heap.
-
 Each computer has a lead, ``lead_us``: the shortest link that any router
 has to it. No delivery reaches it sooner after its dispatch: this is the
 lookahead of the arrivals below, applied per computer. The computer also
@@ -85,9 +66,9 @@ that lands at the same microsecond was dispatched later, so it has the
 larger ``n``. So the computer's deliveries still run in key order, and
 only they read or write its ``free``: the start, the processing time, the
 queue delay and the response's time are those of a delivery run from the
-heap, and the response waits in the stream or the heap under its key like
-any other. Across computers, deliveries do not run in key order, which is
-why a response's ``n`` is its delivery key and not a number drawn as the
+heap, and the response waits in the heap under its key like any other.
+Across computers, deliveries do not run in key order, which is why a
+response's ``n`` is its delivery key and not a number drawn as the
 delivery runs.
 
 Requests are issued in ``(time, workload)`` order, merged lazily from the
@@ -156,7 +137,6 @@ import heapq
 import itertools
 import operator
 import random
-from collections import deque
 from dataclasses import dataclass
 from math import log
 from typing import Iterator
@@ -322,7 +302,7 @@ def arrival_process(kind: str, rate_per_s: float, seed: int = 0) -> Iterator[int
 
 
 class _Computer:
-    __slots__ = ("workers", "beta", "service_us", "free", "responses", "lead_us", "waiting")
+    __slots__ = ("workers", "beta", "service_us", "free", "lead_us", "waiting")
 
     def __init__(self, spec) -> None:
         self.workers = spec.workers
@@ -330,8 +310,6 @@ class _Computer:
         self.service_us = dict(spec.service_us)
         # When each worker is next free: a heap, so free[0] is the earliest.
         self.free = [0] * spec.workers
-        # Response entries filed in key order; only the head is in the heap.
-        self.responses = deque()
         # The shortest link any router has to it (None when none has one),
         # set by _Sim, and its deliveries dispatched and not yet run.
         self.lead_us = None
@@ -493,8 +471,7 @@ class _Sim:
     def _on_deliver(self, now: int, req: _Request) -> None:
         """The request reaches its computer, from the heap or in place at
         its dispatch: it starts on the earliest free worker, and its
-        response is filed at once, in the computer's stream or, when due
-        before the stream's tail, in the heap."""
+        response is filed at once."""
         comp = req.computer
         comp.waiting -= 1
         free = comp.free
@@ -512,24 +489,10 @@ class _Sim:
         req.queue_us = (req.dispatch_us - req.issued_us - req.client_link_us) + (start - now)
         # n is the delivery's key, so responses at one microsecond run in
         # delivery order, whether a delivery ran in place or from the heap.
-        entry = (end + req.links_us[req.destination], _RESPONSE, (now, req.n), req)
-        responses = comp.responses
-        if not responses:
-            responses.append(entry)
-            heapq.heappush(self.heap, entry)
-        elif entry > responses[-1]:
-            responses.append(entry)
-        else:
-            heapq.heappush(self.heap, entry)
+        back_at = end + req.links_us[req.destination]
+        heapq.heappush(self.heap, (back_at, _RESPONSE, (now, req.n), req))
 
     def _on_response(self, now: int, req: _Request) -> None:
-        # An eager entry is due before its stream's tail, so the stream is
-        # not empty when it runs.
-        responses = req.computer.responses
-        if responses[0][3] is req:
-            responses.popleft()
-            if responses:
-                heapq.heappush(self.heap, responses[0])
         dest = req.destination
         dispatched = req.dispatch_us
         req.policy.on_response(dest, now - dispatched, now)

@@ -135,6 +135,19 @@ def test_validate_unknown_name(capsys):
     assert "line" in err and "ring-tree" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_an_unreadable_scenario_file_exits_one(tmp_path, capsys, command, kind):
+    path = tmp_path / "s.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("name: caf\u00e9\n".encode("latin-1"))
+    args = [str(path)] if command == "validate" else ["--scenario", str(path)]
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err.startswith("invalid scenario:")
+
+
 def test_run_writes_trace_and_summary(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     summary = tmp_path / "s.json"

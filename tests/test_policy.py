@@ -302,6 +302,14 @@ def test_policy_needs_destinations():
         PolicyState(PolicyKind.ROUND_ROBIN, [])
 
 
+@pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
+def test_policy_refuses_a_duplicate_destination(kind):
+    # Under rr, a repeated id would launch two probes to it at once and fold
+    # the second answer in as an active observation
+    with pytest.raises(ValueError, match="duplicate destination"):
+        PolicyState(kind, [0, 0, 1])
+
+
 def pick(state, now, probe=False):
     """One selection: a plain ``int``, in ``probing`` exactly for a probe."""
     dest = state.select(now)

@@ -72,6 +72,20 @@ def test_missing_file_lists_builtins():
     assert "line" in message and "ring-tree" in message
 
 
+def test_a_directory_is_not_a_scenario(tmp_path):
+    with pytest.raises(InvalidScenario) as info:
+        load_scenario(tmp_path)
+    assert info.value.problems == [f"{str(tmp_path)!r} is not a file"]
+
+
+def test_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("name: caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(InvalidScenario) as info:
+        load_scenario(path)
+    assert info.value.problems[0].startswith("not valid UTF-8: 'utf-8' codec can't decode")
+
+
 def test_bad_yaml(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("name: [unclosed", encoding="utf-8")

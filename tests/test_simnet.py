@@ -782,18 +782,15 @@ def run_logging_handlers(scenario):
 @contextlib.contextmanager
 def watching_heap():
     """Patch ``simnet``'s ``heapq`` so that every push is seen. Yields a dict
-    with the event heap's high-water mark, the number of deliveries pushed
-    (not run in place at their dispatch) and the number of responses filed
-    eagerly: pushed while another response heads their computer's stream."""
-    seen = {"high_water": 0, "deliveries": 0, "eager": 0}
+    with the event heap's high-water mark and the number of deliveries
+    pushed (not run in place at their dispatch)."""
+    seen = {"high_water": 0, "deliveries": 0}
 
     def heappush(heap, entry):
         heapq.heappush(heap, entry)
         seen["high_water"] = max(seen["high_water"], len(heap))
         if entry[1] == simnet._DELIVERY:
             seen["deliveries"] += 1
-        if entry[1] == simnet._RESPONSE and entry[3].computer.responses[0] is not entry:
-            seen["eager"] += 1
 
     shim = {name: getattr(heapq, name) for name in heapq.__all__}
     shim["heappush"] = heappush
@@ -1006,12 +1003,11 @@ def test_a_worker_freed_at_a_delivery_serves_it():
     assert_matches_reference(scenario)
 
 
-def test_a_response_due_before_its_streams_tail_is_filed_eagerly():
+def test_a_shorter_return_link_answers_a_later_delivery_first():
     # One worker, 1 ms services. Router 0's requests (issued at 10 and 20 ms)
     # cross a 5 ms link; router 1's (issued beside them over a 6 ms client
     # link) cross none. seq 0 is served at 15-16 ms and answered at 21 ms;
-    # seq 1, delivered at 16 ms, is answered at 17 ms, before the response
-    # that heads the computer's stream, so it goes straight to the heap
+    # seq 1, delivered at 16 ms, is answered at 17 ms, before seq 0
     scenario = tiny_scenario(
         duration_ms=30,
         computers=[{"id": 0, "workers": 1, "beta": 0.0, "service_ms": {0: 1}}],
@@ -1021,9 +1017,7 @@ def test_a_response_due_before_its_streams_tail_is_filed_eagerly():
         ],
         workload=[deterministic(0, 0, 0), deterministic(1, 0, 6)],
     )
-    with watching_heap() as seen:
-        result, calls = run_logging_handlers(scenario)
-    assert seen["eager"] == 2
+    result, calls = run_logging_handlers(scenario)
     assert [(r.seq, r.router, r.completed_us) for r in result.rows] == [
         (0, 0, 21_000), (1, 1, 23_000), (2, 0, 31_000), (3, 1, 33_000),
     ]
@@ -1031,12 +1025,12 @@ def test_a_response_due_before_its_streams_tail_is_filed_eagerly():
     assert_matches_reference(scenario)
 
 
-def test_a_later_start_that_ends_first_is_filed_eagerly():
+def test_a_later_start_that_ends_first_is_answered_first():
     # Two workers, beta 1. seq 0 (lambda 0, 8 ms) starts alone at 11 ms and
     # takes 12 ms; seq 1 (lambda 1, 1 ms) starts beside it at 13 ms, takes 2
     # ms and is answered at 16 ms, before seq 0 at 24 ms. seq 2 starts at 21
-    # ms and is answered at 38 ms, behind seq 0 in the stream; seq 3 starts
-    # at 23 ms and is answered at 26 ms, before that tail
+    # ms and is answered at 38 ms; seq 3 starts at 23 ms and is answered at
+    # 26 ms, before seq 2
     scenario = tiny_scenario(
         duration_ms=30,
         computers=[{"id": 0, "workers": 2, "beta": 1.0, "service_ms": {0: 8, 1: 1}}],
@@ -1049,25 +1043,12 @@ def test_a_later_start_that_ends_first_is_filed_eagerly():
         ],
         workload=[deterministic(0, 0, 0), deterministic(0, 1, 2)],
     )
-    with watching_heap() as seen:
-        result, calls = run_logging_handlers(scenario)
-    assert seen["eager"] == 2
+    result, calls = run_logging_handlers(scenario)
     assert [(r.seq, r.lam, r.queue_us, r.processing_us) for r in result.rows] == [
         (0, 0, 0, 12_000), (1, 1, 0, 2000), (2, 0, 0, 16_000), (3, 1, 0, 2000),
     ]
     assert response_calls(calls) == [(16_000, 1), (24_000, 0), (26_000, 3), (38_000, 2)]
     assert_matches_reference(scenario)
-
-
-def test_the_heap_holds_one_response_per_computer():
-    # li sends every request to the computer with the least weight, so its
-    # backlog piles up there; with every queued request's response in the
-    # heap, this run's heap held up to 1,511 entries
-    scenario = load_scenario("line").with_overrides(policy_kind=PolicyKind.LEAST_IMPEDANCE)
-    assert scenario.duration_us == 10_000_000
-    with watching_heap() as seen:
-        run(scenario)
-    assert seen["high_water"] <= 16
 
 
 @pytest.mark.parametrize("duration_ms", [150, 250])
