@@ -38,6 +38,17 @@ order. The class is the one statement of
 an entry's kind: ``run`` binds the five handlers once, as a local tuple
 indexed by class, and calls ``handlers[class](time, payload)``.
 
+A request in flight is a plain tuple, never an object of its own. An
+arrival or a retry carries ``(seq, issued_us, workload)``, where
+``workload`` is the entry of ``_Sim.workloads`` that issued it: its
+lambda, router, client link, (router, lambda) policy and the router's
+routes, which map each linked computer to its ``(_Computer, link_us)``, so
+one lookup at a dispatch finds both. A delivery carries those three, then
+the destination, its ``_Computer``, the link, the probe flag, the dispatch
+time and the delivery's ``n``. A response carries ``(policy, row)``: the
+row is built at the delivery, and the response hands the policy its
+dispatch-to-response time and files the row.
+
 A computer is a FIFO queue in front of ``workers`` workers, and keeps when
 each worker is next free, as a heap. Every request that can delay a start
 was delivered earlier (Kiefer and Wolfowitz, Trans. AMS 78, 1955; Lindley,
@@ -50,7 +61,12 @@ computer whose service ends after ``s``; one that ends at ``s`` is done.
 Starts follow delivery order, so only a worker's last service can end
 after ``s``: ``service_time`` counts over ``free``, and the handler calls
 it only when the computer's ``beta`` is not 0; otherwise the processing
-time is the base time, read inline. The policy's part of a request is two
+time is the base time, read inline. The start, the processing time, the
+queue delay, the response's time and so the completion are then all
+fixed, so the handler builds the request's ``TraceRow`` there. This
+module runs 5 Python frames per request: a resume of its workload's
+``arrival_process``, ``_on_arrival``, ``_on_deliver``, the row's
+``__new__`` and ``_on_response``. The policy's part of a request is two
 calls, ``select`` and ``on_response``; under ``rr`` they make 7 frames in
 all (``policy`` docstring), under ``li`` and ``rp`` 4.
 
@@ -103,6 +119,18 @@ A ``_Sim`` stores no bound method or closure of itself: that would make it
 a reference cycle, so a finished run and its rows would wait for a full
 garbage collection (``test_a_finished_run_leaves_no_reference_cycle``).
 
+The future cannot change the past, within a cone that reads off the
+handlers. Run a scenario for a duration D and again for a longer one. The
+longer run adds only later events: arrivals of issues at D or later,
+which land at D + L or later, L the smallest client link; and the retries
+that the shorter run gave up, the first at G >= D. Every event before the
+first of these is the same in both runs, and a row depends only on events
+up to its delivery, where it is built. So every row delivered before
+``min(D + L, G)`` is identical in both runs. With L > 0, D + L alone is
+not enough: a request given up at D retries at D in the longer run and can
+reach a computer before a request that arrives in ``(D, D + L)``
+(``tests/test_simnet.py`` pins one).
+
 Two transformations of a scenario do not carry over to its trace, and
 are not meant to; ``tests/test_simnet.py`` pins one example of each.
 Doubling every time (the duration, links, service times, retry and
@@ -118,7 +146,7 @@ ids' order: a tie goes to the smallest id, so ``x -> 3 - x`` on ``line``
 sends the first request to the other end of the line.
 
 Each request ends as one ``TraceRow``, built once, positionally, when the
-request completes or is given up. A row is slotted and frozen, and checks
+request is delivered or given up. A row is slotted and frozen, and checks
 its own delays: a completed row whose times or delays are negative, or
 whose delays do not add up to its span, cannot be built, here or when a
 trace is read back. It is built in one allocation, by ``TraceRow.__new__``
@@ -153,6 +181,11 @@ class TraceRow:
     A completed row must have non-negative times and delays whose sum is its
     span; construction raises ValueError otherwise. ``dispatch_us`` is the
     one field outside the on-disk trace format.
+
+    The simulator builds a completed row at its request's delivery, where
+    every field is fixed, and carries it in the response's heap entry; the
+    row joins the trace when that response runs. An unserved row is built
+    when its request is given up.
 
     Every row, built by the simulator, by ``read_trace``, by
     ``dataclasses.replace`` or by unpickling, goes through ``__new__``: it
@@ -332,39 +365,6 @@ def service_time(computer: _Computer, lam: int, start: int) -> int:
     return round(base * (1 + computer.beta * busy / computer.workers))
 
 
-class _Request:
-    """One request in flight. It carries its (router, lambda) policy and its
-    router's links, and its computer once dispatched, so no handler looks
-    them up. The fields after ``links_us`` are set as the request reaches
-    each stage."""
-
-    __slots__ = (
-        "seq",
-        "lam",
-        "router",
-        "issued_us",
-        "client_link_us",
-        "policy",
-        "links_us",
-        "dispatch_us",
-        "destination",
-        "computer",
-        "is_probe",
-        "n",
-        "queue_us",
-        "processing_us",
-    )
-
-    def __init__(self, seq, lam, router, issued_us, client_link_us, policy, links_us) -> None:
-        self.seq = seq
-        self.lam = lam
-        self.router = router
-        self.issued_us = issued_us
-        self.client_link_us = client_link_us
-        self.policy = policy
-        self.links_us = links_us
-
-
 # The second item of a heap key: the order of the kinds at one microsecond.
 _TOGGLE, _ARRIVAL, _RETRY, _DELIVERY, _RESPONSE = range(5)
 
@@ -381,7 +381,6 @@ class _Sim:
         self.completed: list[TraceRow] = []
         self.unserved: list[TraceRow] = []
         self.congestion_log: list[CongestionLogEntry] = []
-        self.computers = {c.id: _Computer(c) for c in scenario.computers}
 
         # Seed streams are drawn in a fixed order that depends only on the
         # topology and workload, never on the policy kind, so runs of
@@ -392,12 +391,13 @@ class _Sim:
         )
         arrival_seeds = [master.getrandbits(48) for _ in ordered_workload]
         cfg = scenario.policy
-        # Policies by router, then lambda; one links dict per router, shared
-        # by its requests.
+        computers = {c.id: _Computer(c) for c in scenario.computers}
+        # Policies by router, then lambda; one routes dict per router,
+        # shared by its requests: each linked computer and the link to it.
         self.policies: dict[int, dict[int, PolicyState]] = {}
-        links: dict[int, dict[int, int]] = {}
+        routes: dict[int, dict[int, tuple[_Computer, int]]] = {}
         for r in sorted(scenario.routers, key=lambda r: r.id):
-            links[r.id] = dict(r.links_us)
+            routes[r.id] = {cid: (computers[cid], ms) for cid, ms in r.links_us.items()}
             self.policies[r.id] = {
                 l.id: PolicyState(
                     cfg.kind, list(l.destinations), seed=master.getrandbits(48),
@@ -405,8 +405,8 @@ class _Sim:
                 )
                 for l in sorted(r.lambdas, key=lambda l: l.id)
             }
-        for cid, comp in self.computers.items():
-            comp.lead_us = min((to[cid] for to in links.values() if cid in to), default=None)
+        for cid, comp in computers.items():
+            comp.lead_us = min((to[cid][1] for to in routes.values() if cid in to), default=None)
 
         # Toggle n is its place in window order, so a touching window's
         # clear (numbered with the earlier window) precedes its mark.
@@ -421,7 +421,7 @@ class _Sim:
 
         # Issues in (time, workload index) order; seq is the place in it.
         self.workloads = [
-            (w.lam, w.router, w.client_link_us, self.policies[w.router][w.lam], links[w.router])
+            (w.lam, w.router, w.client_link_us, self.policies[w.router][w.lam], routes[w.router])
             for w in ordered_workload
         ]
         # Each stream is endless; the loop stops at the first issue past the
@@ -437,42 +437,42 @@ class _Sim:
 
     # -- handlers ----------------------------------------------------------
 
-    def _on_arrival(self, now: int, req: _Request) -> None:
-        """The request reaches its router (or retries): dispatch it."""
+    def _on_arrival(self, now: int, req: tuple) -> None:
+        """The request ``(seq, issued_us, workload)`` reaches its router (or
+        retries): dispatch it."""
+        seq, issued, workload = req
+        policy = workload[3]
         try:
-            dest = req.policy.select(now)
+            dest = policy.select(now)
         except NoEligibleDestination:
             retry_at = now + self.retry_us
             if retry_at >= self.duration:
                 self.unserved.append(
                     TraceRow(
-                        req.seq, req.lam, req.router, -1, req.issued_us,
+                        seq, workload[0], workload[1], -1, issued,
                         None, None, None, None, False, self.policy_label,
                     )
                 )
             else:
                 heapq.heappush(self.heap, (retry_at, _RETRY, next(self.counter), req))
             return
-        req.destination = dest
-        req.computer = comp = self.computers[dest]
-        req.is_probe = dest in req.policy.probing
-        req.dispatch_us = now
-        req.n = n = next(self.counter)
-        link = req.links_us[dest]
+        comp, link = workload[4][dest]
+        n = next(self.counter)
+        delivery = (seq, issued, workload, dest, comp, link, dest in policy.probing, now, n)
         # Over the computer's lead, with none of its deliveries waiting,
         # nothing can reach it first: deliver now (module docstring).
         waiting = comp.waiting
         comp.waiting = waiting + 1
         if not waiting and link == comp.lead_us:
-            self._on_deliver(now + link, req)
+            self._on_deliver(now + link, delivery)
         else:
-            heapq.heappush(self.heap, (now + link, _DELIVERY, n, req))
+            heapq.heappush(self.heap, (now + link, _DELIVERY, n, delivery))
 
-    def _on_deliver(self, now: int, req: _Request) -> None:
+    def _on_deliver(self, now: int, delivery: tuple) -> None:
         """The request reaches its computer, from the heap or in place at
-        its dispatch: it starts on the earliest free worker, and its
-        response is filed at once."""
-        comp = req.computer
+        its dispatch: it starts on the earliest free worker, its row is
+        built, and its response is filed at once."""
+        seq, issued, (lam, rid, client, policy, _), dest, comp, link, probe, dispatched, n = delivery
         comp.waiting -= 1
         free = comp.free
         start = free[0]
@@ -480,33 +480,27 @@ class _Sim:
             start = now
         # service_time's rule, with the call made only when beta counts
         if comp.beta:
-            processing = service_time(comp, req.lam, start)
+            processing = service_time(comp, lam, start)
         else:
-            processing = comp.service_us[req.lam]
-        req.processing_us = processing
+            processing = comp.service_us[lam]
         end = start + processing
         heapq.heapreplace(free, end)
-        req.queue_us = (req.dispatch_us - req.issued_us - req.client_link_us) + (start - now)
-        # n is the delivery's key, so responses at one microsecond run in
-        # delivery order, whether a delivery ran in place or from the heap.
-        back_at = end + req.links_us[req.destination]
-        heapq.heappush(self.heap, (back_at, _RESPONSE, (now, req.n), req))
-
-    def _on_response(self, now: int, req: _Request) -> None:
-        dest = req.destination
-        dispatched = req.dispatch_us
-        req.policy.on_response(dest, now - dispatched, now)
-        client = req.client_link_us
-        issued = req.issued_us
+        back_at = end + link
         # Positional, in field order: ..., issued, completed, transfer, queue,
         # processing, is_probe, policy, dispatch_us.
-        self.completed.append(
-            TraceRow(
-                req.seq, req.lam, req.router, dest, issued, now + client,
-                2 * (client + req.links_us[dest]), req.queue_us, req.processing_us,
-                req.is_probe, self.policy_label, dispatched,
-            )
+        row = TraceRow(
+            seq, lam, rid, dest, issued, back_at + client, 2 * (client + link),
+            (dispatched - issued - client) + (start - now), processing,
+            probe, self.policy_label, dispatched,
         )
+        # n is the delivery's key, so responses at one microsecond run in
+        # delivery order, whether a delivery ran in place or from the heap.
+        heapq.heappush(self.heap, (back_at, _RESPONSE, (now, n), (policy, row)))
+
+    def _on_response(self, now: int, response: tuple) -> None:
+        policy, row = response
+        policy.on_response(row.destination, now - row.dispatch_us, now)
+        self.completed.append(row)
 
     def _on_toggle(self, now: int, payload) -> None:
         rid, policies, dest, on = payload
@@ -550,9 +544,9 @@ class _Sim:
                 budget -= 1
                 if budget < 0:
                     raise _runaway(self.s)
-            lam, rid, link, policy, links = workloads[idx]
-            req = _Request(seq, lam, rid, t, link, policy, links)
-            at = t + link
+            workload = workloads[idx]
+            req = (seq, t, workload)
+            at = t + workload[2]
             # Nothing can come before an arrival at the earliest landing
             # unless a toggle or an earlier arrival waits at that microsecond.
             if at == first and (not heap or heap[0][0] > at or heap[0][1] > _ARRIVAL):

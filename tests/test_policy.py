@@ -681,9 +681,11 @@ PER_REQUEST_FRAMES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(PER_REQUEST_FRAMES))
-def test_the_frames_a_request_makes_in_the_policy_layers(kind):
-    files = {module.__file__ for module in (policy, ledger, estimator)}
+def frames_per_request(kind, modules):
+    """Run ``line`` for 1 s under ``kind`` with a profiler on; return the
+    Python frames entered in ``modules``' files, by name, and the number of
+    requests."""
+    files = {module.__file__ for module in modules}
     calls = collections.Counter()
 
     def count(frame, event, arg):
@@ -698,7 +700,25 @@ def test_the_frames_a_request_makes_in_the_policy_layers(kind):
         result = simnet.run(scenario)
     finally:
         sys.setprofile(None)
+    return calls, result.arrivals
+
+
+@pytest.mark.parametrize("kind", sorted(PER_REQUEST_FRAMES))
+def test_the_frames_a_request_makes_in_the_policy_layers(kind):
+    calls, requests = frames_per_request(kind, (policy, ledger, estimator))
     # the rest runs at most once per probe, admission, eviction or widening
-    requests = result.arrivals
     assert {name for name, n in calls.items() if n > requests // 2} == PER_REQUEST_FRAMES[kind]
     assert sum(calls.values()) < (len(PER_REQUEST_FRAMES[kind]) + 0.1) * requests
+
+
+# simnet's own frames per request: a resume of the issuing workload's
+# arrival stream, its dispatch, its delivery, the TraceRow built there, and
+# its response. A request in flight is a tuple, so it has no frame of its own.
+SIMNET_FRAMES = {"arrival_process", "_on_arrival", "_on_deliver", "__new__", "_on_response"}
+
+
+@pytest.mark.parametrize("kind", sorted(PER_REQUEST_FRAMES))
+def test_the_frames_a_request_makes_in_the_simulator(kind):
+    calls, requests = frames_per_request(kind, (simnet,))
+    assert {name for name, n in calls.items() if n > requests // 2} == SIMNET_FRAMES
+    assert sum(calls.values()) < (len(SIMNET_FRAMES) + 0.1) * requests

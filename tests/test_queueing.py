@@ -3,10 +3,14 @@
 Every other check of the simulator compares it with code of this
 repository (the goldens, ``reference_run``, ``NaivePolicy``), so a shared
 misreading of the model would pass them all. A closed form is an outside
-answer. One router and one computer with 1 worker, ``beta`` 0, service
-S = 5 ms and 0 ms links, fed by Poisson arrivals at rate ρ/S: every request
-goes to that computer and waits in its FIFO queue, so the queue is M/D/1,
-and the trace's ``queue_us`` is a request's wait. The Pollaczek–Khinchine
+answer. One router and one computer with 1 worker, service S = 5 ms and
+0 ms links, fed by Poisson arrivals at rate ρ/S: every request goes to that
+computer and waits in its FIFO queue, so the queue is M/D/1, and the
+trace's ``queue_us`` is a request's wait. S comes two ways: a 5 ms base
+with ``beta`` 0, and a 4 ms base with ``beta`` 0.25. With 1 worker the
+load count ``busy`` is always 1, so the base scales by 1 + 0.25 to 5 ms on
+every row; the second case runs the ``service_time`` call that the
+delivery handler makes only when ``beta`` is not 0. The Pollaczek–Khinchine
 formula gives the mean wait, ``W = ρS / (2(1 − ρ))`` (Kleinrock, *Queueing
 Systems* vol. 1, Wiley 1975, §5.6): 2.5 ms at ρ = 0.5 and 10 ms at ρ = 0.8.
 
@@ -24,7 +28,7 @@ Left out: the second moment (Takács), since batch means of squared waits
 correlate under heavy load and a prototype saw ``z = -4.16`` at ρ = 0.8
 with no defect; and c > 1, whose exact M/D/c mean (Crommelin 1932) needs a
 root-finding algorithm larger than the check it would serve. The test sees
-neither the tie rules nor the multi-worker load count.
+neither the tie rules nor the load count past one worker.
 """
 
 import math
@@ -36,6 +40,8 @@ from edgedispatch.simnet import run
 from helpers import tiny_scenario
 
 SERVICE_MS = 5
+# (base service in ms, beta): both serve a request in SERVICE_MS on 1 worker
+SERVICES = ((5, 0.0), (4, 0.25))
 LOADS = (0.5, 0.8)
 SEEDS = (1, 2)
 BATCH_US = 10_000_000
@@ -43,12 +49,12 @@ BATCHES = 20  # after one discarded warm-up batch
 Z_BOUND = 4.0
 
 
-def md1_scenario(load, seed):
+def md1_scenario(load, seed, base_ms, beta):
     return tiny_scenario(
         name="md1",
         duration_ms=(BATCHES + 1) * BATCH_US // 1000,
         seed=seed,
-        computers=[{"id": 0, "workers": 1, "beta": 0.0, "service_ms": {0: SERVICE_MS}}],
+        computers=[{"id": 0, "workers": 1, "beta": beta, "service_ms": {0: base_ms}}],
         routers=[{"id": 0, "links_ms": {0: 0}, "lambdas": [{"id": 0, "destinations": [0]}]}],
         workload=[
             {
@@ -62,10 +68,19 @@ def md1_scenario(load, seed):
     )
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("load", LOADS)
-def test_the_mean_wait_is_pollaczek_khinchines(load, seed):
-    result = run(md1_scenario(load, seed))
+@pytest.mark.parametrize(
+    ("load", "seed", "base_ms", "beta"),
+    [
+        pytest.param(
+            load, seed, base_ms, beta, id=f"{load}-{seed}" + (f"-beta{beta}" if beta else "")
+        )
+        for base_ms, beta in SERVICES
+        for load in LOADS
+        for seed in SEEDS
+    ],
+)
+def test_the_mean_wait_is_pollaczek_khinchines(load, seed, base_ms, beta):
+    result = run(md1_scenario(load, seed, base_ms, beta))
     assert not result.unserved
     waits = [[] for _ in range(BATCHES + 1)]
     for row in result.completed:

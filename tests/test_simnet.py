@@ -683,6 +683,83 @@ def test_a_computer_no_lambda_routes_to_changes_nothing(doc, extra):
         )
 
 
+def undisturbed_before(scenario, result):
+    """When a longer run of ``scenario`` can first differ from ``result``
+    (simnet docstring): the duration plus the smallest client link, or the
+    earliest retry that ``result`` gave up, whichever is sooner."""
+    retry = scenario.policy.retry_us
+    client = {(w.router, w.lam): w.client_link_us for w in scenario.workload}
+    assert len(client) == len(scenario.workload)
+    end = scenario.duration_us + min(client.values())
+    for row in result.unserved:
+        # every attempt failed, one retry apart from the arrival; the first
+        # retry at or past the duration is the one given up
+        at = row.issued_us + client[row.router, row.lam]
+        end = min(end, at + retry * max(1, -(-(scenario.duration_us - at) // retry)))
+    return end
+
+
+# Client links of 2 ms. Router 0's request (seq 1, issued at 10 ms) meets a
+# blackout until the 17 ms duration, and its retry at 17 ms is given up;
+# router 1's seq 2, issued at 16 ms, is delivered at 18 ms, before the
+# duration plus the smallest client link.
+GIVEN_UP_DOC = tiny_doc(
+    duration_ms=17,
+    policy={"kind": "li", "retry_ms": 5},
+    computers=[{"id": 0, "workers": 1, "beta": 0.0, "service_ms": {0: 5}}],
+    routers=[
+        {"id": 0, "links_ms": {0: 0}, "lambdas": [{"id": 0, "destinations": [0]}]},
+        {"id": 1, "links_ms": {0: 0}, "lambdas": [{"id": 0, "destinations": [0]}]},
+    ],
+    workload=[
+        {"router": 0, "lambda": 0, "process": "deterministic", "rate_per_s": 100, "client_link_ms": 2},
+        {"router": 1, "lambda": 0, "process": "deterministic", "rate_per_s": 125, "client_link_ms": 2},
+    ],
+    congestion=[{"router": 0, "computer": 0, "start_ms": 0, "end_ms": 17}],
+)
+
+
+def doubled_duration(doc):
+    longer = copy.deepcopy(doc)
+    longer["duration_ms"] *= 2
+    return longer
+
+
+@settings(max_examples=50)
+@given(doc=scenario_docs())
+@example(doc=shipped_doc("line.yaml"))
+@example(doc=shipped_doc("ring_tree.yaml"))
+@example(doc=GIVEN_UP_DOC)
+def test_the_future_cannot_change_the_past(doc):
+    # a row is fixed at its delivery, so one delivered before the longer
+    # run's first extra event is the same row in both runs
+    scenario = scenario_from_mapping(doc)
+    links = {r.id: r.links_us for r in scenario.routers}
+    want, got = runs_by_kind(doc), runs_by_kind(doubled_duration(doc))
+    for kind in PolicyKind:
+        end = undisturbed_before(scenario, want[kind])
+        rows = {row.seq: row for row in got[kind].rows}
+        for row in want[kind].completed:
+            if row.dispatch_us + links[row.router][row.destination] < end:
+                assert rows[row.seq] == row
+
+
+def test_a_request_given_up_at_the_duration_can_reach_a_computer_first():
+    # The cone ends at the first retry given up, not only at the duration
+    # plus the smallest client link (simnet docstring): run for 34 ms, seq
+    # 1 retries at 17 ms and holds the computer until 22 ms, so seq 2,
+    # delivered at 18 ms, waits 4 ms for it.
+    scenario = scenario_from_mapping(GIVEN_UP_DOC)
+    short = run(scenario)
+    want = short.rows
+    got = run(scenario_from_mapping(doubled_duration(GIVEN_UP_DOC))).rows
+    assert want[1].destination == -1
+    assert (got[1].dispatch_us, got[1].queue_us) == (17_000, 5000)
+    assert (want[2].dispatch_us, want[2].queue_us, got[2].queue_us) == (18_000, 0, 4000)
+    assert undisturbed_before(scenario, short) == 17_000
+    assert want[0] == got[0]
+
+
 def termination_bound(scenario, arrivals):
     """The most events a run of ``scenario`` with ``arrivals`` issues can
     pop. Every delay is at least 1 us and a retry at or past the duration
@@ -763,13 +840,16 @@ def deterministic(router, lam, client_link_ms, rate_per_s=100):
 
 def run_logging_handlers(scenario):
     """Run ``scenario``; also return each handler call the loop made, in
-    call order, as ``(now, handler name, seq)``."""
+    call order, as ``(now, handler name, seq)``. An arrival's and a
+    delivery's payload starts with the seq; a response's is ``(policy,
+    row)``."""
     calls = []
 
     def logged(handler):
-        def call(self, now, req):
-            calls.append((now, handler.__name__, req.seq))
-            return handler(self, now, req)
+        def call(self, now, payload):
+            seq = payload[1].seq if handler.__name__ == "_on_response" else payload[0]
+            calls.append((now, handler.__name__, seq))
+            return handler(self, now, payload)
 
         return call
 
