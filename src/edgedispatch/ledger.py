@@ -16,14 +16,19 @@ first key that does not fit, widens to that key's bit width and re-encodes
 the list, which keeps its order. A change bisects out the key's old entry
 and ``insort``s the new one, O(log k) comparisons plus a C-level memmove, so
 no entry is ever stale. Callers read an index's front inline, without a
-call: a round-robin request makes three frames in this module, ``charge``
-and ``SortedKeys.add`` as it selects and ``SortedKeys.set`` as its response
-updates the weight index (7 in all with ``policy`` and ``estimator``).
+call: a round-robin request makes two frames in this module, ``charge`` as
+it selects and ``SortedKeys.set`` as its response updates the weight index
+(6 in all with ``policy`` and ``estimator``).
 
 The ledger keeps its keys in one, ordered by deficit then destination id. A
 destination's deficit is its raw value minus the ledger's base.
 Renormalizing every counter by the minimum (done when a destination is
 admitted) moves the base up to the front key's raw value, which is O(1).
+A selection charges the front, so ``charge`` re-sorts the front in place:
+it drops ``order[0]`` and ``insort``s that entry plus ``amount << shift``,
+which is ``(value + amount) << shift | key`` for any int value, with no
+bisect for the old entry and no call to ``SortedKeys``. Another
+destination's charge goes through ``SortedKeys.add``.
 ``deltas()`` reads out the difference encoding, each deficit less its
 predecessor's: deficits {4, 6, 7, 7} read as deltas {4, 2, 1, 0}.
 
@@ -151,11 +156,20 @@ class DeficitLedger:
         return keys.order[0] & keys.mask
 
     def charge(self, dest: int, amount: int) -> None:
-        """Increase a destination's deficit by ``amount`` and re-sort it."""
+        """Increase a destination's deficit by ``amount`` and re-sort it;
+        the front is re-sorted in place (module docstring)."""
         if amount < 0:
             raise ValueError("charge amount must be non-negative")
+        keys = self.keys
+        order = keys.order
+        if order and order[0] & keys.mask == dest:
+            front = order[0]
+            del order[0]
+            keys.values[dest] += amount
+            insort(order, front + (amount << keys.shift))
+            return
         try:
-            self.keys.add(dest, amount)
+            keys.add(dest, amount)
         except KeyError:
             raise UnknownDestination(f"destination {dest} is not in the ledger") from None
 

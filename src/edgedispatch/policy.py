@@ -40,12 +40,12 @@ the state changes, so that no selection scans all k destinations:
 
 A ``SortedKeys`` entry is the int ``value << shift | key`` (``ledger``), so
 a front is read inline: ``order[0] >> shift`` is its value and ``order[0] &
-mask`` its id. A round-robin request therefore costs 7 frames in this
+mask`` its id. A round-robin request therefore costs 6 frames in this
 module, ``ledger`` and ``estimator``. A selection that is not a probe runs
-``select``, ``_select_rr``, ``DeficitLedger.charge`` and
-``SortedKeys.add``: it takes the id at the front of the ledger's keys and
-charges it its weight from the weight index, which for an active
-destination equals ``table.get``. A response from an active destination
+``select``, ``_select_rr`` and ``DeficitLedger.charge``: it takes the id at
+the front of the ledger's keys and charges it its weight from the weight
+index, which for an active destination equals ``table.get``; the ledger
+re-sorts its front in place. A response from an active destination
 runs ``on_response``, ``WeightTable.observe`` and ``SortedKeys.set``: the
 active set is the key set of both the ledger and the weight index, so
 membership is one dict lookup, and the active minimum is the weight index's

@@ -64,11 +64,10 @@ it only when the computer's ``beta`` is not 0; otherwise the processing
 time is the base time, read inline. The start, the processing time, the
 queue delay, the response's time and so the completion are then all
 fixed, so the handler builds the request's ``TraceRow`` there. This
-module runs 5 Python frames per request: a resume of its workload's
-``arrival_process``, ``_on_arrival``, ``_on_deliver``, the row's
-``__new__`` and ``_on_response``. The policy's part of a request is two
-calls, ``select`` and ``on_response``; under ``rr`` they make 7 frames in
-all (``policy`` docstring), under ``li`` and ``rp`` 4.
+module runs 4 Python frames per request: ``_on_arrival``, ``_on_deliver``,
+the row's ``__new__`` and ``_on_response``. The policy's part of a request
+is two calls, ``select`` and ``on_response``; under ``rr`` they make 6
+frames in all (``policy`` docstring), under ``li`` and ``rp`` 4.
 
 Each computer has a lead, ``lead_us``: the shortest link that any router
 has to it. No delivery reaches it sooner after its dispatch: this is the
@@ -87,13 +86,16 @@ Across computers, deliveries do not run in key order, which is why a
 response's ``n`` is its delivery key and not a number drawn as the
 delivery runs.
 
-Requests are issued in ``(time, workload)`` order, merged lazily from the
-per-workload arrival streams, and ``seq`` is the place in that order. No
-arrival lands sooner after its issue than the smallest client link (the
-loop's lookahead, as in conservative discrete-event simulation: Chandy and
-Misra, IEEE TSE 1979), so the loop files the next issue as an arrival once
-every event before that earliest landing has run. The heap never holds
-the issues still to come.
+Requests are issued in ``(time, workload)`` order, and ``seq`` is the
+place in that order. ``_Sim.__init__`` draws every issue before the
+duration at once, from the workloads' arrival streams, each a chain of C
+iterators, and sorts the ``(time, workload index)`` pairs into
+``issues``: the order a merge of the streams gives, with no Python frame
+per issue. No arrival lands sooner after its issue than the smallest
+client link (the loop's lookahead, as in conservative discrete-event
+simulation: Chandy and Misra, IEEE TSE 1979), so the loop files the next
+issue as an arrival once every event before that earliest landing has
+run. The heap never holds the issues still to come.
 
 An arrival that lands at that earliest moment (its workload has the
 smallest link) skips the heap and runs at once, unless ``heap[0]`` is a
@@ -162,11 +164,11 @@ descriptor (``TraceRow`` has the numbers).
 from __future__ import annotations
 
 import heapq
-import itertools
-import operator
 import random
 from dataclasses import dataclass
+from itertools import accumulate, chain, count, repeat, takewhile
 from math import log
+from operator import attrgetter, mul, sub, truediv
 from typing import Iterator
 
 from .policy import NoEligibleDestination, PolicyState
@@ -271,7 +273,7 @@ class TraceRow:
 _Cells = type("_Cells", (), {"__slots__": TraceRow.__slots__})
 
 # The sort key of rows in issue order.
-_by_seq = operator.attrgetter("seq")
+_by_seq = attrgetter("seq")
 
 # The name perfbench/run.py wraps for its ``core.request_record`` layer.
 RequestRecord = TraceRow
@@ -308,30 +310,42 @@ class SimResult:
         return sorted(self.completed + self.unserved, key=_by_seq)
 
 
+# What round() calls for a float, without round()'s lookup of __round__ on
+# every issue: the same int.
+_round = float.__round__
+
+
 def arrival_process(kind: str, rate_per_s: float, seed: int = 0) -> Iterator[int]:
     """Endless stream of issue times in microseconds.
 
     ``deterministic`` spaces requests evenly at 1/rate; ``poisson`` draws
     exponential gaps. Both round to whole microseconds at emission, keeping
     the underlying accumulator exact so rounding never drifts.
+
+    The stream is a chain of C iterators, so drawing an issue enters no
+    Python frame. The k-th deterministic issue is ``round(k * period_us)``.
+    A Poisson issue is the rounded running sum of the gaps, added left to
+    right as ``t += gap`` would, each gap ``log(1.0 - u) / -rate_per_us``:
+    IEEE division rounds the same whichever operand carries the sign, so
+    that is the float ``-log(1.0 - u) / rate_per_us``. A first draw of 0
+    gives the gap ``-0.0``, which rounds to 0, as ``0.0 + -0.0`` does, and
+    adds to the next gap as 0.0 would. ``tests/helpers.py`` keeps the loop
+    version.
     """
     if rate_per_s <= 0:
         raise ValueError("arrival rate must be positive")
     if kind == "deterministic":
-        period_us = 1_000_000 / rate_per_s
-        for k in itertools.count(1):
-            yield round(k * period_us)
-    elif kind == "poisson":
+        return map(_round, map(mul, count(1), repeat(1_000_000 / rate_per_s)))
+    if kind == "poisson":
         # Random.expovariate's own formula (CPython 3.11 and 3.12), without
         # the method call: the same gaps, float for float.
         uniform = random.Random(seed).random
         rate_per_us = rate_per_s / 1_000_000
-        t = 0.0
-        while True:
-            t += -log(1.0 - uniform()) / rate_per_us
-            yield round(t)
-    else:
-        raise ValueError(f"unknown arrival process {kind!r}")
+        gaps = map(
+            truediv, map(log, map(sub, repeat(1.0), iter(uniform, None))), repeat(-rate_per_us)
+        )
+        return map(_round, accumulate(gaps))
+    raise ValueError(f"unknown arrival process {kind!r}")
 
 
 class _Computer:
@@ -361,7 +375,7 @@ def service_time(computer: _Computer, lam: int, start: int) -> int:
     base = computer.service_us[lam]
     if computer.beta == 0:
         return base
-    busy = 1 + len([f for f in computer.free if f > start])
+    busy = 1 + sum(map(start.__lt__, computer.free))
     return round(base * (1 + computer.beta * busy / computer.workers))
 
 
@@ -377,7 +391,7 @@ class _Sim:
         self.retry_us = scenario.policy.retry_us
         self.policy_label = scenario.policy.kind.value
         self.heap: list = []
-        self.counter = itertools.count()
+        self.counter = count()
         self.completed: list[TraceRow] = []
         self.unserved: list[TraceRow] = []
         self.congestion_log: list[CongestionLogEntry] = []
@@ -424,12 +438,18 @@ class _Sim:
             (w.lam, w.router, w.client_link_us, self.policies[w.router][w.lam], routes[w.router])
             for w in ordered_workload
         ]
-        # Each stream is endless; the loop stops at the first issue past the
-        # duration, and every later one is past it too.
-        self.issues = heapq.merge(
-            *(
-                zip(arrival_process(w.process, w.rate_per_s, seed), itertools.repeat(idx))
-                for idx, (w, seed) in enumerate(zip(ordered_workload, arrival_seeds))
+        # Every stream is sorted and endless, so each is cut at its first
+        # issue at or past the duration. Sorting the (time, index) pairs
+        # gives the order a merge of the streams would, with ties at one
+        # microsecond in workload order.
+        streams = [
+            arrival_process(w.process, w.rate_per_s, seed)
+            for w, seed in zip(ordered_workload, arrival_seeds)
+        ]
+        self.issues = sorted(
+            chain.from_iterable(
+                zip(takewhile(self.duration.__gt__, stream), repeat(idx))
+                for idx, stream in enumerate(streams)
             )
         )
         # No issue arrives sooner after it is issued than this.
@@ -528,12 +548,7 @@ class _Sim:
         # The termination bound (module docstring), counted down per pop.
         per_issue = 3 - (-duration // self.retry_us)
         budget = len(heap)
-        # The streams are endless, so the loop always ends at the first issue
-        # past the duration, whose place is the number of arrivals.
-        seq = 0
         for seq, (t, idx) in enumerate(self.issues):
-            if t >= duration:
-                break
             budget += per_issue
             # Every event before this issue's earliest arrival runs first;
             # the issues after it arrive no sooner, so none is missed.
@@ -576,7 +591,7 @@ class _Sim:
             policy=self.policy_label,
             seed=self.s.seed,
             duration_us=self.duration,
-            arrivals=seq,
+            arrivals=len(self.issues),
             completed=tuple(self.completed),
             unserved=tuple(self.unserved),
             snapshot=snapshot,

@@ -3,9 +3,11 @@ oracles, scenario builders."""
 
 import csv
 import io
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from math import log
 
 from hypothesis import strategies as st
 
@@ -63,6 +65,29 @@ class NaiveLedger:
 
     def decode(self):
         return dict(self.deficits)
+
+
+def reference_arrivals(kind, rate_per_s, seed=0):
+    """The loop version of ``simnet.arrival_process``: the same issue
+    times, one ``t += gap`` and one ``round`` per issue. ``simnet`` builds
+    the stream from C iterators instead; the tests hold the two equal."""
+    if rate_per_s <= 0:
+        raise ValueError("arrival rate must be positive")
+    if kind == "deterministic":
+        period_us = 1_000_000 / rate_per_s
+        for k in itertools.count(1):
+            yield round(k * period_us)
+    elif kind == "poisson":
+        # Random.expovariate's own formula (CPython 3.11 and 3.12), without
+        # the method call: the same gaps, float for float.
+        uniform = random.Random(seed).random
+        rate_per_us = rate_per_s / 1_000_000
+        t = 0.0
+        while True:
+            t += -log(1.0 - uniform()) / rate_per_us
+            yield round(t)
+    else:
+        raise ValueError(f"unknown arrival process {kind!r}")
 
 
 def check_same_state(ledger: DeficitLedger, oracle: NaiveLedger):
@@ -688,3 +713,47 @@ def scenario_docs(draw):
         "workload": workload,
         "congestion": congestion,
     }
+
+
+@st.composite
+def given_up_docs(draw):
+    """``scenario_docs`` documents in which a request is given up at the
+    duration D and its retry, in a longer run, can come before D plus the
+    smallest client link L.
+
+    Every client link is 1-3 ms, so L is at least 1 ms, and the retry is
+    1-4 ms. One workload issues deterministically at 200-1,000 per second,
+    and every destination of its lambda is blacked out at its router from
+    one of its last arrivals before D until D: that arrival fails, and its
+    first retry at or past D is given up. Another arrival of the workload,
+    or a request of another workload at the same computer, may then come
+    between that retry and D + L.
+    """
+    doc = draw(scenario_docs())
+    duration_us = 1000 * doc["duration_ms"]
+    for w in doc["workload"]:
+        w["client_link_ms"] = draw(st.integers(1, 3))
+    doc["policy"]["retry_ms"] = draw(st.integers(1, 4))
+    w = draw(st.sampled_from(doc["workload"]))
+    w.update(process="deterministic", rate_per_s=draw(st.sampled_from((200, 250, 500, 1000))))
+    period_us = 1_000_000 / w["rate_per_s"]
+    link_us = 1000 * w["client_link_ms"]
+    arrivals = []
+    while (t := round((len(arrivals) + 1) * period_us) + link_us) < duration_us:
+        arrivals.append(t)
+    start_us = arrivals[-draw(st.integers(1, min(3, len(arrivals))))]
+    rid = w["router"]
+    (lam,) = [l for l in doc["routers"][rid]["lambdas"] if l["id"] == w["lambda"]]
+    blacked = {(rid, cid) for cid in lam["destinations"]}
+    # the pairs' drawn windows that overlap the blackout give way to it
+    doc["congestion"] = [
+        c
+        for c in doc["congestion"]
+        if (c["router"], c["computer"]) not in blacked
+        or 1000 * c["end_ms"] <= start_us
+        or duration_us <= 1000 * c["start_ms"]
+    ] + [
+        {"router": rid, "computer": cid, "start_ms": start_us / 1000, "end_ms": doc["duration_ms"]}
+        for _, cid in sorted(blacked)
+    ]
+    return doc

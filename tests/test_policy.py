@@ -671,11 +671,11 @@ def test_signal_for_another_lambdas_destination_changes_nothing(kind):
 
 
 # The Python functions of policy, ledger and estimator that a request runs
-# on the common path: an rr selection that charges the ledger's front and a
-# response from an active destination; for li and rp, the pick and the
-# update of one index.
+# on the common path: an rr selection that charges the ledger's front, in
+# place, and a response from an active destination; for li and rp, the pick
+# and the update of one index.
 PER_REQUEST_FRAMES = {
-    "rr": {"select", "_select_rr", "charge", "add", "on_response", "observe", "set"},
+    "rr": {"select", "_select_rr", "charge", "on_response", "observe", "set"},
     "li": {"select", "set", "on_response", "observe"},
     "rp": {"select", "on_response", "observe", "_set_reciprocal"},
 }
@@ -711,10 +711,10 @@ def test_the_frames_a_request_makes_in_the_policy_layers(kind):
     assert sum(calls.values()) < (len(PER_REQUEST_FRAMES[kind]) + 0.1) * requests
 
 
-# simnet's own frames per request: a resume of the issuing workload's
-# arrival stream, its dispatch, its delivery, the TraceRow built there, and
-# its response. A request in flight is a tuple, so it has no frame of its own.
-SIMNET_FRAMES = {"arrival_process", "_on_arrival", "_on_deliver", "__new__", "_on_response"}
+# simnet's own frames per request: its dispatch, its delivery, the TraceRow
+# built there, and its response. The issues are drawn by C iterators before
+# the loop starts, and a request in flight is a tuple, so neither has a frame.
+SIMNET_FRAMES = {"_on_arrival", "_on_deliver", "__new__", "_on_response"}
 
 
 @pytest.mark.parametrize("kind", sorted(PER_REQUEST_FRAMES))
