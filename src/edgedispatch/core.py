@@ -1,4 +1,5 @@
-"""Shared vocabulary: fixed-point time and JSON-shaped keys.
+"""Shared vocabulary: fixed-point time, JSON-shaped keys and a collector
+pause.
 
 Every duration in this package is an integer number of microseconds.
 Configuration surfaces speak milliseconds for readability and convert once
@@ -8,6 +9,9 @@ meaningful.
 """
 
 from __future__ import annotations
+
+import gc
+from contextlib import contextmanager
 
 US_PER_MS = 1000
 
@@ -31,3 +35,22 @@ def string_keys(obj):
         return [string_keys(v) for v in obj]
     return obj
 
+
+@contextmanager
+def collector_paused():
+    """Turn CPython's cyclic garbage collector off for the block, and back
+    on after it, on return or raise, only if it was on before.
+
+    For code that builds many long-lived containers and no reference
+    cycle: every trace row lives until the run or the read ends, so a
+    young collection there traverses them all and frees nothing, while
+    reference counting frees everything else as it goes. As a decorator,
+    ``@collector_paused()``, it pauses each call of the function.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import string_keys
+from .core import collector_paused, string_keys
 from .policy import PolicyKind
 from .simnet import TraceRow, _by_seq
 
@@ -76,6 +76,7 @@ def trace_bytes(rows) -> bytes:
     return "".join(lines).encode()
 
 
+@collector_paused()
 def read_trace(path) -> list[TraceRow]:
     """Parse a trace file back into rows.
 
@@ -98,6 +99,14 @@ def read_trace(path) -> list[TraceRow]:
     Every trace ``write_trace`` writes reads back to rows that write the
     same bytes. Each refusal is a ValueError whose message ends with the
     line.
+
+    The cyclic garbage collector is paused for the call, as for
+    ``simnet.run`` (``core.collector_paused``): every row lives until the
+    read returns, so a young collection during it would traverse the rows
+    so far and free nothing. The read builds no reference cycle, which
+    ``test_runs_and_trace_reads_leave_the_collector_nothing_to_free``
+    pins, so the pause leaks nothing. The one young collection it defers
+    runs as the pause ends, inside the call, and traverses each row once.
     """
     with open(path, "rb") as f:
         data = f.read()

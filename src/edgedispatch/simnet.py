@@ -120,6 +120,17 @@ would otherwise keep the loop from ever ending.
 A ``_Sim`` stores no bound method or closure of itself: that would make it
 a reference cycle, so a finished run and its rows would wait for a full
 garbage collection (``test_a_finished_run_leaves_no_reference_cycle``).
+Since a run builds no cycle at all, ``run`` pauses CPython's cyclic
+collector for the call (``core.collector_paused``): each row lives until
+the run ends, so a young collection during the run would traverse every
+row so far and free nothing. Reference counting still frees the rest.
+``test_runs_and_trace_reads_leave_the_collector_nothing_to_free`` pins
+the premise: with the collector off, the runs of ``line``, ``ring-tree``
+and a fanout document under each policy, once dropped, leave it nothing.
+The deferred work is one young collection, which traverses each row once.
+It runs as the pause ends, when its exit allocates the generator's
+``StopIteration``, so inside the call: on a 2-vCPU x86-64 host, about
+0.5 ms for ``line`` (6,357 rows) and 0.25 ms for ``ring-tree``.
 
 The future cannot change the past, within a cone that reads off the
 handlers. Run a scenario for a duration D and again for a longer one. The
@@ -171,6 +182,7 @@ from math import log
 from operator import attrgetter, mul, sub, truediv
 from typing import Iterator
 
+from .core import collector_paused
 from .policy import NoEligibleDestination, PolicyState
 from .scenario import Scenario, ensure_valid
 
@@ -606,11 +618,13 @@ def _runaway(scenario: Scenario) -> RuntimeError:
     )
 
 
+@collector_paused()
 def run(scenario: Scenario) -> SimResult:
     """Simulate one scenario to completion and return its full outcome.
 
     In-flight work left at the duration boundary drains to completion;
     arrivals stop strictly before it. Every issued request ends up in
-    exactly one of ``completed`` or ``unserved``.
+    exactly one of ``completed`` or ``unserved``. The cyclic garbage
+    collector is paused for the call (module docstring).
     """
     return _Sim(scenario).run()

@@ -24,9 +24,13 @@ the ``|z|`` bound below were fixed before the first run; a failure at them
 is a simulator defect or a test with too little power, and is never met by
 re-seeding or resizing.
 
-Left out: the second moment (Takács), since batch means of squared waits
-correlate under heavy load and a prototype saw ``z = -4.16`` at ρ = 0.8
-with no defect; and c > 1, whose exact M/D/c mean (Crommelin 1932) needs a
+The second moment of the wait is Takács's, ``E[W²] = 2W² + λS³ / (3(1 − ρ))``
+for a deterministic S (Kleinrock, §5.6): 20.83 ms² at ρ = 0.5. It is
+checked at ρ = 0.5 only, by the same batch means over squared waits, the
+same seeds and the same bound. Under heavy load the batch means of squared
+waits correlate: a prototype saw ``z = -4.16`` at ρ = 0.8 with no defect.
+
+Left out: c > 1, whose exact M/D/c mean (Crommelin 1932) needs a
 root-finding algorithm larger than the check it would serve. The test sees
 neither the tie rules nor the load count past one worker.
 """
@@ -68,6 +72,24 @@ def md1_scenario(load, seed, base_ms, beta):
     )
 
 
+def batch_means(result, power):
+    """The mean of ``queue_us ** power`` in each batch after the warm-up."""
+    assert not result.unserved
+    waits = [[] for _ in range(BATCHES + 1)]
+    for row in result.completed:
+        assert row.processing_us == SERVICE_MS * 1000
+        waits[row.issued_us // BATCH_US].append(row.queue_us**power)
+    return [statistics.fmean(batch) for batch in waits[1:]]
+
+
+def z_score(means, expected):
+    return (statistics.fmean(means) - expected) / (statistics.stdev(means) / math.sqrt(BATCHES))
+
+
+def mean_wait_us(load):
+    return load * SERVICE_MS * 1000 / (2 * (1 - load))
+
+
 @pytest.mark.parametrize(
     ("load", "seed", "base_ms", "beta"),
     [
@@ -80,14 +102,25 @@ def md1_scenario(load, seed, base_ms, beta):
     ],
 )
 def test_the_mean_wait_is_pollaczek_khinchines(load, seed, base_ms, beta):
-    result = run(md1_scenario(load, seed, base_ms, beta))
-    assert not result.unserved
-    waits = [[] for _ in range(BATCHES + 1)]
-    for row in result.completed:
-        assert row.processing_us == SERVICE_MS * 1000
-        waits[row.issued_us // BATCH_US].append(row.queue_us)
-    means = [statistics.fmean(batch) for batch in waits[1:]]
-    mean_us = statistics.fmean(means)
-    expected_us = load * SERVICE_MS * 1000 / (2 * (1 - load))
-    z = (mean_us - expected_us) / (statistics.stdev(means) / math.sqrt(BATCHES))
-    assert abs(z) <= Z_BOUND, (mean_us, expected_us, z)
+    means = batch_means(run(md1_scenario(load, seed, base_ms, beta)), 1)
+    expected_us = mean_wait_us(load)
+    z = z_score(means, expected_us)
+    assert abs(z) <= Z_BOUND, (statistics.fmean(means), expected_us, z)
+
+
+@pytest.mark.parametrize(
+    ("seed", "base_ms", "beta"),
+    [
+        pytest.param(seed, base_ms, beta, id=f"0.5-{seed}" + (f"-beta{beta}" if beta else ""))
+        for base_ms, beta in SERVICES
+        for seed in SEEDS
+    ],
+)
+def test_the_second_moment_of_the_wait_is_takacss(seed, base_ms, beta):
+    load = 0.5
+    means = batch_means(run(md1_scenario(load, seed, base_ms, beta)), 2)
+    service_us = SERVICE_MS * 1000
+    rate_per_us = load / service_us
+    expected_us2 = 2 * mean_wait_us(load) ** 2 + rate_per_us * service_us**3 / (3 * (1 - load))
+    z = z_score(means, expected_us2)
+    assert abs(z) <= Z_BOUND, (statistics.fmean(means), expected_us2, z)

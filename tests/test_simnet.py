@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from edgedispatch import simnet
 from edgedispatch.estimator import WeightTable
-from edgedispatch.metrics import summarize, trace_bytes
+from edgedispatch.metrics import read_trace, summarize, trace_bytes, write_trace
 from edgedispatch.policy import PolicyKind, PolicyState
 from edgedispatch.scenario import ComputerSpec, load_scenario, scenario_from_mapping
 from edgedispatch.simnet import (
@@ -31,6 +31,7 @@ from edgedispatch.simnet import (
 )
 
 from helpers import (
+    fanout_doc,
     given_up_docs,
     reference_arrivals,
     reference_run,
@@ -447,6 +448,39 @@ def test_a_finished_run_leaves_no_reference_cycle(name, policy):
         assert sim.run().completed
         del sim
         assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_runs_and_trace_reads_leave_the_collector_nothing_to_free(tmp_path):
+    # simnet.run and metrics.read_trace pause the cyclic collector, which
+    # only defers work if neither builds a reference cycle. With the
+    # collector off, every run and read below, once dropped, must leave
+    # gc.collect() nothing: line and ring-tree at their own durations, and
+    # fanout_doc(7), which has blackout toggles and, under rr, retries and
+    # probes.
+    scenarios = [
+        scenario.with_overrides(policy_kind=kind)
+        for scenario in (
+            load_scenario("line"),
+            load_scenario("ring-tree"),
+            scenario_from_mapping(fanout_doc(7)),
+        )
+        for kind in PolicyKind
+    ]
+    path = tmp_path / "trace.csv"
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for scenario in scenarios:
+            result = run(scenario)
+            write_trace(path, result.rows)
+            rows = read_trace(path)
+            assert len(rows) == len(result.rows)
+            del result, rows
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
