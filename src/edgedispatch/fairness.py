@@ -19,7 +19,7 @@ the short-term suite checks at the end of each run. The draw check reads
 the bound ``PolicyState.select`` once and counts the id it returns per draw;
 over frozen weights every draw after the first takes ``select``'s one-flag
 path, one ``random()`` and one bisect. Each suite refuses a size below 1,
-since a suite of no cases would pass vacuously.
+as a suite of no cases would pass vacuously. ``schedule_table`` has no size.
 """
 
 from __future__ import annotations
@@ -216,22 +216,19 @@ class ScheduleStep:
     deficits_us: dict[int, int]
 
 
-def schedule_table(
-    weights_us: dict[int, int] = SCHEDULE_WEIGHTS_US, steps: int | None = None
-):
-    """The reference schedule: weights 2/3/4 ms, 13 steps, lowest id wins
-    ties. Returns the per-step table plus final selection counts."""
-    if steps is None:
-        period = math.lcm(*weights_us.values())
-        steps = sum(period // w for w in weights_us.values())
+def schedule_table():
+    """The reference schedule: ``SCHEDULE_WEIGHTS_US`` over its full period,
+    13 steps, lowest id first on ties; the per-step table and the counts."""
+    weights = SCHEDULE_WEIGHTS_US
+    period = math.lcm(*weights.values())
     ledger = DeficitLedger()
-    for dest in sorted(weights_us):
+    for dest in sorted(weights):
         ledger.admit(dest, 0)
     rows: list[ScheduleStep] = []
-    counts = {d: 0 for d in weights_us}
-    for step in range(1, steps + 1):
+    counts = {d: 0 for d in weights}
+    for step in range(1, sum(period // w for w in weights.values()) + 1):
         dest = ledger.pop_min()
-        ledger.charge(dest, weights_us[dest])
+        ledger.charge(dest, weights[dest])
         counts[dest] += 1
         rows.append(ScheduleStep(step, dest, ledger.decode()))
     return rows, counts

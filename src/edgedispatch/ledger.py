@@ -44,10 +44,11 @@ destination's own frozen weight (deficit round-robin, Shreedhar and
 Varghese, SIGCOMM 1995), so ``deficit[d] == count[d] * weight[d]`` at every
 step and the weighted selection-count spread is the deficit spread. The
 replay reports that one spread, measured only at a step that raises the
-largest key, since the minimum never falls. It tallies counts per step, so
-the fairness suite's check of the identity on each run's final counts
-tests the replay rather than holding by construction; the pin tests check
-it at every step.
+largest key, since the minimum never falls; it records no selection order.
+It tallies counts per step, so the fairness suite's identity check on each
+run's final counts tests the replay, not its construction. Pin tests match
+every prefix's replay to a manual loop's state after that step: that checks
+the identity at every step and, by the count that rises, the selection order.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ class DeficitLedger:
         return {entry & mask: (entry >> shift) - base for entry in keys.order}
 
     def deltas(self) -> list[tuple[int, int]]:
-        """The difference encoding, in ledger order, for tests and snapshots."""
+        """The difference encoding, in ledger order; only the tests read it."""
         keys = self.keys
         shift, mask = keys.shift, keys.mask
         out = []
@@ -216,28 +217,19 @@ class DeficitLedger:
 
 @dataclass(frozen=True)
 class ReplayResult:
-    """Outcome of a frozen-weight select-then-charge replay.
-
-    ``spread_violation`` is the 1-based step at which the deficit spread
-    first exceeded the maximum weight, or -1 if never; ``max_spread`` is the
-    largest spread seen.
-    """
+    """A frozen-weight replay's state after its last step: ``counts`` and
+    ``deficits`` by destination id. ``spread_violation`` is the 1-based step
+    at which the deficit spread first exceeded the maximum weight, or -1 if
+    never; ``max_spread`` is the largest spread seen."""
 
     counts: list[int]
     deficits: list[int]
     spread_violation: int
     max_spread: int
-    sequence: list[int] | None
-
-    @property
-    def fair(self) -> bool:
-        return self.spread_violation < 0
 
 
-def replay_frozen(
-    weights: list[int], steps: int, record_sequence: bool = False
-) -> ReplayResult:
-    """Run ``steps`` rounds of select-then-charge over frozen weights.
+def replay_frozen(weights: list[int], steps: int) -> ReplayResult:
+    """The state after ``steps`` rounds of select-then-charge over frozen weights.
 
     Destination ids are the indices of ``weights`` (microseconds, positive);
     every destination starts admitted with deficit zero.
@@ -271,7 +263,6 @@ def replay_frozen(
     charges = [w << shift for w in weights]
     heap = list(range(k))  # every deficit zero: sorted, hence a heap
     counts = [0] * k
-    sequence: list[int] | None = [] if record_sequence else None
     top = k - 1
     violation = -1
     max_spread = 0
@@ -281,8 +272,6 @@ def replay_frozen(
         key += charges[dest]
         heapreplace(heap, key)
         counts[dest] += 1
-        if sequence is not None:
-            sequence.append(dest)
         if key > top:
             top = key
             spread = (key >> shift) - (heap[0] >> shift)
@@ -294,4 +283,4 @@ def replay_frozen(
     deficits = [0] * k
     for key in heap:
         deficits[key & mask] = key >> shift
-    return ReplayResult(counts, deficits, violation, max_spread, sequence)
+    return ReplayResult(counts, deficits, violation, max_spread)

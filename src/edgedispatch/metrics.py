@@ -213,14 +213,25 @@ class Summary:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _int_key(key):
+    # An id as str(int) writes it becomes that int; any other string int()
+    # takes ('007', '+7', '1_0', '٣') is refused. No identifier is an int.
+    if not isinstance(key, str) or key.isidentifier():
+        return key
+    try:
+        value = int(key)
+    except ValueError:
+        return key
+    if str(value) != key:
+        raise ValueError(f"snapshot key {key!r} is not an id as str(int) writes it")
+    return value
+
+
 def _int_keys(obj):
     # A snapshot read back from a summary file has had its numeric keys
     # stringified by JSON; undo that so lookups by destination id work.
     if isinstance(obj, dict):
-        return {
-            (int(k) if isinstance(k, str) and k.lstrip("-").isdigit() else k): _int_keys(v)
-            for k, v in obj.items()
-        }
+        return {_int_key(k): _int_keys(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_int_keys(v) for v in obj]
     return obj

@@ -23,20 +23,6 @@ def test_schedule_table_reference():
     assert rows[-1].deficits_us == {1: 12_000, 2: 12_000, 3: 12_000}
 
 
-def test_schedule_table_custom_weights():
-    rows, counts = schedule_table({0: 1000, 1: 1000}, steps=4)
-    assert [r.destination for r in rows] == [0, 1, 0, 1]
-    assert counts == {0: 2, 1: 2}
-
-
-def test_schedule_table_derives_step_count():
-    # lcm(1, 2) = 2 -> 2/1 + 2/2 = 3 steps
-    rows, counts = schedule_table({0: 1000, 1: 2000})
-    assert len(rows) == 3
-    assert counts == {0: 2, 1: 1}
-    assert rows[-1].deficits_us == {0: 2000, 1: 2000}
-
-
 def test_short_term_suite_small():
     report = short_term_suite(runs=10, steps=300, seed=5)
     assert report.passed

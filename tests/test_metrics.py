@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -566,6 +567,23 @@ def test_summary_survives_the_disk_round_trip(tmp_path):
     parsed = json.loads(first.to_json())
     again = summarize(read_trace(trace_path), parsed["snapshot"])
     assert again.to_json() == first.to_json()
+
+
+def test_snapshot_keys_read_back_as_str_writes_ids():
+    # JSON writes every id key as str(id); '--1' is no int, so it stays text
+    doc = snapshot_for({7: 1000, 0: 2000, -3: None}, {"kind": "rr", "--1": 0})
+    entry = summarize([], json.loads(json.dumps(doc))).snapshot["routers"][0]["lambdas"][0]
+    assert list(entry["weights"]) == [7, 0, -3]
+    assert list(entry["policy"]) == ["kind", "--1"]
+
+
+@pytest.mark.parametrize("key", ["007", "\u0663", "+7", "1_0", " 7", "-0"])
+def test_a_snapshot_key_that_str_would_not_write_is_refused(key):
+    # int() takes each of these ('\u0663' is the Arabic-Indic digit three);
+    # read as an id, each would merge with the key str() writes for it
+    snapshot = snapshot_for({str(int(key)): 1000, key: 2000})
+    with pytest.raises(ValueError, match=f"^snapshot key {re.escape(repr(key))} is not"):
+        summarize([], snapshot)
 
 
 def test_summary_json_shape():
