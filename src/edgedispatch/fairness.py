@@ -218,7 +218,8 @@ class ScheduleStep:
 
 def schedule_table():
     """The reference schedule: ``SCHEDULE_WEIGHTS_US`` over its full period,
-    13 steps, lowest id first on ties; the per-step table and the counts."""
+    13 steps of ``DeficitLedger.charge``, lowest id first on ties; the
+    per-step table and the counts."""
     weights = SCHEDULE_WEIGHTS_US
     period = math.lcm(*weights.values())
     ledger = DeficitLedger()
@@ -227,8 +228,7 @@ def schedule_table():
     rows: list[ScheduleStep] = []
     counts = {d: 0 for d in weights}
     for step in range(1, sum(period // w for w in weights.values()) + 1):
-        dest = ledger.pop_min()
-        ledger.charge(dest, weights[dest])
+        dest = ledger.charge(weights)
         counts[dest] += 1
         rows.append(ScheduleStep(step, dest, ledger.decode()))
     return rows, counts

@@ -9,8 +9,9 @@ values, negative ones included; ``entry >> shift`` is the value and
 ``replay_frozen`` both use it, so ``bisect``, ``insort`` and ``heapq``
 compare plain ints and no tuple is built.
 
-``SortedKeys`` is the package's one sorted index: a sorted list of one such
-int per key, so ``order[0]`` is the minimum with the smallest key on ties.
+``SortedKeys`` is the package's one sorted structure, behind the ledger and
+every sorted index of ``policy``: a sorted list of one such int per key, so
+``order[0]`` is the minimum with the smallest key on ties.
 Its ``shift`` comes from the keys themselves: it starts at 0 and, on the
 first key that does not fit, widens to that key's bit width and re-encodes
 the list, which keeps its order. A change bisects out the key's old entry
@@ -24,11 +25,11 @@ The ledger keeps its keys in one, ordered by deficit then destination id. A
 destination's deficit is its raw value minus the ledger's base.
 Renormalizing every counter by the minimum (done when a destination is
 admitted) moves the base up to the front key's raw value, which is O(1).
-A selection charges the front, so ``charge`` re-sorts the front in place:
-it drops ``order[0]`` and ``insort``s that entry plus ``amount << shift``,
-which is ``(value + amount) << shift | key`` for any int value, with no
-bisect for the old entry and no call to ``SortedKeys``. Another
-destination's charge goes through ``SortedKeys.add``.
+``charge`` is one whole step of the deficit scheduler, and the only
+charge: it takes the front, charges it its weight and re-sorts it in place.
+It drops ``order[0]`` and ``insort``s that entry plus ``weight << shift``,
+which is ``(value + weight) << shift | key`` for any int value, with no
+bisect for the old entry and no call to ``SortedKeys``.
 ``deltas()`` reads out the difference encoding, each deficit less its
 predecessor's: deficits {4, 6, 7, 7} read as deltas {4, 2, 1, 0}.
 
@@ -62,7 +63,7 @@ REPLAY_BACKEND = "pure"
 
 
 class EmptyLedger(Exception):
-    """Minimum requested from a ledger with no destinations."""
+    """Charge of a ledger with no destinations."""
 
 
 class UnknownDestination(Exception):
@@ -100,14 +101,6 @@ class SortedKeys:
         values[key] = value
         insort(order, value << shift | key)
 
-    def add(self, key: int, amount: int) -> None:
-        """Add ``amount`` to the value of ``key``; KeyError if it is absent."""
-        order, values, shift = self.order, self.values, self.shift
-        value = values[key]
-        del order[bisect_left(order, value << shift | key)]
-        values[key] = value = value + amount
-        insort(order, value << shift | key)
-
     def discard(self, key: int) -> None:
         """Remove ``key`` if present."""
         values = self.values
@@ -132,8 +125,8 @@ class DeficitLedger:
 
     ``keys`` holds each destination's raw value and a deficit is
     ``raw - _base``, so renormalization on admit only moves the base.
-    Callers may read ``keys`` (its front is the next selection) and change
-    it only through the methods.
+    Callers may read ``keys`` (its front is the destination the next
+    ``charge`` charges) and change it only through the methods.
     """
 
     def __init__(self) -> None:
@@ -146,33 +139,23 @@ class DeficitLedger:
     def __contains__(self, dest: int) -> bool:
         return dest in self.keys.values
 
-    def pop_min(self) -> int:
-        """Destination with the minimum deficit, smallest id on ties.
-
-        Selection only; the entry stays in place.
-        """
-        keys = self.keys
-        if not keys.order:
-            raise EmptyLedger("no active destinations")
-        return keys.order[0] & keys.mask
-
-    def charge(self, dest: int, amount: int) -> None:
-        """Increase a destination's deficit by ``amount`` and re-sort it;
-        the front is re-sorted in place (module docstring)."""
-        if amount < 0:
-            raise ValueError("charge amount must be non-negative")
+    def charge(self, weights) -> int:
+        """Charge the front, the least deficit with the smallest id on ties,
+        its weight ``weights[front]``, re-sort it in place (module
+        docstring) and return its id."""
         keys = self.keys
         order = keys.order
-        if order and order[0] & keys.mask == dest:
-            front = order[0]
-            del order[0]
-            keys.values[dest] += amount
-            insort(order, front + (amount << keys.shift))
-            return
-        try:
-            keys.add(dest, amount)
-        except KeyError:
-            raise UnknownDestination(f"destination {dest} is not in the ledger") from None
+        if not order:
+            raise EmptyLedger("no active destinations")
+        front = order[0]
+        dest = front & keys.mask
+        amount = weights[dest]
+        if amount < 0:
+            raise ValueError("charge amount must be non-negative")
+        del order[0]
+        keys.values[dest] += amount
+        insort(order, front + (amount << keys.shift))
+        return dest
 
     def admit(self, dest: int, initial_deficit: int = 0) -> None:
         """Renormalize all deficits by the current minimum, then insert.

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .core import collector_paused, string_keys
 from .policy import PolicyKind
+from .scenario import _ID_KEY
 from .simnet import TraceRow, _by_seq
 
 TRACE_COLUMNS = (
@@ -213,27 +214,35 @@ class Summary:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _int_key(key):
-    # An id as str(int) writes it becomes that int; any other string int()
-    # takes ('007', '+7', '1_0', '٣') is refused. No identifier is an int.
-    if not isinstance(key, str) or key.isidentifier():
-        return key
-    try:
-        value = int(key)
-    except ValueError:
-        return key
-    if str(value) != key:
-        raise ValueError(f"snapshot key {key!r} is not an id as str(int) writes it")
-    return value
+# The snapshot's maps keyed by id, named by the field that holds each; every
+# other map is keyed by field name.
+_ID_MAPS = frozenset(("routers", "lambdas", "weights", "backoff_us", "eligible_at_us", "deficits_us"))
 
 
-def _int_keys(obj):
-    # A snapshot read back from a summary file has had its numeric keys
-    # stringified by JSON; undo that so lookups by destination id work.
+def _int_keys(obj, path=()):
+    # A snapshot read back from a summary file has had its id keys
+    # stringified by JSON; undo that so lookups by destination id work. An
+    # id map's key must be an id as a scenario document writes it
+    # (``_ID_KEY``): '007', '-1' or 'x' is refused, not merged with an id or
+    # left to fail a later sort.
     if isinstance(obj, dict):
-        return {_int_key(k): _int_keys(v) for k, v in obj.items()}
+        if not path or path[-1] not in _ID_MAPS:
+            return {k: _int_keys(v, path + (k,)) for k, v in obj.items()}
+        out = {}
+        for key, value in obj.items():
+            if type(key) is int and key >= 0:
+                ident = key
+            elif isinstance(key, str) and _ID_KEY.fullmatch(key):
+                ident = int(key)
+            else:
+                raise ValueError(
+                    f"snapshot key {key!r} is not an id written as {_ID_KEY.pattern!r}, "
+                    f"at {'/'.join(map(str, path))}"
+                )
+            out[ident] = _int_keys(value, path + (ident,))
+        return out
     if isinstance(obj, list):
-        return [_int_keys(v) for v in obj]
+        return [_int_keys(v, path) for v in obj]
     return obj
 
 

@@ -11,23 +11,25 @@ by exponential backoff.
 Because every change goes through the policy, it keeps indexes up to date as
 the state changes, so that no selection scans all k destinations:
 
-* The **ready list** (round-robin): the sorted ids that may be probed now,
-  that is not active, not probing, not congested and with ``eligible_at``
-  reached. A probe is ``ready[rng.randrange(len(ready))]``: the same single
-  ``_randbelow`` draw and the same pick as ``Random.choice`` over a full
-  scan in id order. ``_refresh`` re-files a destination each time its active,
-  probing, congestion or ``eligible_at`` state changes.
-* The **pending index** (round-robin): a ``SortedKeys`` of ``eligible_at``
-  over the destinations waiting out a backoff. ``_refresh`` files each one
-  that may be probed in exactly one of it and the ready list; a selection
-  first re-files the fronts whose time has come.
+* The **probe index** (round-robin): a ``SortedKeys`` of every destination
+  that is not active, not probing and not congested. One that may be probed
+  now is filed at 0, and one waiting out a backoff at its ``eligible_at``,
+  which is above the ``now`` it was filed at, so at least 1. ``_refresh``
+  re-files a destination each time its active, probing, congestion or
+  ``eligible_at`` state changes. The entries at 0 are a prefix of ``order``
+  in id order, ``ready = bisect_left(order, 1 << shift)`` long. A selection
+  whose front is at or below ``now`` first re-files the entries whose time
+  has come at 0, then probes ``order[rng.randrange(ready)] & mask``: the
+  same single ``_randbelow`` draw and the same pick as ``Random.choice``
+  over a full scan in id order.
 * The **weight index**: a ``SortedKeys`` of the round-robin active set's
   weights, whose front is the active minimum, or of every finite measured
   weight for least-impedance, whose front is the pick.
-* The **bootstrap list** (least-impedance, random-proportional): the sorted
-  ids never measured and not congested. A first observation or a congestion
-  mark removes an id; a clear that brings back a never-measured destination
-  puts it back.
+* The **bootstrap index** (least-impedance, random-proportional): a
+  ``SortedKeys`` of the ids never measured and not congested, each at 0, so
+  ``order`` is the ids themselves in id order. A first observation or a
+  congestion mark removes an id; a clear that brings back a never-measured
+  destination puts it back.
 
 * The **reciprocal sums** (random-proportional): ``1.0 / w`` per position in
   ``destinations`` order, ``0.0`` for a congested or never-measured
@@ -42,10 +44,10 @@ A ``SortedKeys`` entry is the int ``value << shift | key`` (``ledger``), so
 a front is read inline: ``order[0] >> shift`` is its value and ``order[0] &
 mask`` its id. A round-robin request therefore costs 6 frames in this
 module, ``ledger`` and ``estimator``. A selection that is not a probe runs
-``select``, ``_select_rr`` and ``DeficitLedger.charge``: it takes the id at
-the front of the ledger's keys and charges it its weight from the weight
-index, which for an active destination equals ``table.get``; the ledger
-re-sorts its front in place. A response from an active destination
+``select``, ``_select_rr`` and ``DeficitLedger.charge``, one step of the
+deficit scheduler: the ledger charges its front that destination's weight
+from the weight index, which for an active destination equals
+``table.get``, and re-sorts it in place. A response from an active destination
 runs ``on_response``, ``WeightTable.observe`` and ``SortedKeys.set``: the
 active set is the key set of both the ledger and the weight index, so
 membership is one dict lookup, and the active minimum is the weight index's
@@ -90,7 +92,7 @@ re-accumulation, ``NoEligibleDestination`` on a zero total, and setting the
 flag before the same draw line. Exactly two writes clear it:
 ``_set_reciprocal`` when a reciprocal changes (an observation, a mark, or a
 clear that restores a weight), and a clear that puts a never-measured
-destination back on the bootstrap list, which changes no reciprocal.
+destination back on the bootstrap index, which changes no reciprocal.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ from itertools import accumulate
 
 from .core import US_PER_MS
 from .estimator import DEFAULT_ALPHA, ObservationWhileCongested, WeightTable
-from .ledger import DeficitLedger, SortedKeys, UnknownDestination
+from .ledger import DeficitLedger, EmptyLedger, SortedKeys, UnknownDestination
 
 DEFAULT_B_MIN_US = 100 * US_PER_MS
 
@@ -115,20 +117,6 @@ class PolicyKind(enum.Enum):
     LEAST_IMPEDANCE = "li"
     RANDOM_PROPORTIONAL = "rp"
     ROUND_ROBIN = "rr"
-
-
-def _add(items: list[int], value: int) -> None:
-    """Insert ``value`` into the sorted list ``items`` unless present."""
-    i = bisect_left(items, value)
-    if i == len(items) or items[i] != value:
-        items.insert(i, value)
-
-
-def _discard(items: list[int], value: int) -> None:
-    """Remove ``value`` from the sorted list ``items`` if present."""
-    i = bisect_left(items, value)
-    if i < len(items) and items[i] == value:
-        del items[i]
 
 
 class PolicyState:
@@ -169,10 +157,12 @@ class PolicyState:
         self.eligible_at: dict[int, int] = dict.fromkeys(probed, 0)
         self.ledger = DeficitLedger()
         self._bootstrap_cursor = 0
-        self._ready: list[int] = list(self.destinations) if rr else []
-        self._pending = SortedKeys()
+        self._probes = SortedKeys()
         self._weights = SortedKeys()
-        self._unmeasured: list[int] = [] if rr else list(self.destinations)
+        self._unmeasured = SortedKeys()
+        filed = self._probes if rr else self._unmeasured
+        for dest in self.destinations:
+            filed.set(dest, 0)
         k = len(self.destinations)
         self._reciprocals = [0.0] * k
         self._sums = [0.0] * (k + 1)
@@ -198,8 +188,8 @@ class PolicyState:
                 state._set_reciprocal(dest, 1.0 / weight)
             else:
                 state._weights.set(dest, weight)
-        state._ready.clear()
-        state._unmeasured.clear()
+            state._probes.discard(dest)
+            state._unmeasured.discard(dest)
         return state
 
     # -- selection ---------------------------------------------------------
@@ -208,12 +198,13 @@ class PolicyState:
         if not self._drawable:
             if self._rr:
                 return self._select_rr(now)
-            unmeasured = self._unmeasured
+            unmeasured = self._unmeasured.order
             if unmeasured:
                 # Bootstrap: hand requests to the not-yet-measured destinations
                 # in id order until each has produced a first sample. Starting
                 # the estimate at zero instead would hand the whole reciprocal
                 # probability mass to whichever destination answered last.
+                # Every value is 0, so an entry is its id.
                 dest = unmeasured[self._bootstrap_cursor % len(unmeasured)]
                 self._bootstrap_cursor += 1
                 return dest
@@ -242,27 +233,28 @@ class PolicyState:
         return self.destinations[bisect_right(sums, self.rng.random() * sums[-1]) - 1]
 
     def _select_rr(self, now: int) -> int:
-        pending = self._pending
-        order = pending.order
-        while order and order[0] >> pending.shift <= now:
-            self._refresh(order[0] & pending.mask, now)
-        ready = self._ready
-        if ready:
-            dest = ready.pop(self.rng.randrange(len(ready)))
+        probes = self._probes
+        order = probes.order
+        if order and order[0] >> probes.shift <= now:
+            # The entries at 0, the ones that may be probed, are a prefix in
+            # id order; a backoff that has run out joins it.
+            shift, mask = probes.shift, probes.mask
+            ready = bisect_left(order, 1 << shift)
+            while ready < len(order) and order[ready] >> shift <= now:
+                probes.set(order[ready] & mask, 0)
+                ready += 1
+            dest = order[self.rng.randrange(ready)] & mask
+            probes.discard(dest)
             self.probing.add(dest)
             self.probes_launched += 1
             return dest
-        # The front of the ledger's keys is the least deficit, smallest id
-        # on ties; an active destination's weight is its table estimate.
-        ledger = self.ledger
-        keys = ledger.keys
-        if not keys.order:
+        # An active destination's weight is its table estimate.
+        try:
+            return self.ledger.charge(self._weights.values)
+        except EmptyLedger:
             raise NoEligibleDestination(
                 "active set empty and no destination is probe-eligible"
-            )
-        dest = keys.order[0] & keys.mask
-        ledger.charge(dest, self._weights.values[dest])
-        return dest
+            ) from None
 
     # -- feedback ----------------------------------------------------------
 
@@ -285,8 +277,8 @@ class PolicyState:
             except ObservationWhileCongested:
                 self.responses_unmeasured += 1
                 return
-            if self._unmeasured:
-                _discard(self._unmeasured, dest)
+            if self._unmeasured.values:
+                self._unmeasured.discard(dest)
             if self._li:
                 self._weights.set(dest, weight)
             else:
@@ -330,17 +322,14 @@ class PolicyState:
     # -- indexes -----------------------------------------------------------
 
     def _refresh(self, dest: int, now: int) -> None:
-        """File a round-robin destination in the ready list or the pending
-        index, or in neither while it is active, probing or congested."""
+        """File a round-robin destination in the probe index, at 0 if it may
+        be probed now and at its ``eligible_at`` otherwise; take it out while
+        it is active, probing or congested."""
         if dest in self.ledger or dest in self.probing or self.table.is_congested(dest):
-            _discard(self._ready, dest)
-            self._pending.discard(dest)
-        elif self.eligible_at[dest] <= now:
-            self._pending.discard(dest)
-            _add(self._ready, dest)
+            self._probes.discard(dest)
         else:
-            _discard(self._ready, dest)
-            self._pending.set(dest, self.eligible_at[dest])
+            eligible_at = self.eligible_at[dest]
+            self._probes.set(dest, 0 if eligible_at <= now else eligible_at)
 
     def _set_reciprocal(self, dest: int, reciprocal: float) -> None:
         """Store ``dest``'s reciprocal weight; the sums after it go stale and
@@ -376,7 +365,7 @@ class PolicyState:
                 self.probing.discard(dest)
                 self._refresh(dest, now)
             else:
-                _discard(self._unmeasured, dest)
+                self._unmeasured.discard(dest)
                 if self._li:
                     self._weights.discard(dest)
                 else:
@@ -388,7 +377,7 @@ class PolicyState:
                     self.eligible_at[dest] = now
                     self._refresh(dest, now)
                 elif weight is None:
-                    _add(self._unmeasured, dest)
+                    self._unmeasured.set(dest, 0)
                     self._drawable = False
                 elif self._li:
                     self._weights.set(dest, weight)

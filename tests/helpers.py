@@ -35,17 +35,15 @@ class NaiveLedger:
     def __contains__(self, dest):
         return dest in self.deficits
 
-    def pop_min(self):
+    def charge(self, weights):
+        """Charge the least deficit, smallest id on ties, its weight; return it."""
         if not self.deficits:
             raise EmptyLedger("empty")
-        return min(self.deficits, key=lambda d: (self.deficits[d], d))
-
-    def charge(self, dest, amount):
-        if amount < 0:
+        dest = min(self.deficits, key=lambda d: (self.deficits[d], d))
+        if weights[dest] < 0:
             raise ValueError("negative charge")
-        if dest not in self.deficits:
-            raise UnknownDestination(str(dest))
-        self.deficits[dest] += amount
+        self.deficits[dest] += weights[dest]
+        return dest
 
     def admit(self, dest, initial_deficit=0):
         if dest in self.deficits:
@@ -93,10 +91,10 @@ def reference_arrivals(kind, rate_per_s, seed=0):
 def check_same_state(ledger: DeficitLedger, oracle: NaiveLedger):
     """Every observable of the real ledger must match the oracle.
 
-    Order counts: ``decode()`` runs by ``(deficit, id)``, and ``deltas()``
-    is each deficit less its predecessor's, the first less zero. The
-    oracle's order is sorted once, and all three expectations, ``pop_min()``
-    included, are read from it.
+    Order counts: ``decode()`` runs by ``(deficit, id)``, so its first key
+    is the front the next ``charge`` charges, and ``deltas()`` is each
+    deficit less its predecessor's, the first less zero. The oracle's order
+    is sorted once, and every expectation is read from it.
     """
     ordered = sorted((deficit, dest) for dest, deficit in oracle.deficits.items())
     assert list(ledger.decode().items()) == [(dest, deficit) for deficit, dest in ordered]
@@ -107,8 +105,6 @@ def check_same_state(ledger: DeficitLedger, oracle: NaiveLedger):
         before = deficit
     assert ledger.deltas() == deltas
     assert len(ledger) == len(ordered)
-    if ordered:
-        assert ledger.pop_min() == ordered[0][1]
 
 
 class NaivePolicy(PolicyState):
@@ -116,10 +112,12 @@ class NaivePolicy(PolicyState):
 
     The state changes are inherited; only the lookups the indexes replace
     are done the obvious way: the probe candidates by comprehension and
-    ``rng.choice``, the active minimum by ``min``, the bootstrap cursor over
-    a freshly built list of unmeasured destinations, and the
-    random-proportional draw by a linear scan of freshly added sums. Active
-    membership is read from the ledger, the one place that holds it.
+    ``rng.choice``, the deficit front by ``min`` over the decoded ledger,
+    which the ledger's ``charge`` must charge, with weights read from the
+    table, the bootstrap cursor over a freshly built list of unmeasured
+    destinations, and the random-proportional draw by a linear scan of
+    freshly added sums. Active membership is read from the ledger, the one
+    place that holds it.
 
     ``select`` itself is overridden, so no fast path inside
     ``PolicyState.select`` can skip the rescan. ``naive_selections`` counts
@@ -171,17 +169,12 @@ class NaivePolicy(PolicyState):
             self.probing.add(dest)
             self.probes_launched += 1
             return dest
-        if len(self.ledger) == 0:
+        deficits = self.ledger.decode()
+        if not deficits:
             raise NoEligibleDestination("nothing active or probe-eligible")
-        dest = self.ledger.pop_min()
-        self.ledger.charge(dest, self.table.get(dest))
+        dest = min(deficits, key=lambda d: (deficits[d], d))
+        assert self.ledger.charge({d: self.table.get(d) for d in deficits}) == dest
         return dest
-
-    def _min_active_weight(self):
-        active = [d for d in self.destinations if d in self.ledger]
-        if not active:
-            return float("inf")
-        return min(self.table.get(d) for d in active)
 
 
 @dataclass

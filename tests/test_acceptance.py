@@ -116,14 +116,11 @@ def test_criterion_5_proportional_draws(capsys):
 
 # -- criterion 6 machinery --------------------------------------------------
 
-LEDGER_OPS = ("charge", "admit", "evict")
-
-
 def apply_both(ledger, oracle, op, *args):
     """Apply one op to both implementations; identical outcome required:
-    both succeed, or both raise an exception of the same type."""
+    both return the same value, or both raise an exception of the same type."""
     try:
-        getattr(ledger, op)(*args)
+        got = getattr(ledger, op)(*args)
     except Exception as exc:
         try:
             getattr(oracle, op)(*args)
@@ -132,61 +129,61 @@ def apply_both(ledger, oracle, op, *args):
         else:
             raise AssertionError(f"{op}{args}: ledger raised {exc!r}, oracle did not")
     else:
-        getattr(oracle, op)(*args)
+        assert getattr(oracle, op)(*args) == got, (op, args)
     check_same_state(ledger, oracle)
 
 
-def rebuild(state):
-    # admit everyone at zero, then charge up: reproduces any decoded state
+def replay(path):
+    """A fresh ledger and oracle after the ops of ``path``. Only the front
+    can be charged, so a state is reached by the ops that first reached it."""
     ledger, oracle = DeficitLedger(), NaiveLedger()
-    for d in sorted(state):
-        ledger.admit(d, 0)
-        oracle.admit(d, 0)
-    for d, v in sorted(state.items()):
-        if v:
-            ledger.charge(d, v)
-            oracle.charge(d, v)
+    for op, *args in path:
+        getattr(ledger, op)(*args)
+        getattr(oracle, op)(*args)
     return ledger, oracle
 
 
 def exhaustive_walk(max_depth=8, dests=4, amounts=(0, 3, 5)):
     """Every reachable op sequence up to max_depth, deduplicated by decoded
-    state (the encoding is canonical, so equal decodes behave equally)."""
+    state (the encoding is canonical, so equal decodes behave equally). At
+    depth ``n`` an admit enters at ``amounts[n % 3]``; only the front can be
+    charged, once for each of the amounts."""
     seen = {((), 0)}
-    stack = [((), 0)]
+    stack = [((), 0, ())]
     transitions = 0
     while stack:
-        items, depth = stack.pop()
+        items, depth, path = stack.pop()
         state = dict(items)
         if depth == max_depth:
             continue
         amount = amounts[depth % len(amounts)]
-        for d in range(dests):
-            ops = (
-                [("charge", d, amount), ("evict", d)]
-                if d in state
-                else [("admit", d, amount)]
-            )
-            for op in ops:
-                ledger, oracle = rebuild(state)
-                apply_both(ledger, oracle, *op)
-                transitions += 1
-                key = (tuple(sorted(oracle.decode().items())), depth + 1)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(key)
+        ops = [("admit", d, amount) for d in range(dests) if d not in state]
+        ops += [("evict", d) for d in state]
+        if state:
+            ops += [("charge", [weight] * dests) for weight in amounts]
+        for op in ops:
+            ledger, oracle = replay(path)
+            apply_both(ledger, oracle, *op)
+            transitions += 1
+            key = (tuple(sorted(oracle.decode().items())), depth + 1)
+            if key not in seen:
+                seen.add(key)
+                stack.append((*key, (*path, op)))
     return len(seen), transitions
 
 
 def randomized_sequences(sequences=100_000, length=10, seed=1):
     rng = random.Random(seed)
+    # the charges' weight vectors; the last one is refused at every front
+    pool = [[rng.choice([0, 1, 3, 5, 7]) for _ in range(4)] for _ in range(32)]
+    pool.append([-1] * 4)
     for _ in range(sequences):
         ledger, oracle = DeficitLedger(), NaiveLedger()
         for _ in range(length):
             d = rng.randrange(4)
             roll = rng.random()
             if roll < 0.45:
-                apply_both(ledger, oracle, "charge", d, rng.choice([0, 1, 3, 5, 7]))
+                apply_both(ledger, oracle, "charge", rng.choice(pool))
             elif roll < 0.8:
                 apply_both(ledger, oracle, "admit", d, rng.choice([0, 0, 2, 7]))
             else:
@@ -200,8 +197,9 @@ def test_criterion_6_ledger_oracle_equivalence(capsys):
         ledger = DeficitLedger()
         for d in range(4):
             ledger.admit(d, 0)
-        for d, target in zip(range(4), (4, 6, 7, 7)):
-            ledger.charge(d, target)
+        for d in range(4):
+            # the front is the smallest id still at zero
+            assert ledger.charge([4, 6, 7, 7]) == d
         assert ledger.deltas() == [(0, 4), (1, 2), (2, 1), (3, 0)]
         states, transitions = exhaustive_walk()
         sequences = randomized_sequences()

@@ -11,13 +11,24 @@ from helpers import tiny_doc
 
 def test_replay_table(capsys):
     assert main(["replay-table"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "step  destination  deficits (ms)"
-    assert len(lines) == 1 + 13 + 2
-    assert lines[1] == "   1            1  1: 2, 2: 0, 3: 0"
-    assert lines[13] == "  13            1  1: 12, 2: 12, 3: 12"
-    assert lines[14] == "selections after 13 steps: 1 x6, 2 x4, 3 x3"
-    assert lines[15] == "weights (ms): 1: 2, 2: 3, 3: 4"
+    assert capsys.readouterr().out.splitlines() == [
+        "step  destination  deficits (ms)",
+        "   1            1  1: 2, 2: 0, 3: 0",
+        "   2            2  1: 2, 2: 3, 3: 0",
+        "   3            3  1: 2, 2: 3, 3: 4",
+        "   4            1  1: 4, 2: 3, 3: 4",
+        "   5            2  1: 4, 2: 6, 3: 4",
+        "   6            1  1: 6, 2: 6, 3: 4",
+        "   7            3  1: 6, 2: 6, 3: 8",
+        "   8            1  1: 8, 2: 6, 3: 8",
+        "   9            2  1: 8, 2: 9, 3: 8",
+        "  10            1  1: 10, 2: 9, 3: 8",
+        "  11            3  1: 10, 2: 9, 3: 12",
+        "  12            2  1: 10, 2: 12, 3: 12",
+        "  13            1  1: 12, 2: 12, 3: 12",
+        "selections after 13 steps: 1 x6, 2 x4, 3 x3",
+        "weights (ms): 1: 2, 2: 3, 3: 4",
+    ]
 
 
 def test_validate_builtin(capsys):

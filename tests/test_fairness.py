@@ -13,14 +13,33 @@ from edgedispatch.fairness import (
 )
 
 
+# Each step of the reference schedule: the step, the destination charged,
+# and every deficit after the charge in ms, in ledger order, so the head of
+# one row is the next row's pick.
+REFERENCE_SCHEDULE = [
+    (1, 1, [(2, 0), (3, 0), (1, 2)]),
+    (2, 2, [(3, 0), (1, 2), (2, 3)]),
+    (3, 3, [(1, 2), (2, 3), (3, 4)]),
+    (4, 1, [(2, 3), (1, 4), (3, 4)]),
+    (5, 2, [(1, 4), (3, 4), (2, 6)]),
+    (6, 1, [(3, 4), (1, 6), (2, 6)]),
+    (7, 3, [(1, 6), (2, 6), (3, 8)]),
+    (8, 1, [(2, 6), (1, 8), (3, 8)]),
+    (9, 2, [(1, 8), (3, 8), (2, 9)]),
+    (10, 1, [(3, 8), (2, 9), (1, 10)]),
+    (11, 3, [(2, 9), (1, 10), (3, 12)]),
+    (12, 2, [(1, 10), (2, 12), (3, 12)]),
+    (13, 1, [(1, 12), (2, 12), (3, 12)]),
+]
+
+
 def test_schedule_table_reference():
     rows, counts = schedule_table()
-    assert len(rows) == 13
-    assert [r.destination for r in rows] == [1, 2, 3, 1, 2, 1, 3, 1, 2, 1, 3, 2, 1]
+    assert [(r.step, r.destination, list(r.deficits_us.items())) for r in rows] == [
+        (step, dest, [(d, ms * 1000) for d, ms in deficits])
+        for step, dest, deficits in REFERENCE_SCHEDULE
+    ]
     assert counts == {1: 6, 2: 4, 3: 3}
-    assert [r.step for r in rows] == list(range(1, 14))
-    assert rows[0].deficits_us == {1: 2000, 2: 0, 3: 0}
-    assert rows[-1].deficits_us == {1: 12_000, 2: 12_000, 3: 12_000}
 
 
 def test_short_term_suite_small():

@@ -20,13 +20,17 @@ from helpers import NaiveLedger, check_same_state
 
 
 def ledger_with(deficits):
+    """A ledger at ``deficits``: every id admitted at 0, then one front
+    charge per id. Each charge takes the smallest id still at 0 to its
+    target, so the targets must all be positive, or the zero ones must
+    follow every positive one in id order."""
     led = DeficitLedger()
     for dest in sorted(deficits):
         led.admit(dest, 0)
     # charging after all admits avoids admit-time renormalization
-    for dest, value in deficits.items():
-        if value:
-            led.charge(dest, value)
+    for _ in deficits:
+        led.charge(deficits)
+    assert led.decode() == deficits
     return led
 
 
@@ -37,46 +41,46 @@ def test_difference_encoding_verbatim():
     assert led.decode() == {0: 4, 1: 6, 2: 7, 3: 7}
 
 
-def test_pop_min_and_ties():
-    assert ledger_with({1: 4, 2: 6}).pop_min() == 1
-    assert ledger_with({1: 5, 2: 5}).pop_min() == 1  # tie -> smaller id
-    assert ledger_with({3: 0}).pop_min() == 3
-
-
-def test_pop_min_does_not_remove():
-    led = ledger_with({0: 1, 1: 2})
-    assert led.pop_min() == 0
-    assert led.pop_min() == 0
-    assert len(led) == 2
+def test_charge_takes_the_least_deficit_and_the_smaller_id_on_ties():
+    weights = {1: 10, 2: 10, 3: 10}
+    assert ledger_with({1: 4, 2: 6}).charge(weights) == 1
+    assert ledger_with({1: 6, 2: 4}).charge(weights) == 2
+    assert ledger_with({1: 5, 2: 5}).charge(weights) == 1  # tie -> smaller id
+    assert ledger_with({3: 0}).charge(weights) == 3
 
 
 def test_empty_ledger_errors():
     led = DeficitLedger()
     with pytest.raises(EmptyLedger):
-        led.pop_min()
+        led.charge({})
 
 
 def test_charge_repositions():
     led = ledger_with({0: 0, 1: 0, 2: 0})
-    led.charge(0, 2)
+    assert led.charge([2, 9, 9]) == 0
     # order is now 1, 2, 0
     assert led.deltas() == [(1, 0), (2, 0), (0, 2)]
-    assert led.pop_min() == 1
-    assert led.decode() == {0: 2, 1: 0, 2: 0}
+    assert led.decode() == {1: 0, 2: 0, 0: 2}
+    assert led.charge([2, 3, 9]) == 1
+    assert led.decode() == {2: 0, 0: 2, 1: 3}
+    assert len(led) == 3
 
 
 def test_charge_zero_changes_nothing_decoded():
     led = ledger_with({0: 3, 1: 5})
-    led.charge(1, 0)
+    assert led.charge({0: 0}) == 0
+    assert led.charge({0: 0}) == 0
     assert led.decode() == {0: 3, 1: 5}
 
 
 def test_charge_validation():
-    led = ledger_with({0: 0})
-    with pytest.raises(UnknownDestination):
-        led.charge(9, 5)
+    led = ledger_with({0: 1, 1: 2})
     with pytest.raises(ValueError):
-        led.charge(0, -1)
+        led.charge({0: -1, 1: 5})
+    # a refused charge changes nothing, and only the front's weight is read
+    assert led.decode() == {0: 1, 1: 2}
+    assert led.charge({0: 4}) == 0
+    assert led.decode() == {1: 2, 0: 5}
 
 
 def test_admit_renormalizes_by_previous_min():
@@ -111,8 +115,8 @@ def test_evict_leaves_others_decoded_unchanged():
     assert led.decode() == {0: 4, 2: 7}
     led = ledger_with({0: 4, 1: 6, 2: 7})
     led.evict(0)  # former second element becomes the min
-    assert led.pop_min() == 1
     assert led.decode() == {1: 6, 2: 7}
+    assert led.charge({1: 0}) == 1
 
 
 def test_evict_to_empty():
@@ -134,7 +138,7 @@ def test_random_sequences_match_oracle():
     for _ in range(400):
         led, oracle = DeficitLedger(), NaiveLedger()
         for _ in range(rng.randint(1, 40)):
-            op = rng.choice(("admit", "charge", "evict", "select"))
+            op = rng.choice(("admit", "charge", "evict"))
             if op == "admit":
                 free = [d for d in range(6) if d not in oracle]
                 if free:
@@ -143,16 +147,12 @@ def test_random_sequences_match_oracle():
                     led.admit(dest, amount)
                     oracle.admit(dest, amount)
             elif op == "charge" and len(oracle):
-                dest = rng.choice(sorted(oracle.decode()))
-                amount = rng.randint(0, 50)
-                led.charge(dest, amount)
-                oracle.charge(dest, amount)
+                weights = [rng.randint(0, 50) for _ in range(6)]
+                assert led.charge(weights) == oracle.charge(weights)
             elif op == "evict" and len(oracle):
                 dest = rng.choice(sorted(oracle.decode()))
                 led.evict(dest)
                 oracle.evict(dest)
-            elif op == "select" and len(oracle):
-                assert led.pop_min() == oracle.pop_min()
             check_same_state(led, oracle)
 
 
@@ -167,14 +167,11 @@ def test_large_ledger_matches_oracle():
     led, oracle = DeficitLedger(), NaiveLedger()
 
     def both(op, *args):
-        getattr(led, op)(*args)
-        getattr(oracle, op)(*args)
+        assert getattr(led, op)(*args) == getattr(oracle, op)(*args)
 
     def select_and_charge(steps):
         for _ in range(steps):
-            dest = led.pop_min()
-            assert dest == oracle.pop_min()
-            both("charge", dest, weights[dest])
+            both("charge", weights)
 
     def admit_some(count):
         absent = [d for d in range(k) if d not in oracle]
@@ -191,8 +188,7 @@ def test_large_ledger_matches_oracle():
         for dest in {order[0], order[-1], rng.choice(order)}:
             both("evict", dest)
             check_same_state(led, oracle)
-        dest = rng.choice(sorted(oracle.decode()))
-        both("charge", dest, rng.randint(0, 70_000))
+        both("charge", dict.fromkeys(oracle.decode(), rng.randint(0, 70_000)))
         admit_some(rng.randint(1, 4))
     for dest in rng.sample(sorted(oracle.decode()), len(oracle)):
         both("evict", dest)
@@ -208,7 +204,6 @@ SORTED_KEYS = st.sampled_from([0, 1, 2, 3, 7, 8, 255, 256, 2**40, 2**40 + 1]) | 
 SORTED_VALUES = st.integers(-3, 3) | st.integers(-(2**64), 2**64)
 SORTED_KEY_OPS = st.lists(
     st.tuples(st.just("set"), SORTED_KEYS, SORTED_VALUES)
-    | st.tuples(st.just("add"), SORTED_KEYS, SORTED_VALUES)
     | st.tuples(st.just("discard"), SORTED_KEYS, st.none()),
     max_size=60,
 )
@@ -216,7 +211,7 @@ SORTED_KEY_OPS = st.lists(
 
 @settings(max_examples=300)
 @given(ops=SORTED_KEY_OPS)
-@example(ops=[("set", 0, 5), ("set", 2**40, 5), ("add", 0, 1), ("set", 3, 6)])
+@example(ops=[("set", 0, 5), ("set", 2**40, 5), ("set", 0, 6), ("set", 3, 6)])
 @example(ops=[("set", 1, -2), ("set", 0, 9), ("set", 8, -2), ("discard", 1, None)])
 def test_sorted_keys_match_a_sorted_pair_oracle(ops):
     keys, oracle, width = SortedKeys(), {}, 0
@@ -225,13 +220,6 @@ def test_sorted_keys_match_a_sorted_pair_oracle(ops):
             keys.set(key, value)
             oracle[key] = value
             width = max(width, key.bit_length())
-        elif op == "add":
-            if key in oracle:
-                keys.add(key, value)
-                oracle[key] += value
-            else:
-                with pytest.raises(KeyError):
-                    keys.add(key, value)
         else:
             keys.discard(key)
             oracle.pop(key, None)
@@ -255,11 +243,13 @@ def test_sorted_keys_refuse_a_negative_key():
 DESTS = st.integers(0, 5)
 # mostly tiny amounts, so equal deficits (ties broken by id) are common
 AMOUNTS = st.integers(0, 3) | st.integers(0, 10**6)
+WEIGHTS = st.lists(AMOUNTS, min_size=6, max_size=6)
 
 
 class LedgerMachine(RuleBasedStateMachine):
     """Random admit, charge and evict sequences, every error path included,
-    checked against the naive oracle after each step."""
+    checked against the naive oracle after each step; a charge returns the
+    oracle's front."""
 
     def __init__(self):
         super().__init__()
@@ -276,20 +266,9 @@ class LedgerMachine(RuleBasedStateMachine):
             self.oracle.admit(dest, amount)
 
     @precondition(lambda self: len(self.oracle))
-    @rule(amount=AMOUNTS)
-    def charge_the_minimum(self, amount):
-        dest = self.ledger.pop_min()
-        self.ledger.charge(dest, amount)
-        self.oracle.charge(dest, amount)
-
-    @rule(dest=DESTS, amount=AMOUNTS)
-    def charge_any(self, dest, amount):
-        if dest not in self.oracle:
-            with pytest.raises(UnknownDestination):
-                self.ledger.charge(dest, amount)
-        else:
-            self.ledger.charge(dest, amount)
-            self.oracle.charge(dest, amount)
+    @rule(weights=WEIGHTS)
+    def charge(self, weights):
+        assert self.ledger.charge(weights) == self.oracle.charge(weights)
 
     @rule(dest=DESTS)
     def evict(self, dest):
@@ -302,17 +281,18 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @rule(dest=DESTS, amount=st.integers(max_value=-1))
     def negative_amount(self, dest, amount):
-        with pytest.raises(ValueError):
-            self.ledger.charge(dest, amount)
+        if len(self.oracle):
+            with pytest.raises(ValueError):
+                self.ledger.charge([amount] * 6)
         if dest not in self.oracle:
             with pytest.raises(ValueError):
                 self.ledger.admit(dest, amount)
 
     @precondition(lambda self: not len(self.oracle))
     @rule()
-    def select_from_empty(self):
+    def charge_of_empty(self):
         with pytest.raises(EmptyLedger):
-            self.ledger.pop_min()
+            self.ledger.charge([0] * 6)
 
     @invariant()
     def matches_oracle(self):
@@ -341,9 +321,7 @@ def manual_replay(led, weights, steps):
     max_spread = 0
     results = [ReplayResult([0] * k, [0] * k, -1, 0)]
     for step in range(1, steps + 1):
-        dest = led.pop_min()
-        led.charge(dest, weights[dest])
-        counts[dest] += 1
+        counts[led.charge(weights)] += 1
         decoded = led.decode()
         deficits = decoded.values()
         spread = max(deficits) - min(deficits)

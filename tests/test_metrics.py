@@ -570,11 +570,14 @@ def test_summary_survives_the_disk_round_trip(tmp_path):
 
 
 def test_snapshot_keys_read_back_as_str_writes_ids():
-    # JSON writes every id key as str(id); '--1' is no int, so it stays text
-    doc = snapshot_for({7: 1000, 0: 2000, -3: None}, {"kind": "rr", "--1": 0})
+    # JSON writes every id key as str(id); a field map's keys stay text,
+    # even one that looks like a number
+    policy = {"kind": "rr", "10": 0, "deficits_us": {3: 5, 12: 0}}
+    doc = snapshot_for({7: 1000, 0: 2000, 10: None}, policy)
     entry = summarize([], json.loads(json.dumps(doc))).snapshot["routers"][0]["lambdas"][0]
-    assert list(entry["weights"]) == [7, 0, -3]
-    assert list(entry["policy"]) == ["kind", "--1"]
+    assert list(entry["weights"]) == [7, 0, 10]
+    assert list(entry["policy"]) == ["kind", "10", "deficits_us"]
+    assert entry["policy"]["deficits_us"] == {3: 5, 12: 0}
 
 
 @pytest.mark.parametrize("key", ["007", "\u0663", "+7", "1_0", " 7", "-0"])
@@ -583,6 +586,30 @@ def test_a_snapshot_key_that_str_would_not_write_is_refused(key):
     # read as an id, each would merge with the key str() writes for it
     snapshot = snapshot_for({str(int(key)): 1000, key: 2000})
     with pytest.raises(ValueError, match=f"^snapshot key {re.escape(repr(key))} is not"):
+        summarize([], snapshot)
+
+
+@pytest.mark.parametrize(
+    "snapshot, key, where",
+    [
+        (snapshot_for({"0": 1000, "x": 2000}), "x", "routers/0/lambdas/0/weights"),
+        ({"routers": {"x": {"lambdas": {}}, "0": {"lambdas": {}}}}, "x", "routers"),
+        ({"routers": {"-1": {"lambdas": {}}}}, "-1", "routers"),
+        (snapshot_for({0: 1000}, {"backoff_us": {0: 1, "0x1": 2}}), "0x1",
+         "routers/0/lambdas/0/policy/backoff_us"),
+        (snapshot_for({0: 1000}, {"eligible_at_us": {-2: 0}}), -2,
+         "routers/0/lambdas/0/policy/eligible_at_us"),
+        (snapshot_for({0: 1000}, {"deficits_us": {True: 0}}), True,
+         "routers/0/lambdas/0/policy/deficits_us"),
+    ],
+    ids=["text-weight", "text-router", "negative-router", "hex-backoff", "negative-int",
+         "bool"],
+)
+def test_an_id_map_refuses_a_key_that_is_not_an_id(snapshot, key, where):
+    # no id is negative or text; each used to fail later in a bare sort or
+    # read as an id no document can name
+    message = f"^snapshot key {re.escape(repr(key))} is not an id .*, at {where}$"
+    with pytest.raises(ValueError, match=message):
         summarize([], snapshot)
 
 

@@ -401,30 +401,36 @@ def decoded(keys):
     return [(entry >> keys.shift, entry & keys.mask) for entry in keys.order]
 
 
-def check_indexes(state):
-    """The weight and pending indexes hold exactly what the table and the
-    backoffs say, with no stale or missing entry."""
-    get = state.table.get
+def check_indexes(state, now):
+    """The weight, probe and bootstrap indexes hold exactly what the table
+    and the backoffs say at ``now``, with no stale or missing entry."""
+    get, congested = state.table.get, state.table.is_congested
     if state.kind is PolicyKind.ROUND_ROBIN:
         held = list(state.ledger.decode())
     elif state.kind is PolicyKind.LEAST_IMPEDANCE:
-        held = [
-            d for d in state.destinations if get(d) is not None and not state.table.is_congested(d)
-        ]
+        held = [d for d in state.destinations if get(d) is not None and not congested(d)]
     else:
         held = []
     assert decoded(state._weights) == sorted((get(d), d) for d in held)
     assert state._weights.values == {d: get(d) for d in held}
-    pending = state._pending.values
-    assert decoded(state._pending) == sorted((t, d) for d, t in pending.items())
-    assert all(t == state.eligible_at[d] for d, t in pending.items())
+    probes = state._probes.values
+    assert decoded(state._probes) == sorted((t, d) for d, t in probes.items())
+    unmeasured = state._unmeasured.values
+    assert decoded(state._unmeasured) == [(0, d) for d in sorted(unmeasured)]
     if state.kind is not PolicyKind.ROUND_ROBIN:
-        assert not pending and not state.backoff and not state.eligible_at
+        assert not probes and not state.backoff and not state.eligible_at
+        fresh = [d for d in state.destinations if get(d) is None and not congested(d)]
+        assert sorted(unmeasured) == fresh
         return
+    assert not unmeasured
     for d in state.destinations:
-        filed = (d in state._ready) + (d in pending)
-        waiting = d in state.ledger or d in state.probing or state.table.is_congested(d)
-        assert filed == (0 if waiting else 1), d
+        waiting = d in state.ledger or d in state.probing or congested(d)
+        assert (d in probes) != waiting, d
+        if d in probes:
+            # at 0 once it may be probed, else at its eligible_at, at least
+            # 1, where it stays after its time comes until a selection
+            eligible_at = state.eligible_at[d]
+            assert probes[d] == eligible_at >= 1 or probes[d] == 0 and eligible_at <= now, d
 
 
 def drive_against_naive(kind, k, seed, steps=1500):
@@ -482,7 +488,7 @@ def drive_against_naive(kind, k, seed, steps=1500):
             # trusts them and re-accumulates only the rest.
             clean = real._stale + 1
             assert as_hex(real._sums[:clean]) == as_hex(scan_sums(real)[:clean]), (op, args)
-        check_indexes(real)
+        check_indexes(real, now)
         seen["first_weight"] += (
             real.table.get(dests[0]), real.table.is_congested(dests[0])
         ) != first_weight
@@ -520,8 +526,36 @@ def test_indexed_selection_matches_full_scans(kind, k):
             assert seen["reject"] and seen["evict"]
 
 
+def test_the_probe_index_files_at_zero_only_what_may_be_probed_now():
+    # b_min_us=1 puts an evicted destination 0 at eligible_at 1: the entry
+    # (1, key 0), the least int above the prefix of entries at 0
+    state = PolicyState.preloaded(
+        PolicyKind.ROUND_ROBIN, {0: 10, 1: 10, 2: 10}, seed=0, b_min_us=1
+    )
+    state.on_response(0, 10_000, 0)
+    state.sync_congestion(1, True, 0)
+    state.sync_congestion(1, False, 0)
+    assert 0 not in state.ledger and 1 not in state.ledger
+    assert state._probes.values == {0: 1, 1: 0}
+    rng = random.Random(0)
+    # at 0 destination 1 alone is ready: one draw below 1 (a draw below 2
+    # would give 1 at this seed and probe destination 0)
+    assert state.select(0) == 1
+    rng.randrange(1)
+    assert state.rng.getstate() == rng.getstate()
+    # at 1 destination 0's backoff has run out, and it alone is ready
+    assert state.select(1) == 0
+    rng.randrange(1)
+    assert state.rng.getstate() == rng.getstate()
+    assert not state._probes.values
+    # a clear at 5 sets eligible_at to 5, which is reached: filed at 0
+    state.sync_congestion(2, True, 5)
+    state.sync_congestion(2, False, 5)
+    assert state._probes.values == {2: 0}
+
+
 def test_randrange_draws_what_choice_drew():
-    # The probe pick indexes the ready list with randrange where the full
+    # The probe pick indexes the ready prefix with randrange where the full
     # scan called choice. Both must make the same single draw, or every
     # seeded trace moves; an interpreter that changes either fails here.
     for seed in range(50):
@@ -610,7 +644,7 @@ def in_step(states, op, *args):
 def test_rp_clear_of_a_never_measured_destination_bootstraps_it():
     # The draw is live (no bootstrap left, sums current) when 2, never
     # measured, is marked and cleared: no reciprocal changes, but 2 is back
-    # on the bootstrap list, so the next selection must hand it a request.
+    # on the bootstrap index, so the next selection must hand it a request.
     states = [
         cls(PolicyKind.RANDOM_PROPORTIONAL, [0, 1, 2], seed=6) for cls in (PolicyState, NaivePolicy)
     ]
